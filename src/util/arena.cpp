@@ -27,14 +27,23 @@ std::size_t class_of(std::size_t bytes) {
 
 std::size_t class_bytes(std::size_t cls) { return kArenaMinBlock << cls; }
 
-/// Process-wide slab owner + central freelists. Function-local static:
-/// constructed on first use (before any thread cache that touches it, so it
-/// is destroyed after them), never shrinks while the process runs.
+/// Process-wide slab owner + central freelists. Constructed on first use
+/// and never destroyed: a thread cache can outlive any static destruction
+/// order (the helpers of a WorkerPool static built before the arena exit
+/// inside the pool's destructor, after the arena's), and each cache spills
+/// into the arena when its thread exits. The slabs go back to the OS with
+/// the process.
 class Arena {
  public:
   static Arena& instance() {
-    static Arena a;
-    return a;
+    // A union never runs its member's destructor unless told to.
+    union Immortal {
+      Arena arena;
+      Immortal() : arena() {}
+      ~Immortal() {}
+    };
+    static Immortal holder;
+    return holder.arena;
   }
 
   /// Moves up to kBatch blocks of `cls` into `out`; carves a fresh slab
@@ -96,8 +105,8 @@ class Arena {
   std::atomic<std::uint64_t> fallback_allocs_{0};
 };
 
-/// Per-thread block cache. The constructor pins the arena singleton so the
-/// destructor (thread exit / process exit) can always flush into it.
+/// Per-thread block cache. The arena is never destroyed, so the destructor
+/// (thread exit / process exit) can always flush into it.
 class ThreadCache {
  public:
   ThreadCache() : arena_(&Arena::instance()) {}
