@@ -16,7 +16,6 @@
 // hardware is not expected — SWAR must hit the gate too).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -150,11 +149,8 @@ int main(int argc, char** argv) {
   using namespace nlc;
   using namespace nlc::bench;
 
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-  const int reps = smoke ? 30 : (full_mode() ? 300 : 100);
+  const auto [smoke, full] = parse_size_flags(argc, argv);
+  const int reps = smoke ? 30 : (full ? 300 : 100);
 
   header("Delta scan kernels: ns/page per SimdTier",
          "DESIGN.md §12 (extension beyond the paper)");

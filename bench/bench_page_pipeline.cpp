@@ -195,12 +195,7 @@ int main(int argc, char** argv) {
   using namespace nlc;
   using namespace nlc::bench;
 
-  bool smoke = false;
-  bool full = full_mode();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--full") == 0) full = true;
-  }
+  const auto [smoke, full] = parse_size_flags(argc, argv);
   const std::uint64_t npages = smoke ? 2'000 : (full ? 100'000 : 20'000);
   const int reps = smoke ? 2 : 3;
 

@@ -15,7 +15,6 @@
 // regression gate: the fast path must beat the generic path); --full /
 // NLC_BENCH_FULL=1 ~20M.
 #include <cstdio>
-#include <cstring>
 
 #include "bench/common.hpp"
 #include "sim/simulation.hpp"
@@ -122,8 +121,7 @@ Score run_timers(int chains, long long links) {
 
 int main(int argc, char** argv) {
   using namespace nlc::bench;
-  bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  bool full = full_mode() || (argc > 1 && std::strcmp(argv[1], "--full") == 0);
+  const auto [smoke, full] = parse_size_flags(argc, argv);
 
   long long per_task = smoke ? 2'000 : full ? 200'000 : 20'000;
   const int kTasks = 100;  // sleepers; also 50 ping-pong pairs

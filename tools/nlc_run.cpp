@@ -7,8 +7,11 @@
 //
 // Prints one experiment's results as both a human summary and a single
 // JSON line (machine-scrapable for scripting sweeps).
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,8 +35,9 @@ std::optional<apps::AppSpec> find_spec(const std::string& name) {
   return std::nullopt;
 }
 
-void usage() {
-  std::printf(
+void usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "usage: nlc_run [options]\n"
       "  --workload NAME    swaptions|streamcluster|redis|ssdb|node|\n"
       "                     lighttpd|djcms|netecho (default: netecho)\n"
@@ -52,10 +56,10 @@ void usage() {
       "  --clients N        override client connections\n"
       "  --pipeline N       override per-connection request pipeline\n"
       "  --seed N           RNG seed (default 1)\n"
-      "  --replicas N       backup replica count (default 1; N>1 enables\n"
-      "                     quorum output commit, DESIGN.md §16)\n"
-      "  --quorum K         replica acks required to release output\n"
-      "                     (default 0 = majority of N)\n"
+      "  --replicas N       backup replica count 1..16 (default 1; N>1\n"
+      "                     enables quorum output commit, DESIGN.md §16)\n"
+      "  --quorum K         replica acks required to release output,\n"
+      "                     0..N (default 0 = majority of N)\n"
       "  --topology T       replication wiring: star|chain (default star)\n"
       "  --fault            inject a fail-stop fault mid-run\n"
       "  --fault-kind F     what fails: primary|backup|rack|double\n"
@@ -71,6 +75,27 @@ void usage() {
       "  --list             list workloads and exit\n");
 }
 
+/// Bad input fails loudly: the reason and the usage text, exit status 2.
+[[noreturn]] void fail(const std::string& why) {
+  std::fprintf(stderr, "nlc_run: %s\n", why.c_str());
+  usage(stderr);
+  std::exit(2);
+}
+
+/// Parses all of `text` as a decimal integer in [lo, hi].
+long long parse_int(const std::string& flag, const char* text, long long lo,
+                    long long hi) {
+  long long v = 0;
+  const char* end = text + std::strlen(text);
+  const auto [stop, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || stop != end || stop == text || v < lo || v > hi) {
+    fail("invalid value '" + std::string(text) + "' for " + flag +
+         " (expected an integer in " + std::to_string(lo) + ".." +
+         std::to_string(hi) + ")");
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,68 +108,59 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
+      if (i + 1 >= argc) fail("missing value for " + arg);
       return argv[++i];
     };
+    auto next_int = [&](long long lo, long long hi) {
+      return parse_int(arg, next(), lo, hi);
+    };
     if (arg == "--workload") {
-      auto spec = find_spec(next());
-      if (!spec) {
-        std::fprintf(stderr, "unknown workload\n");
-        return 2;
-      }
+      const char* name = next();
+      auto spec = find_spec(name);
+      if (!spec) fail("unknown workload '" + std::string(name) + "'");
       cfg.spec = *spec;
     } else if (arg == "--mode") {
       std::string m = next();
       if (m == "stock") cfg.mode = harness::Mode::kStock;
       else if (m == "nilicon") cfg.mode = harness::Mode::kNiLiCon;
       else if (m == "mc") cfg.mode = harness::Mode::kMc;
-      else {
-        std::fprintf(stderr, "unknown mode\n");
-        return 2;
-      }
+      else fail("unknown mode '" + m + "'");
     } else if (arg == "--seconds") {
-      cfg.measure = nlc::seconds(std::atoi(next()));
+      cfg.measure = nlc::seconds(next_int(1, 3600));
     } else if (arg == "--batch-seconds") {
-      cfg.batch_work = nlc::seconds(std::atoi(next()));
+      cfg.batch_work = nlc::seconds(next_int(1, 3600));
     } else if (arg == "--epoch-ms") {
-      cfg.nilicon.epoch_length = nlc::milliseconds(std::atoi(next()));
+      cfg.nilicon.epoch_length = nlc::milliseconds(next_int(1, 10000));
     } else if (arg == "--epoch-policy") {
       std::string p = next();
       if (p == "fixed") cfg.nilicon.epoch_policy = core::EpochPolicy::kFixed;
       else if (p == "adaptive")
         cfg.nilicon.epoch_policy = core::EpochPolicy::kAdaptive;
-      else {
-        std::fprintf(stderr, "unknown epoch policy\n");
-        return 2;
-      }
+      else fail("unknown epoch policy '" + p + "'");
     } else if (arg == "--commit") {
       std::string m = next();
       if (m == "epoch") cfg.nilicon.commit_mode = core::CommitMode::kEpoch;
       else if (m == "replay")
         cfg.nilicon.commit_mode = core::CommitMode::kReplay;
-      else {
-        std::fprintf(stderr, "unknown commit mode\n");
-        return 2;
-      }
+      else fail("unknown commit mode '" + m + "'");
     } else if (arg == "--opt-level") {
-      cfg.nilicon = core::Options::table1_row(std::atoi(next()));
+      cfg.nilicon =
+          core::Options::table1_row(static_cast<int>(next_int(0, 7)));
     } else if (arg == "--clients") {
-      cfg.client_connections = std::atoi(next());
+      cfg.client_connections = static_cast<int>(next_int(1, 100000));
     } else if (arg == "--pipeline") {
-      cfg.client_pipeline = std::atoi(next());
+      cfg.client_pipeline = static_cast<int>(next_int(1, 4096));
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      cfg.seed = static_cast<std::uint64_t>(
+          next_int(0, std::numeric_limits<long long>::max()));
     } else if (arg == "--replicas") {
-      cfg.nilicon.replicas = std::atoi(next());
+      cfg.nilicon.replicas = static_cast<int>(next_int(1, 16));
     } else if (arg == "--quorum") {
-      cfg.nilicon.quorum_k = std::atoi(next());
+      cfg.nilicon.quorum_k = static_cast<int>(next_int(0, 16));
     } else if (arg == "--topology") {
-      if (!topo::parse_topology(next(), &cfg.nilicon.topology)) {
-        std::fprintf(stderr, "unknown topology\n");
-        return 2;
+      const char* t = next();
+      if (!topo::parse_topology(t, &cfg.nilicon.topology)) {
+        fail("unknown topology '" + std::string(t) + "'");
       }
     } else if (arg == "--fault") {
       cfg.inject_fault = true;
@@ -154,10 +170,7 @@ int main(int argc, char** argv) {
       else if (f == "backup") cfg.fault_kind = harness::FaultKind::kBackup;
       else if (f == "rack") cfg.fault_kind = harness::FaultKind::kRack;
       else if (f == "double") cfg.fault_kind = harness::FaultKind::kDouble;
-      else {
-        std::fprintf(stderr, "unknown fault kind\n");
-        return 2;
-      }
+      else fail("unknown fault kind '" + f + "'");
     } else if (arg == "--audit") {
       std::string l = next();
       if (l == "off") cfg.nilicon.audit_level = core::AuditLevel::kOff;
@@ -165,10 +178,7 @@ int main(int argc, char** argv) {
         cfg.nilicon.audit_level = core::AuditLevel::kCommitPoints;
       else if (l == "continuous")
         cfg.nilicon.audit_level = core::AuditLevel::kContinuous;
-      else {
-        std::fprintf(stderr, "unknown audit level\n");
-        return 2;
-      }
+      else fail("unknown audit level '" + l + "'");
     } else if (arg == "--trace") {
       trace_path = next();
       cfg.nilicon.trace_level = core::TraceLevel::kFull;
@@ -185,10 +195,16 @@ int main(int argc, char** argv) {
         std::printf("%s\n", s.name.c_str());
       }
       return 0;
+    } else if (arg == "--help" || arg == "-h") {
+      usage(stdout);
+      return 0;
     } else {
-      usage();
-      return arg == "--help" || arg == "-h" ? 0 : 2;
+      fail("unknown argument '" + arg + "'");
     }
+  }
+  if (cfg.nilicon.quorum_k > cfg.nilicon.replicas) {
+    fail("--quorum " + std::to_string(cfg.nilicon.quorum_k) +
+         " exceeds --replicas " + std::to_string(cfg.nilicon.replicas));
   }
 
   if (cfg.kv_validation && cfg.spec.kv_pages == 0) {
