@@ -21,7 +21,7 @@
 #include "net/channel.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
-#include "trace/recorder.hpp"
+#include "trace/stream.hpp"
 
 namespace nlc::blk {
 
@@ -84,19 +84,6 @@ class DrbdPrimary : public kern::BlockStore {
   std::vector<net::Channel<DrbdMessage>*> channels_;
 };
 
-/// Observer seam for the invariant auditor (src/check): reports when
-/// buffered epochs reach the backup disk and when the uncommitted tail is
-/// dropped at failover.
-class DrbdObserver {
- public:
-  virtual ~DrbdObserver() = default;
-  /// One buffered epoch's writes were applied to the backup disk.
-  virtual void on_drbd_epoch_applied(std::uint64_t epoch,
-                                     std::uint64_t writes) = 0;
-  /// Failover discarded `writes` buffered, uncommitted writes.
-  virtual void on_drbd_discard(std::uint64_t writes) = 0;
-};
-
 /// Backup-side DRBD: receives writes, buffers per epoch, commits on demand.
 class DrbdBackup {
  public:
@@ -126,14 +113,12 @@ class DrbdBackup {
         any_barrier_ = true;
         epochs_.push_back(EpochWrites{last_barrier_, std::move(pending_)});
         pending_.clear();
-        if (trace_ != nullptr) {
-          trace_->instant(trace::Track::kDrbd, trace::Stage::kDrbdBuffer,
-                          sim_->now(), epochs_.back().writes.size());
-          trace_->instant(trace::Track::kDrbd, trace::Stage::kDrbdBarrier,
-                          sim_->now(), last_barrier_);
-          trace_->counter(trace::Track::kDrbd,
-                          trace::Stage::kDrbdBufferedWrites, sim_->now(),
-                          buffered_writes());
+        if (obs_) {
+          obs_.instant(trace::Track::kDrbd, trace::Stage::kDrbdBuffer,
+                       sim_->now(), epochs_.back().writes.size());
+          obs_.instant(trace::Track::kDrbd, trace::Stage::kDrbdBarrier,
+                       sim_->now(), last_barrier_);
+          emit_buffered();
         }
         barrier_arrived_.set();
       }
@@ -161,21 +146,11 @@ class DrbdBackup {
         ++writes_committed_;
       }
       committed_epoch_ = epochs_.front().epoch;
-      if (observer_ != nullptr) {
-        observer_->on_drbd_epoch_applied(epochs_.front().epoch,
-                                         epochs_.front().writes.size());
-      }
-      if (trace_ != nullptr) {
-        trace_->instant(trace::Track::kDrbd, trace::Stage::kDrbdCommit,
-                        sim_->now(), committed_epoch_);
-      }
+      obs_.instant(trace::Track::kDrbd, trace::Stage::kDrbdCommit,
+                   sim_->now(), committed_epoch_);
       epochs_.pop_front();
     }
-    if (trace_ != nullptr) {
-      trace_->counter(trace::Track::kDrbd,
-                      trace::Stage::kDrbdBufferedWrites, sim_->now(),
-                      buffered_writes());
-    }
+    if (obs_) emit_buffered();
   }
 
   /// Failover: drops every buffered write of uncommitted epochs (including
@@ -184,23 +159,17 @@ class DrbdBackup {
     std::uint64_t dropped = buffered_writes();
     epochs_.clear();
     pending_.clear();
-    if (observer_ != nullptr) observer_->on_drbd_discard(dropped);
-    if (trace_ != nullptr) {
-      trace_->instant(trace::Track::kDrbd, trace::Stage::kDrbdDiscard,
-                      sim_->now(), dropped);
-      trace_->counter(trace::Track::kDrbd,
-                      trace::Stage::kDrbdBufferedWrites, sim_->now(), 0);
-    }
+    obs_.instant(trace::Track::kDrbd, trace::Stage::kDrbdDiscard, sim_->now(),
+                 dropped);
+    obs_.counter(trace::Track::kDrbd, trace::Stage::kDrbdBufferedWrites,
+                 sim_->now(), 0);
   }
-
-  /// Installs (or clears, with nullptr) the audit observer.
-  void set_observer(DrbdObserver* o) { observer_ = o; }
 
   /// Chain topology: forward every received message down this channel.
   void set_forward(net::Channel<DrbdMessage>* down) { forward_ = down; }
 
-  /// Attaches (or clears) the flight recorder (observer only).
-  void set_trace(trace::Recorder* rec) { trace_ = rec; }
+  /// Attaches (or clears) the protocol event stream (observer only).
+  void set_stream(trace::Stream* s) { obs_.attach(s); }
 
   Disk& local_disk() { return *local_; }
   std::uint64_t committed_epoch() const { return committed_epoch_; }
@@ -218,12 +187,16 @@ class DrbdBackup {
     std::vector<DiskWrite> writes;
   };
 
+  void emit_buffered() const {
+    obs_.counter(trace::Track::kDrbd, trace::Stage::kDrbdBufferedWrites,
+                 sim_->now(), buffered_writes());
+  }
+
   sim::Simulation* sim_;
   Disk* local_;
   net::Channel<DrbdMessage>* channel_;
   net::Channel<DrbdMessage>* forward_ = nullptr;
-  DrbdObserver* observer_ = nullptr;
-  trace::Recorder* trace_ = nullptr;
+  trace::Observer obs_;
   sim::Event barrier_arrived_;
   std::vector<DiskWrite> pending_;
   std::deque<EpochWrites> epochs_;

@@ -155,8 +155,8 @@ void EpochCommitChecker::resilver_adopted(std::uint64_t committed_epoch) {
 void EpochCommitChecker::recovery_started(std::uint64_t committed_epoch) {
   NLC_CHECK_MSG(!in_recovery_ && !recovered_,
                 "audit: recovery started twice");
-  // A fold may still be in flight (recover() waits for it); the restore
-  // point must cover at least every fully committed epoch so far.
+  // Reported when the restore begins, after any in-flight fold drained:
+  // the restore point must cover every fully committed epoch so far.
   NLC_CHECK_MSG(next_commit_ == 0 || committed_epoch + 1 >= next_commit_,
                 "audit: recovery forgot already-committed epochs");
   in_recovery_ = true;

@@ -1,8 +1,8 @@
 // Invariant checkers for the NiLiCon replication protocol.
 //
 // Each class audits one of the paper's correctness properties from a
-// stream of observation events (fed by the InvariantAuditor in audit.hpp,
-// or directly by tests). They keep their own mirror of the protocol state
+// stream of observation events (fed by the InvariantAuditor in audit.hpp
+// from the protocol event stream, or directly by tests). They keep their own mirror of the protocol state
 // they audit — the point is to catch the real components lying, so nothing
 // here trusts a component's own bookkeeping. A violated invariant throws
 // InvariantError via NLC_CHECK; a clean run only bumps check counters.
@@ -45,8 +45,8 @@ struct AuditStats {
   /// against independent primary/backup chain mirrors.
   std::uint64_t replay_equivalence_checks = 0;
   std::uint64_t sweeps = 0;
-  /// Post-hoc orderings re-verified from the flight-recorder stream
-  /// (trace_oracle.hpp); non-zero only when both auditing and tracing ran.
+  /// Stream orderings verified by the ordering rules (trace_oracle.hpp),
+  /// live, over the emissions the flight recorder keeps.
   std::uint64_t trace_order_checks = 0;
   /// N-way quorum replication (DESIGN.md §16): per-replica cursor
   /// monotonicity, quorum-cursor re-derivation, K-of-N release gating and

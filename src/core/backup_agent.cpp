@@ -8,6 +8,9 @@
 
 namespace nlc::core {
 
+using trace::Stage;
+using trace::Track;
+
 BackupAgent::BackupAgent(Options opts, kern::Kernel& kernel,
                          net::TcpStack& tcp, blk::DrbdBackup& drbd,
                          StateChannel& state_in, AckChannel& ack_out,
@@ -56,10 +59,7 @@ sim::task<> BackupAgent::state_loop() {
   sim::Simulation& sim = kernel_->simulation();
   while (true) {
     EpochStateMsg msg = co_await state_in_->recv();
-    if (trace_ != nullptr) {
-      trace_->span_begin(trace::Track::kBackup, trace::Stage::kRecv,
-                         sim.now(), msg.epoch);
-    }
+    obs_.span_begin(Track::kBackup, Stage::kRecv, sim.now(), msg.epoch);
 
     // Receive-side processing: read() per chunk into the staging buffers.
     Time recv_cost = backup_costs_.recv_base +
@@ -67,12 +67,9 @@ sim::task<> BackupAgent::state_loop() {
                          backup_costs_.read_per_chunk;
     co_await sim.sleep_for(recv_cost);
     metrics_->backup_busy += recv_cost;
-    if (trace_ != nullptr) {
-      trace_->span_end(trace::Track::kBackup, trace::Stage::kRecv,
-                       sim.now(), msg.epoch);
-      trace_->span_begin(trace::Track::kBackup, trace::Stage::kBarrierWait,
-                         sim.now(), msg.epoch);
-    }
+    obs_.span_end(Track::kBackup, Stage::kRecv, sim.now(), msg.epoch);
+    obs_.span_begin(Track::kBackup, Stage::kBarrierWait, sim.now(),
+                    msg.epoch);
 
     // Chain topology (DESIGN.md §16): store-and-forward the received state
     // to the next replica down the chain, with the primary's wire
@@ -88,20 +85,14 @@ sim::task<> BackupAgent::state_loop() {
     // the barrier) and its container state are buffered here: acknowledge,
     // letting the primary release the epoch's buffered output (§IV).
     co_await drbd_->wait_barrier(msg.epoch);
-    if (trace_ != nullptr) {
-      trace_->span_end(trace::Track::kBackup, trace::Stage::kBarrierWait,
-                       sim.now(), msg.epoch);
-    }
-    if (audit_ != nullptr) audit_->on_ack_sent(msg.epoch, drbd_->last_barrier());
+    obs_.span_end(Track::kBackup, Stage::kBarrierWait, sim.now(), msg.epoch);
     // The acked cursor is this replica's catch-up position — the promotion
     // arbiter's election key (DESIGN.md §16).
     acked_epoch_ = msg.epoch;
     any_ack_sent_ = true;
     ack_out_->send(AckMsg{msg.epoch}, 64);
-    if (trace_ != nullptr) {
-      trace_->instant(trace::Track::kBackup, trace::Stage::kAckSent,
-                      sim.now(), msg.epoch);
-    }
+    obs_.instant(Track::kBackup, Stage::kAckSent, sim.now(), msg.epoch,
+                 {.aux = drbd_->last_barrier()});
 
     // Once recovery has started, no new commit may begin: the restore is
     // (or will be) built from the currently-committed image, and folding
@@ -111,13 +102,8 @@ sim::task<> BackupAgent::state_loop() {
 
     // Commit: fold the epoch into the committed stores.
     commit_in_progress_ = true;
-    if (audit_ != nullptr) audit_->on_commit_begin(msg.epoch);
-    if (trace_ != nullptr) {
-      trace_->span_begin(trace::Track::kBackup, trace::Stage::kCommit,
-                         sim.now(), msg.epoch);
-      trace_->span_begin(trace::Track::kBackup, trace::Stage::kFold,
-                         sim.now(), msg.epoch);
-    }
+    obs_.span_begin(Track::kBackup, Stage::kCommit, sim.now(), msg.epoch);
+    obs_.span_begin(Track::kBackup, Stage::kFold, sim.now(), msg.epoch);
     commit_idle_->reset();
     pages_->begin_checkpoint(msg.epoch);
     std::uint64_t visits = 0;
@@ -132,12 +118,9 @@ sim::task<> BackupAgent::state_loop() {
       }
     }
     metrics_->shard_stage_ns.fold += util::wall_now_ns() - fold_t0;
-    if (trace_ != nullptr) {
-      // Zero-width in simulated time (the modeled cost is the commit sleep
-      // below); the wall stamps expose the real fold cost.
-      trace_->span_end(trace::Track::kBackup, trace::Stage::kFold,
-                       sim.now(), msg.epoch);
-    }
+    // Zero-width in simulated time (the modeled cost is the commit sleep
+    // below); the wall stamps expose the real fold cost.
+    obs_.span_end(Track::kBackup, Stage::kFold, sim.now(), msg.epoch);
     Time commit_cost =
         static_cast<Time>(visits) * backup_costs_.pagestore_per_visit +
         static_cast<Time>(msg.image.pages.size()) *
@@ -156,9 +139,10 @@ sim::task<> BackupAgent::state_loop() {
     for (kern::DncPageEntry& pe : msg.image.fs_cache.pages) {
       committed_fs_pages_[{pe.ino, pe.page_index}] = std::move(pe);
     }
-    // Audited before the folded sections are cleared so the auditor can
+    // Emitted before the folded sections are cleared so the auditor can
     // compare the shipped records against what the page store now holds.
-    if (audit_ != nullptr) audit_->on_commit(msg);
+    obs_.instant(Track::kBackup, Stage::kCommitDone, sim.now(), msg.epoch,
+                 {.state = &msg});
     msg.image.pages.clear();     // folded into the page store
     msg.image.fs_cache = {};     // folded into the fs-cache maps
     committed_image_ = std::move(msg.image);
@@ -174,10 +158,7 @@ sim::task<> BackupAgent::state_loop() {
     }
     commit_in_progress_ = false;
     commit_idle_->set();
-    if (trace_ != nullptr) {
-      trace_->span_end(trace::Track::kBackup, trace::Stage::kCommit,
-                       sim.now(), msg.epoch);
-    }
+    obs_.span_end(Track::kBackup, Stage::kCommit, sim.now(), msg.epoch);
   }
 }
 
@@ -185,10 +166,7 @@ sim::task<> BackupAgent::log_loop() {
   sim::Simulation& sim = kernel_->simulation();
   while (true) {
     LogSegmentMsg seg = co_await log_in_->recv();
-    if (trace_ != nullptr) {
-      trace_->span_begin(trace::Track::kBackup, trace::Stage::kLogRecv,
-                         sim.now(), seg.seq);
-    }
+    obs_.span_begin(Track::kBackup, Stage::kLogRecv, sim.now(), seg.seq);
     Time cost = log_costs_.recv_base +
                 static_cast<Time>(seg.entries.size()) *
                     log_costs_.recv_per_entry;
@@ -206,28 +184,20 @@ sim::task<> BackupAgent::log_loop() {
         replay_.retained_bytes() > metrics_->log_retained_bytes_peak) {
       metrics_->log_retained_bytes_peak = replay_.retained_bytes();
     }
-    if (audit_ != nullptr) audit_->on_log_ingested(seg, accepted);
-    if (trace_ != nullptr) {
-      trace_->span_end(trace::Track::kBackup, trace::Stage::kLogRecv,
-                       sim.now(), seg.seq);
-    }
+    obs_.instant(Track::kBackup, Stage::kLogIngest, sim.now(), seg.seq,
+                 {.aux = accepted ? 1u : 0u, .segment = &seg});
+    obs_.span_end(Track::kBackup, Stage::kLogRecv, sim.now(), seg.seq);
     if (!accepted) {
       // Never acknowledged: the primary holds the matching output forever
       // rather than releasing output this backup cannot replay
       // (correctness over liveness; a real system would resynchronize
       // with a fresh checkpoint).
-      if (trace_ != nullptr) {
-        trace_->instant(trace::Track::kBackup, trace::Stage::kLogReject,
-                        sim.now(), seg.seq);
-      }
+      obs_.instant(Track::kBackup, Stage::kLogReject, sim.now(), seg.seq);
       continue;
     }
     // The ack is the promise that failover replays to this segment's end.
     log_ack_out_->send(LogAckMsg{seg.seq}, 64);
-    if (trace_ != nullptr) {
-      trace_->instant(trace::Track::kBackup, trace::Stage::kLogAckSent,
-                      sim.now(), seg.seq);
-    }
+    obs_.instant(Track::kBackup, Stage::kLogAckSent, sim.now(), seg.seq);
   }
 }
 
@@ -236,29 +206,23 @@ sim::task<> BackupAgent::watchdog() {
   int misses = 0;
   std::uint64_t seen_at_last_tick = 0;
   while (true) {
-    co_await sim.sleep_for(opts_.heartbeat_interval);
+    co_await sim.sleep_for(kHeartbeatInterval);
     if (!armed_) continue;
     // A 30ms interval with no new heartbeat counts as a miss (§IV).
     if (heartbeats_seen_ == seen_at_last_tick) {
       ++misses;
-      if (trace_ != nullptr) {
-        trace_->instant(trace::Track::kDetector,
-                        trace::Stage::kHeartbeatMiss, sim.now(),
-                        static_cast<std::uint64_t>(misses));
-      }
+      obs_.instant(Track::kDetector, Stage::kHeartbeatMiss, sim.now(),
+                   static_cast<std::uint64_t>(misses));
     } else {
       misses = 0;
     }
     seen_at_last_tick = heartbeats_seen_;
-    if (misses >= opts_.heartbeat_miss_threshold) {
+    if (misses >= kHeartbeatMissThreshold) {
       armed_ = false;
       recovery_.detection_started = sim.now();
       recovery_.detection_latency = sim.now() - last_heartbeat_;
-      if (trace_ != nullptr) {
-        trace_->instant(trace::Track::kDetector,
-                        trace::Stage::kRecoveryStart, sim.now(),
-                        committed_epoch_);
-      }
+      obs_.instant(Track::kDetector, Stage::kRecoveryStart, sim.now(),
+                   committed_epoch_);
       if (arbiter_ != nullptr) {
         // N > 1: report the detection instead of recovering unilaterally;
         // the arbiter elects the most caught-up replica and promotes it.
@@ -277,10 +241,8 @@ void BackupAgent::trigger_recovery() {
   sim::Simulation& sim = kernel_->simulation();
   recovery_.detection_started = sim.now();
   recovery_.detection_latency = 0;
-  if (trace_ != nullptr) {
-    trace_->instant(trace::Track::kDetector, trace::Stage::kRecoveryStart,
-                    sim.now(), committed_epoch_);
-  }
+  obs_.instant(Track::kDetector, Stage::kRecoveryStart, sim.now(),
+               committed_epoch_);
   sim.spawn(kernel_->domain(), recover());
 }
 
@@ -293,10 +255,8 @@ void BackupAgent::promote() {
   if (recovery_.detection_started == 0) {
     recovery_.detection_started = sim.now();
     recovery_.detection_latency = sim.now() - last_heartbeat_;
-    if (trace_ != nullptr) {
-      trace_->instant(trace::Track::kDetector, trace::Stage::kRecoveryStart,
-                      sim.now(), committed_epoch_);
-    }
+    obs_.instant(Track::kDetector, Stage::kRecoveryStart, sim.now(),
+                 committed_epoch_);
   }
   sim.spawn(kernel_->domain(), recover());
 }
@@ -325,7 +285,10 @@ void BackupAgent::adopt_resilver(const BackupAgent& src) {
   committed_nd_fp_ = src.committed_nd_fp_;
   last_primary_epoch_len_ = src.last_primary_epoch_len_;
   acked_epoch_ = src.committed_epoch_;
-  if (audit_ != nullptr) audit_->on_resilver_adopted(committed_epoch_);
+  // Emitted before the uncommitted DRBD tail is discarded, so the checker
+  // can authorize that discard.
+  obs_.instant(Track::kBackup, Stage::kResilverAdopted,
+               kernel_->simulation().now(), committed_epoch_);
   // The dead primary's uncommitted buffered tail dies here too.
   drbd_->discard_uncommitted();
   // The winner consumed its record image during its restore, so there is
@@ -356,7 +319,6 @@ sim::task<> BackupAgent::recover() {
   // checked in state_loop before commit-begin).
   recovering_ = true;
   Time t0 = sim.now();
-  if (audit_ != nullptr) audit_->on_recovery_started(committed_epoch_);
 
   // Never restore from a half-committed epoch: wait out an in-flight
   // commit (its state fully arrived and was acknowledged, so it belongs in
@@ -364,11 +326,10 @@ sim::task<> BackupAgent::recover() {
   co_await commit_idle_->wait();
   // The restore span opens after the in-flight commit drains so the two
   // spans nest cleanly on the backup track; the detection point itself is
-  // the kRecoveryStart instant on the detector track.
-  if (trace_ != nullptr) {
-    trace_->span_begin(trace::Track::kBackup, trace::Stage::kRestore,
-                       sim.now(), committed_epoch_);
-  }
+  // the kRecoveryStart instant on the detector track. Its begin is the
+  // restore point the auditor holds the recovery to.
+  obs_.span_begin(Track::kBackup, Stage::kRestore, sim.now(),
+                  committed_epoch_);
 
   // Uncommitted buffered state dies with the primary (§IV).
   drbd_->discard_uncommitted();
@@ -389,20 +350,16 @@ sim::task<> BackupAgent::recover() {
                                         : net::IngressFilter::Mode::kPass);
 
   // Materialize CRIU image files from the buffered state.
-  if (trace_ != nullptr) {
-    trace_->span_begin(trace::Track::kBackup, trace::Stage::kMaterialize,
-                       sim.now(), committed_epoch_);
-  }
+  obs_.span_begin(Track::kBackup, Stage::kMaterialize, sim.now(),
+                  committed_epoch_);
   double mb = static_cast<double>(img.byte_size() +
                                   pages_->page_count() * nlc::kPageSize) /
               static_cast<double>(nlc::kMiB);
   co_await sim.sleep_for(costs.image_build_base +
                          static_cast<Time>(mb * static_cast<double>(
                                                     costs.image_build_per_mb)));
-  if (trace_ != nullptr) {
-    trace_->span_end(trace::Track::kBackup, trace::Stage::kMaterialize,
-                     sim.now(), committed_epoch_);
-  }
+  obs_.span_end(Track::kBackup, Stage::kMaterialize, sim.now(),
+                committed_epoch_);
 
   kern::DncHarvest fs;
   for (const auto& [ino, attr] : committed_fs_inodes_) {
@@ -426,10 +383,8 @@ sim::task<> BackupAgent::recover() {
     // the exact point whose output was already released. The sim's
     // restored TCP queues re-deliver the same requests in logged order;
     // the engine charges the cost and the fingerprint proves equivalence.
-    if (trace_ != nullptr) {
-      trace_->span_begin(trace::Track::kBackup, trace::Stage::kReplay,
-                         sim.now(), committed_epoch_);
-    }
+    obs_.span_begin(Track::kBackup, Stage::kReplay, sim.now(),
+                    committed_epoch_);
     replay::ReplayResult rr =
         replay_.replay(committed_nd_entries_, committed_nd_fp_);
     co_await sim.sleep_for(rr.cost);
@@ -448,20 +403,16 @@ sim::task<> BackupAgent::recover() {
     recovery_.events_replayed = rr.entries_replayed;
     recovery_.segments_replayed = rr.segments_replayed;
     recovery_.replay_time = rr.cost;
-    if (audit_ != nullptr) audit_->on_replayed(rr.final_fp,
-                                               rr.entries_replayed);
-    if (trace_ != nullptr) {
-      trace_->span_end(trace::Track::kBackup, trace::Stage::kReplay,
-                       sim.now(), committed_epoch_);
-    }
+    obs_.instant(Track::kBackup, Stage::kReplayed, sim.now(),
+                 rr.entries_replayed, {.aux = rr.final_fp});
+    obs_.span_end(Track::kBackup, Stage::kReplay, sim.now(),
+                  committed_epoch_);
   }
 
   // Reconnect to the bridge: gratuitous ARP moves the service address.
   co_await sim.sleep_for(costs.gratuitous_arp);
-  if (trace_ != nullptr) {
-    trace_->instant(trace::Track::kNetBackup, trace::Stage::kGratuitousArp,
-                    sim.now(), committed_epoch_);
-  }
+  obs_.instant(Track::kNetBackup, Stage::kGratuitousArp, sim.now(),
+               committed_epoch_);
   tcp_->takeover_address(service_ip);
   tcp_->ingress(service_ip).set_mode(net::IngressFilter::Mode::kPass);
 
@@ -474,11 +425,7 @@ sim::task<> BackupAgent::recover() {
   recovery_.sockets_restored = tl.sockets_restored;
   recovery_.committed_epoch = committed_epoch_;
   recovered_ = true;
-  if (audit_ != nullptr) audit_->on_recovered(committed_epoch_);
-  if (trace_ != nullptr) {
-    trace_->span_end(trace::Track::kBackup, trace::Stage::kRestore,
-                     sim.now(), committed_epoch_);
-  }
+  obs_.span_end(Track::kBackup, Stage::kRestore, sim.now(), committed_epoch_);
 
   if (on_restored_) {
     on_restored_(FailoverContext{kernel_, tcp_, img.container,

@@ -14,7 +14,6 @@
 #include <optional>
 
 #include "blockdev/drbd.hpp"
-#include "core/audit_hooks.hpp"
 #include "core/event_log.hpp"
 #include "core/metrics.hpp"
 #include "core/options.hpp"
@@ -25,7 +24,7 @@
 #include "kernel/kernel.hpp"
 #include "net/tcp.hpp"
 #include "sim/sync.hpp"
-#include "trace/recorder.hpp"
+#include "trace/stream.hpp"
 
 namespace nlc::core {
 
@@ -101,12 +100,9 @@ class BackupAgent {
     recovery_.resilver_time += elapsed;
   }
 
-  /// Installs (or clears, with nullptr) the invariant auditor's hooks.
-  void set_audit_hooks(BackupAuditHooks* hooks) { audit_ = hooks; }
-
-  /// Attaches (or clears) the flight recorder. Observer only, like the
-  /// audit hooks: recording changes no simulated observable.
-  void set_trace(trace::Recorder* rec) { trace_ = rec; }
+  /// Attaches (or clears) the protocol event stream. Observer only:
+  /// emitting changes no simulated observable.
+  void set_stream(trace::Stream* s) { obs_.attach(s); }
 
   std::uint64_t committed_epoch() const { return committed_epoch_; }
   /// Execute-phase length stamped on the newest committed checkpoint —
@@ -135,8 +131,7 @@ class BackupAgent {
   LogChannel* log_in_;
   LogAckChannel* log_ack_out_;
   ReplicationMetrics* metrics_;
-  BackupAuditHooks* audit_ = nullptr;
-  trace::Recorder* trace_ = nullptr;
+  trace::Observer obs_;
   std::function<void(const FailoverContext&)> on_restored_;
 
   // ---- N-way replication (DESIGN.md §16) ----------------------------------

@@ -182,7 +182,7 @@ sim::task<> Cluster::protect(kern::ContainerId cid, const Options& opts) {
     }
   }
   if (config.replicas > 1) {
-    arbiter = std::make_unique<PromotionArbiter>(opts, sim);
+    arbiter = std::make_unique<PromotionArbiter>(sim);
     arbiter->set_resilver_link(config.replication_link_bps,
                                config.replication_link_latency);
     arbiter->register_replica(*backup_agent, backup_domain);
@@ -192,20 +192,30 @@ sim::task<> Cluster::protect(kern::ContainerId cid, const Options& opts) {
       r->agent->set_arbiter(arbiter.get());
     }
   }
+  // The recorder subscribes first, so an event that trips the auditor is
+  // already in the rings when the violation throws.
   if (opts.trace_level != TraceLevel::kOff) {
     if (tracer == nullptr) tracer = std::make_shared<trace::Recorder>();
-    primary_agent->set_trace(tracer.get());
-    backup_agent->set_trace(tracer.get());
-    primary_tcp.set_trace(tracer.get(), trace::Track::kNetPrimary);
-    backup_tcp.set_trace(tracer.get(), trace::Track::kNetBackup);
-    drbd_backup->set_trace(tracer.get());
-    // Extra replicas stay untraced (their spans would interleave with
-    // replica 0's on the shared backup track); the arbiter's promotion and
-    // re-silver events are recorded, and the primary's kReplicaAck
-    // instants carry the per-replica ack stream.
-    if (arbiter != nullptr) arbiter->set_trace(tracer.get());
+    stream.subscribe(tracer.get());
   }
   if (on_agents_created) on_agents_created();
+  // Components stay detached (one null check per protocol point) unless
+  // someone listens. The extra replicas are not recorded; the primary's
+  // kReplicaAck instants carry their per-replica ack stream.
+  if (!stream.empty()) {
+    primary_agent->set_stream(&stream);
+    backup_agent->set_stream(&stream);
+    drbd_backup->set_stream(&stream);
+    primary_tcp.set_stream(&stream, trace::Track::kNetPrimary);
+    backup_tcp.set_stream(&stream, trace::Track::kNetBackup);
+    if (arbiter != nullptr) arbiter->set_stream(&stream);
+    obs_.attach(&stream);
+  }
+  for (auto& r : extra_backups) {
+    if (r->stream.empty()) continue;
+    r->agent->set_stream(&r->stream);
+    r->drbd->set_stream(&r->stream);
+  }
   backup_agent->start();
   for (auto& r : extra_backups) r->agent->start();
   co_await primary_agent->start();
@@ -232,10 +242,8 @@ sim::DomainPtr Cluster::backup_domain_of(int i) {
 }
 
 void Cluster::fail_backup(int i) {
-  if (tracer != nullptr) {
-    tracer->instant(trace::Track::kNetBackup, trace::Stage::kUnplug,
-                    sim.now(), static_cast<std::uint64_t>(i));
-  }
+  obs_.instant(trace::Track::kNetBackup, trace::Stage::kUnplug, sim.now(),
+               static_cast<std::uint64_t>(i));
   backup_domain_of(i)->kill();
 }
 
@@ -251,10 +259,7 @@ void Cluster::fail_rack(int rack) {
 }
 
 void Cluster::unplug_primary() {
-  if (tracer != nullptr) {
-    tracer->instant(trace::Track::kNetPrimary, trace::Stage::kUnplug,
-                    sim.now());
-  }
+  obs_.instant(trace::Track::kNetPrimary, trace::Stage::kUnplug, sim.now());
   // Both directions of every primary link, plus the management NIC.
   for (net::HostId peer : {client_host, backup_host}) {
     if (net::Link* l = network.link_between(primary_host, peer)) {

@@ -28,6 +28,7 @@
 #include "topo/fault_domains.hpp"
 #include "topo/topology.hpp"
 #include "trace/recorder.hpp"
+#include "trace/stream.hpp"
 
 namespace nlc::core {
 
@@ -141,23 +142,34 @@ class Cluster {
     std::unique_ptr<LogChannel> log_channel;
     std::unique_ptr<LogAckChannel> log_ack_channel;
     std::unique_ptr<BackupAgent> agent;
+    /// This replica's protocol event stream (agent + DRBD). Its only
+    /// subscriber is the replica's check::ReplicaAudit: the recorder keeps
+    /// to replica 0, whose spans would otherwise interleave with these on
+    /// the shared backup track.
+    trace::Stream stream;
   };
   std::vector<std::unique_ptr<BackupReplica>> extra_backups;
   /// Election + re-silvering coordinator; created by protect() iff
   /// replicas > 1.
   std::unique_ptr<PromotionArbiter> arbiter;
 
+  /// The protocol event stream (DESIGN.md §11) of the primary agent and
+  /// its egress plug, backup replica 0 (agent, DRBD), both server TCP
+  /// stacks and the arbiter. protect() subscribes the recorder when
+  /// tracing; the invariant auditor subscribes from on_agents_created.
+  trace::Stream stream;
+
   /// Flight recorder (src/trace), created by protect() when
-  /// Options::trace_level != kOff and wired into both agents, both server
-  /// TCP stacks and the DRBD backup. Shared so the harness can hand the
-  /// trace to exporters after the Cluster is gone.
+  /// Options::trace_level != kOff and subscribed to `stream`. Shared so the
+  /// harness can hand the trace to exporters after the Cluster is gone.
   std::shared_ptr<trace::Recorder> tracer;
 
   /// Invoked by protect() right after the agent pair is constructed and
-  /// before either agent runs: the harness uses this to attach the
+  /// before either agent runs: the harness uses this to subscribe the
   /// invariant auditor (src/check) while every observed component exists
   /// but no epoch has started, so the audit mirrors see the protocol from
-  /// its very first event.
+  /// its very first event. protect() then attaches each stream that has a
+  /// subscriber to its components.
   std::function<void()> on_agents_created;
 
   /// Creates a container on the primary with the service address bound and
@@ -172,10 +184,7 @@ class Cluster {
 
   /// Fail-stop crash of the primary host (§VII-A fault injection).
   void fail_primary() {
-    if (tracer != nullptr) {
-      tracer->instant(trace::Track::kNetPrimary, trace::Stage::kUnplug,
-                      sim.now());
-    }
+    obs_.instant(trace::Track::kNetPrimary, trace::Stage::kUnplug, sim.now());
     primary_domain->kill();
   }
 
@@ -200,6 +209,10 @@ class Cluster {
   void unplug_primary();
 
   net::Link& replication_link();
+
+ private:
+  /// The cluster's own emissions (fault injection) on `stream`.
+  trace::Observer obs_;
 };
 
 }  // namespace nlc::core

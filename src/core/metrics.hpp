@@ -83,10 +83,6 @@ struct ReplicationMetrics {
   Samples compression_ratio;
   /// Page bytes the delta stage kept off the replication wire.
   std::uint64_t wire_bytes_saved = 0;
-  /// Content-page payloads handed through the pipeline as shared handles
-  /// (each one a 4 KiB deep copy the pre-zero-copy pipeline would have
-  /// made at harvest alone).
-  std::uint64_t payload_copies_avoided = 0;
 
   // ---- Sharded page pipeline (DESIGN.md §10/§12) --------------------------
   /// Shard count the agent pair ran with (resolved from Options/NLC_SHARDS).
@@ -100,19 +96,6 @@ struct ReplicationMetrics {
 
   /// Simulated CPU time the backup agent spent processing state (Table V).
   Time backup_busy = 0;
-  /// Simulated CPU time the primary agent spent outside the container
-  /// (harvest, bookkeeping).
-  Time primary_agent_busy = 0;
-
-  void record_epoch(Time stop, std::uint64_t bytes, std::uint64_t dpages,
-                    Time commit_latency) {
-    stop_time_ms.add(to_millis(stop));
-    state_bytes.add(static_cast<double>(bytes));
-    dirty_pages.add(static_cast<double>(dpages));
-    commit_latency_ms.add(to_millis(commit_latency));
-    ++epochs_completed;
-    bytes_shipped += bytes;
-  }
 };
 
 struct RecoveryMetrics {

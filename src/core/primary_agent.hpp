@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "blockdev/drbd.hpp"
-#include "core/audit_hooks.hpp"
 #include "core/epoch_controller.hpp"
 #include "core/event_log.hpp"
 #include "core/metrics.hpp"
@@ -28,7 +27,7 @@
 #include "kernel/kernel.hpp"
 #include "net/tcp.hpp"
 #include "sim/sync.hpp"
-#include "trace/recorder.hpp"
+#include "trace/stream.hpp"
 #include "util/rng.hpp"
 
 namespace nlc::core {
@@ -69,12 +68,9 @@ class PrimaryAgent {
   /// Stops taking checkpoints (end of measurement interval).
   void stop() { running_ = false; }
 
-  /// Installs (or clears, with nullptr) the invariant auditor's hooks.
-  void set_audit_hooks(PrimaryAuditHooks* hooks) { audit_ = hooks; }
-
-  /// Attaches (or clears) the flight recorder. Observer only, like the
-  /// audit hooks: recording changes no simulated observable.
-  void set_trace(trace::Recorder* rec) { trace_ = rec; }
+  /// Attaches (or clears) the protocol event stream. Observer only:
+  /// emitting changes no simulated observable.
+  void set_stream(trace::Stream* s) { obs_.attach(s); }
 
   std::uint64_t current_epoch() const { return epoch_; }
   std::uint64_t acked_epoch() const { return acked_epoch_; }
@@ -108,8 +104,7 @@ class PrimaryAgent {
   kern::ContainerId cid_;
   blk::DrbdPrimary* drbd_;
   ReplicationMetrics* metrics_;
-  PrimaryAuditHooks* audit_ = nullptr;
-  trace::Recorder* trace_ = nullptr;
+  trace::Observer obs_;
 
   // ---- N-way replication (DESIGN.md §16) ----------------------------------
   /// One entry per backup replica. Replica 0 is the constructor's channel
@@ -189,9 +184,9 @@ class PrimaryAgent {
   EpochRec& emplace_rec(std::uint64_t epoch);
   EpochRec* find_rec(std::uint64_t epoch);
   void erase_rec(std::uint64_t epoch);
-  /// Commit point: audit + trace the release, open the plug to the marker,
-  /// record commit latency, retire the record. Shared by the synchronous
-  /// ship path and the ack_loop.
+  /// Commit point: emit the release, open the plug to the marker, record
+  /// commit latency, retire the record. Shared by the synchronous ship
+  /// path and the ack_loop.
   void release_epoch(EpochRec& rec);
   /// Builds the EpochObservation from the record's stamps and feeds the
   /// controller at the release point (acks are monotone, so observations

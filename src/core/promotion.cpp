@@ -3,6 +3,7 @@
 #include <tuple>
 
 #include "core/backup_agent.hpp"
+#include "core/options.hpp"
 #include "util/assert.hpp"
 #include "util/bytes.hpp"
 
@@ -24,7 +25,7 @@ sim::task<> PromotionArbiter::close_election() {
   // Hold the election open long enough for every surviving watchdog to
   // report (their miss counters run on the same heartbeat clock, so two
   // intervals bound the spread).
-  co_await sim_->sleep_for(2 * opts_.heartbeat_interval);
+  co_await sim_->sleep_for(2 * kHeartbeatInterval);
   if (closed_) co_return;  // another reporter's closer won the race
   closed_ = true;
 
@@ -56,11 +57,9 @@ sim::task<> PromotionArbiter::close_election() {
 
   Entry& w = replicas_[static_cast<std::size_t>(winner_)];
   w.agent->note_promoted(winner_);
-  if (trace_ != nullptr) {
-    trace_->instant(trace::Track::kDetector, trace::Stage::kPromote,
-                    sim_->now(), static_cast<std::uint64_t>(winner_));
-  }
-  if (on_promoted_) on_promoted_(winner_, candidates);
+  obs_.instant(trace::Track::kDetector, trace::Stage::kPromote, sim_->now(),
+               static_cast<std::uint64_t>(winner_),
+               {.candidates = &candidates});
   w.agent->promote();
   // Re-silvering runs under the winner's domain: it is the new primary's
   // responsibility, and dies with it.
@@ -72,7 +71,7 @@ sim::task<> PromotionArbiter::resilver_survivors() {
   // The winner's committed stores are frozen (and consistent) only once
   // its restore has finished; poll on the heartbeat clock.
   while (!w.agent->recovered()) {
-    co_await sim_->sleep_for(opts_.heartbeat_interval);
+    co_await sim_->sleep_for(kHeartbeatInterval);
   }
   // Sequential full-state catch-up of each survivor, metered on the shared
   // replication link (they would contend there anyway; sequential is the
@@ -86,18 +85,14 @@ sim::task<> PromotionArbiter::resilver_survivors() {
         resilver_latency_ +
         static_cast<Time>(static_cast<double>(bytes) * 8.0 /
                           resilver_bps_ * 1e9);
-    if (trace_ != nullptr) {
-      trace_->span_begin(trace::Track::kBackup, trace::Stage::kResilver,
-                         sim_->now(), static_cast<std::uint64_t>(i));
-    }
+    obs_.span_begin(trace::Track::kBackup, trace::Stage::kResilver,
+                    sim_->now(), i);
     co_await sim_->sleep_for(xfer);
     s.agent->adopt_resilver(*w.agent);
     w.agent->record_resilver(bytes, xfer);
     ++resilvered_;
-    if (trace_ != nullptr) {
-      trace_->span_end(trace::Track::kBackup, trace::Stage::kResilver,
-                       sim_->now(), static_cast<std::uint64_t>(i));
-    }
+    obs_.span_end(trace::Track::kBackup, trace::Stage::kResilver,
+                  sim_->now(), i);
   }
 }
 

@@ -20,20 +20,19 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "core/options.hpp"
 #include "sim/simulation.hpp"
-#include "trace/recorder.hpp"
+#include "trace/stream.hpp"
 #include "util/time.hpp"
 
 namespace nlc::core {
 
 class BackupAgent;
 
-/// One replica's election key as sampled at election close; handed to the
-/// audit hook so the checker can independently re-run the election.
+/// One replica's election key as sampled at election close; the kPromote
+/// emission carries the whole set so the checker can independently re-run
+/// the election.
 struct PromotionCandidate {
   int index = 0;
   bool any_ack = false;
@@ -43,8 +42,7 @@ struct PromotionCandidate {
 
 class PromotionArbiter {
  public:
-  PromotionArbiter(Options opts, sim::Simulation& sim)
-      : opts_(opts), sim_(&sim) {}
+  explicit PromotionArbiter(sim::Simulation& sim) : sim_(&sim) {}
 
   /// Registers one replica (call in replica-index order, before start).
   void register_replica(BackupAgent& agent, sim::DomainPtr domain) {
@@ -58,15 +56,10 @@ class PromotionArbiter {
     resilver_latency_ = latency;
   }
 
-  /// Attaches (or clears) the flight recorder (observer only).
-  void set_trace(trace::Recorder* rec) { trace_ = rec; }
-
-  /// Audit seam (src/check): fires at election close, before the winner's
-  /// restore is spawned, with the full candidate set.
-  void set_on_promoted(
-      std::function<void(int, const std::vector<PromotionCandidate>&)> fn) {
-    on_promoted_ = std::move(fn);
-  }
+  /// Attaches (or clears) the protocol event stream (observer only). The
+  /// election emits kPromote at close, before the winner's restore is
+  /// spawned, with the full candidate set.
+  void set_stream(trace::Stream* s) { obs_.attach(s); }
 
   /// Watchdog entry point: replica `reporter` detected the primary's
   /// death. Every reporter spawns its own (idempotent) election closer, so
@@ -88,12 +81,9 @@ class PromotionArbiter {
   sim::task<> close_election();
   sim::task<> resilver_survivors();
 
-  Options opts_;
   sim::Simulation* sim_;
   std::vector<Entry> replicas_;
-  trace::Recorder* trace_ = nullptr;
-  std::function<void(int, const std::vector<PromotionCandidate>&)>
-      on_promoted_;
+  trace::Observer obs_;
   double resilver_bps_ = 10e9;
   Time resilver_latency_ = 0;
   bool closed_ = false;

@@ -8,7 +8,6 @@
 #include "apps/kv.hpp"
 #include "apps/server_app.hpp"
 #include "check/audit.hpp"
-#include "check/trace_oracle.hpp"
 #include "clients/closed_loop.hpp"
 #include "core/cluster.hpp"
 #include "harness/parallel.hpp"
@@ -303,15 +302,6 @@ RunResult run_experiment(const RunConfig& cfg) {
     auditor->final_audit();
     res.audited = true;
     res.audit = auditor->stats();
-    if (res.trace != nullptr) {
-      // Re-verify the commit orderings post hoc from the recorded stream —
-      // the trace must tell the same story the live mirrors saw (with
-      // N > 1 this includes the K-of-N quorum-release rule).
-      res.audit.trace_order_checks =
-          check::audit_trace_ordering(res.trace->drain(),
-                                      cfg.nilicon.resolved_quorum())
-              .total();
-    }
   }
 
   // ---- Collect ------------------------------------------------------------

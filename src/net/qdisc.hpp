@@ -19,41 +19,37 @@
 #include <functional>
 
 #include "net/types.hpp"
+#include "sim/simulation.hpp"
+#include "trace/stream.hpp"
 #include "util/assert.hpp"
 
 namespace nlc::net {
-
-/// Observer seam for the invariant auditor (src/check): mirrors the plug's
-/// externally visible transitions — what was buffered, where the epoch
-/// markers sit, and what each release transmitted. The plug itself stays
-/// policy-free; with no observer installed the hot path pays one branch.
-class PlugObserver {
- public:
-  virtual ~PlugObserver() = default;
-  /// A packet entered the buffer (engaged mode only).
-  virtual void on_plug_enqueue(const Packet& p) = 0;
-  /// An epoch-boundary marker was appended.
-  virtual void on_plug_marker(std::uint64_t marker) = 0;
-  /// release_to_marker(marker) completed, transmitting `packets` packets.
-  virtual void on_plug_release(std::uint64_t marker, std::uint64_t packets) = 0;
-  /// discard_all() dropped `packets` buffered packets (failover path).
-  virtual void on_plug_discard(std::uint64_t packets) = 0;
-};
 
 class PlugQdisc {
  public:
   using TransmitFn = std::function<void(const Packet&)>;
 
-  explicit PlugQdisc(TransmitFn transmit)
-      : transmit_(std::move(transmit)) {}
+  /// `clock` stamps the plug's protocol events; it may be null for a plug
+  /// that never gets a stream.
+  explicit PlugQdisc(TransmitFn transmit,
+                     const sim::Simulation* clock = nullptr)
+      : transmit_(std::move(transmit)), clock_(clock) {}
 
   /// When disengaged (stock execution, no replication) packets pass
   /// straight through.
   void engage() { engaged_ = true; }
   bool engaged() const { return engaged_; }
 
-  /// Installs (or clears, with nullptr) the audit observer.
-  void set_observer(PlugObserver* o) { observer_ = o; }
+  /// Attaches (or clears) the protocol event stream. The plug reports its
+  /// externally visible transitions on `track` — what was buffered, where
+  /// the markers sit, what each release transmitted — so the output-commit
+  /// mirror (src/check) need not trust the agent's account of them.
+  void set_stream(trace::Stream* s, trace::Track track) {
+    NLC_CHECK_MSG(s == nullptr || clock_ != nullptr,
+                  "a plug with a stream needs a clock");
+    obs_.attach(s);
+    track_ = track;
+  }
 
   /// Installs (or clears) a callback fired after each packet is buffered
   /// while engaged. Replay commit mode arms its log flusher on this: a
@@ -71,7 +67,7 @@ class PlugQdisc {
     buffer_.push_back(Entry{p, false});
     ++buffered_total_;
     pending_bytes_ += p.wire_bytes();
-    if (observer_ != nullptr) observer_->on_plug_enqueue(p);
+    emit(trace::Stage::kPlugEnqueue, 0);
     if (enqueue_hook_) enqueue_hook_();
   }
 
@@ -79,7 +75,7 @@ class PlugQdisc {
   std::uint64_t insert_marker() {
     buffer_.push_back(Entry{{}, true, next_marker_});
     std::uint64_t marker = next_marker_++;
-    if (observer_ != nullptr) observer_->on_plug_marker(marker);
+    emit(trace::Stage::kPlugMarker, marker);
     return marker;
   }
 
@@ -93,7 +89,7 @@ class PlugQdisc {
       if (e.is_marker) {
         NLC_CHECK_MSG(e.marker_id <= marker, "marker released out of order");
         if (e.marker_id == marker) {
-          if (observer_ != nullptr) observer_->on_plug_release(marker, released);
+          emit(trace::Stage::kPlugRelease, released, marker);
           return;
         }
         continue;
@@ -112,7 +108,7 @@ class PlugQdisc {
     for (const Entry& e : buffer_) dropped += e.is_marker ? 0 : 1;
     buffer_.clear();
     pending_bytes_ = 0;
-    if (observer_ != nullptr) observer_->on_plug_discard(dropped);
+    emit(trace::Stage::kPlugDiscard, dropped);
   }
 
   std::size_t pending_packets() const {
@@ -133,9 +129,15 @@ class PlugQdisc {
     std::uint64_t marker_id = 0;
   };
 
+  void emit(trace::Stage s, std::uint64_t arg, std::uint64_t marker = 0) {
+    if (obs_) obs_.instant(track_, s, clock_->now(), arg, {.aux = marker});
+  }
+
   TransmitFn transmit_;
+  const sim::Simulation* clock_;
+  trace::Observer obs_;
+  trace::Track track_ = trace::Track::kNetPrimary;
   bool engaged_ = false;
-  PlugObserver* observer_ = nullptr;
   std::function<void()> enqueue_hook_;
   std::deque<Entry> buffer_;
   std::uint64_t next_marker_ = 1;

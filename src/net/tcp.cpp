@@ -17,7 +17,8 @@ void TcpStack::add_address(IpAddr ip) {
   net_->bind_ip(ip, host_, this);
   if (!plugs_.contains(ip)) {
     plugs_[ip] = std::make_unique<PlugQdisc>(
-        [this](const Packet& p) { net_->transmit(p.src.ip, p); });
+        [this](const Packet& p) { net_->transmit(p.src.ip, p); }, sim_);
+    plugs_[ip]->set_stream(obs_.stream(), track_);
   }
   if (!filters_.contains(ip)) {
     filters_[ip] = std::make_unique<IngressFilter>(
@@ -28,6 +29,12 @@ void TcpStack::add_address(IpAddr ip) {
 void TcpStack::remove_address(IpAddr ip) { net_->unbind_ip(ip); }
 
 void TcpStack::takeover_address(IpAddr ip) { add_address(ip); }
+
+void TcpStack::set_stream(trace::Stream* s, trace::Track track) {
+  obs_.attach(s);
+  track_ = track;
+  for (auto& [ip, plug] : plugs_) plug->set_stream(s, track);
+}
 
 PlugQdisc& TcpStack::plug(IpAddr ip) {
   auto it = plugs_.find(ip);
@@ -261,10 +268,7 @@ SocketId TcpStack::repair_restore(const TcpRepairState& st, bool rto_fixed,
   by_tuple_[{s.local, s.remote}] = s.id;
   if (!s.write_queue.empty()) arm_retransmit(s);
   if (!s.read_queue.empty()) s.rx_event->set();
-  if (trace_ != nullptr) {
-    trace_->instant(trace_track_, trace::Stage::kSocketRepair, sim_->now(),
-                    s.id);
-  }
+  obs_.instant(track_, trace::Stage::kSocketRepair, sim_->now(), s.id);
   return s.id;
 }
 
@@ -513,10 +517,7 @@ void TcpStack::retransmit_now(Socket& s) {
     }
     ++s.syn_attempts;
     ++retransmissions_;
-    if (trace_ != nullptr) {
-      trace_->instant(trace_track_, trace::Stage::kRetransmit, sim_->now(),
-                      s.id);
-    }
+    obs_.instant(track_, trace::Stage::kRetransmit, sim_->now(), s.id);
     Packet syn;
     syn.src = s.local;
     syn.dst = s.remote;
@@ -528,11 +529,8 @@ void TcpStack::retransmit_now(Socket& s) {
     return;
   }
   if (s.state != TcpState::kEstablished || s.write_queue.empty()) return;
-  if (trace_ != nullptr) {
-    // One instant per RTO firing (arg = socket), not per segment.
-    trace_->instant(trace_track_, trace::Stage::kRetransmit, sim_->now(),
-                    s.id);
-  }
+  // One instant per RTO firing (arg = socket), not per segment.
+  obs_.instant(track_, trace::Stage::kRetransmit, sim_->now(), s.id);
   // Go-back-N: retransmit every unacknowledged segment in order.
   for (const Segment& seg : s.write_queue) {
     ++retransmissions_;

@@ -34,7 +34,7 @@
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
-#include "trace/recorder.hpp"
+#include "trace/stream.hpp"
 
 namespace nlc::net {
 
@@ -184,12 +184,10 @@ class TcpStack : public PacketSink {
   bool inject_repaired_input(Endpoint local, Endpoint remote,
                              const Segment& seg);
 
-  /// Attaches (or clears) the flight recorder; `track` places this stack's
-  /// events on the primary- or backup-side net lane. Observer only.
-  void set_trace(trace::Recorder* rec, trace::Track track) {
-    trace_ = rec;
-    trace_track_ = track;
-  }
+  /// Attaches (or clears) the protocol event stream for this stack and
+  /// every egress plug it owns; `track` places the events on the primary-
+  /// or backup-side net lane. Observer only.
+  void set_stream(trace::Stream* s, trace::Track track);
 
  private:
   struct Socket {
@@ -253,8 +251,8 @@ class TcpStack : public PacketSink {
   Port next_ephemeral_ = 40000;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t rsts_sent_ = 0;
-  trace::Recorder* trace_ = nullptr;
-  trace::Track trace_track_ = trace::Track::kNetPrimary;
+  trace::Observer obs_;
+  trace::Track track_ = trace::Track::kNetPrimary;
 };
 
 }  // namespace nlc::net

@@ -1,12 +1,13 @@
-// Flight-recorder event model (DESIGN.md §11).
+// Protocol event model (DESIGN.md §11).
 //
 // One fixed-size binary record per event, dual-stamped:
 //   * sim_ns  — simulated time (nlc::Time), the deterministic domain every
 //     protocol decision lives in;
 //   * wall_ns — wall clock via util::wall_now_ns(), the only place real time
 //     appears, used to see where the host actually spent cycles.
-// Events never feed back into simulated behaviour; the recorder is an
-// observer in the same sense as the src/check audit hooks.
+// Events never feed back into simulated behaviour: they are emitted once per
+// protocol point on a trace::Stream (stream.hpp), whose subscribers — the
+// flight recorder's rings and the src/check auditors — only observe.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +94,40 @@ enum class Stage : std::uint16_t {
   kReplicaAck,  // instant: one replica's epoch ack arrived (arg = epoch)
   kPromote,     // instant: arbiter elected a failover winner (arg = index)
   kResilver,    // span: full-state catch-up to a survivor (arg = index)
+  // Auditor-only points (see auditor_only()): they reach the live checkers
+  // with their payload by reference and are never recorded in the rings.
+  kStateReady,      // epoch state harvested, not yet shipped (arg = epoch)
+  kMarkerInserted,  // agent's output-commit marker (arg = epoch)
+  kCommitDone,      // backup fold finished, pages still attached (arg = epoch)
+  kLogIngest,       // backup validated a log segment (arg = seq)
+  kReplayed,        // failover replay finished (arg = entries replayed)
+  kResilverAdopted, // survivor adopted the winner's state (arg = epoch)
+  kReplicaLogAck,   // one replica's log-segment ack arrived (arg = seq)
+  kPlugEnqueue,     // a packet entered the engaged egress plug
+  kPlugMarker,      // the plug appended a marker (arg = marker)
+  kPlugDiscard,     // the plug dropped its buffer (arg = packets)
   kCount,
 };
+
+/// Stages only the in-process subscribers see; the rings skip them, so the
+/// recorded stream is the same with or without an auditor attached.
+inline bool auditor_only(Stage s) {
+  switch (s) {
+    case Stage::kStateReady:
+    case Stage::kMarkerInserted:
+    case Stage::kCommitDone:
+    case Stage::kLogIngest:
+    case Stage::kReplayed:
+    case Stage::kResilverAdopted:
+    case Stage::kReplicaLogAck:
+    case Stage::kPlugEnqueue:
+    case Stage::kPlugMarker:
+    case Stage::kPlugDiscard:
+      return true;
+    default:
+      return false;
+  }
+}
 
 /// Fixed-size binary event record. 40 bytes; written by exactly one thread
 /// into its own ring, ordered across threads by `seq`.
@@ -167,6 +200,16 @@ inline const char* stage_name(Stage s) {
     case Stage::kReplicaAck: return "replica-ack";
     case Stage::kPromote: return "promote";
     case Stage::kResilver: return "resilver";
+    case Stage::kStateReady: return "state-ready";
+    case Stage::kMarkerInserted: return "marker-inserted";
+    case Stage::kCommitDone: return "commit-done";
+    case Stage::kLogIngest: return "log-ingest";
+    case Stage::kReplayed: return "replayed";
+    case Stage::kResilverAdopted: return "resilver-adopted";
+    case Stage::kReplicaLogAck: return "replica-log-ack";
+    case Stage::kPlugEnqueue: return "plug-enqueue";
+    case Stage::kPlugMarker: return "plug-marker";
+    case Stage::kPlugDiscard: return "plug-discard";
     case Stage::kCount: break;
   }
   return "?";

@@ -17,9 +17,11 @@
 // enough for the oracle to compare release vs. ack even when both carry the
 // same simulated timestamp.
 //
-// When Options::trace_level == kOff no Recorder exists at all; every
-// instrumentation site is `if (trace_ != nullptr)` — one predictable branch,
-// gated at <= 1% by bench_trace_overhead.
+// In a run the recorder is one subscriber of the protocol event stream
+// (stream.hpp) and keeps every emission but the auditor-only stages. When
+// Options::trace_level == kOff no Recorder exists at all, and with no other
+// subscriber every protocol point is one null-pointer test — one predictable
+// branch, gated at <= 1% by bench_trace_overhead.
 #pragma once
 
 #include <atomic>
@@ -29,11 +31,12 @@
 #include <vector>
 
 #include "trace/events.hpp"
+#include "trace/stream.hpp"
 #include "util/time.hpp"
 
 namespace nlc::trace {
 
-class Recorder {
+class Recorder final : public Subscriber {
  public:
   static constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 16;
 
@@ -55,6 +58,12 @@ class Recorder {
   }
   void counter(Track t, Stage s, Time sim_now, std::uint64_t value) {
     record(EventType::kCounter, t, s, sim_now, value);
+  }
+
+  /// Stream subscription: records the emission unless the rings skip it
+  /// (ring_keeps()).
+  void on_event(const Event& e, const Detail& d) override {
+    if (ring_keeps(e, d)) record(e.type, e.track, e.stage, e.sim_ns, e.arg);
   }
 
   /// Snapshot of every published event across all rings, sorted by seq.
