@@ -124,6 +124,36 @@ TEST(QuorumTraceOracleTest, ReleaseNeedsKReplicaAcks) {
   EXPECT_THROW(check::audit_trace_ordering(bad, 2), InvariantError);
 }
 
+TEST(QuorumTraceOracleTest, QuorateLaterEpochCoversEarlierRelease) {
+  // Acks are cumulative: two replicas acking epoch 1 committed epoch 0.
+  std::vector<Event> ev;
+  std::uint64_t s = 0;
+  ev.push_back(make_event(s++, 1, 1, EventType::kInstant, Track::kPrimary,
+                          Stage::kAckRecv));
+  for (int r = 0; r < 2; ++r) {
+    ev.push_back(make_event(s++, 1, 1, EventType::kInstant, Track::kPrimary,
+                            Stage::kReplicaAck));
+  }
+  for (std::uint64_t epoch = 0; epoch < 2; ++epoch) {
+    ev.push_back(make_event(s++, 2, epoch, EventType::kInstant,
+                            Track::kPrimary, Stage::kRelease));
+  }
+  EXPECT_EQ(check::audit_trace_ordering(ev, 2).quorum_release_checks, 2u);
+
+  // A quorate epoch 0 does not cover epoch 1, acked by one replica only.
+  std::vector<Event> bad;
+  s = 0;
+  bad.push_back(make_event(s++, 1, 1, EventType::kInstant, Track::kPrimary,
+                           Stage::kAckRecv));
+  for (std::uint64_t epoch : {0, 0, 1}) {
+    bad.push_back(make_event(s++, 1, epoch, EventType::kInstant,
+                             Track::kPrimary, Stage::kReplicaAck));
+  }
+  bad.push_back(make_event(s++, 2, 1, EventType::kInstant, Track::kPrimary,
+                           Stage::kRelease));
+  EXPECT_THROW(check::audit_trace_ordering(bad, 2), InvariantError);
+}
+
 TEST(QuorumTraceOracleTest, ResilverNeedsPromotionFirst) {
   std::vector<Event> ev;
   ev.push_back(make_event(0, 1, 1, EventType::kSpanBegin, Track::kBackup,
