@@ -36,10 +36,30 @@ inline std::byte kv_value_byte(std::uint64_t seed, std::uint32_t i) {
   return static_cast<std::byte>(splitmix64(seed + i / 8) >> ((i % 8) * 8));
 }
 
+/// Writes the first `len` value bytes of `seed` to `out`: one splitmix64
+/// word per 8 bytes, least significant byte first, so out[i] equals
+/// kv_value_byte(seed, i).
+inline void kv_fill_value(std::uint64_t seed, std::byte* out,
+                          std::size_t len) {
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    const std::uint64_t word = splitmix64(seed + i / 8);
+    // Unrolled, the eight byte stores merge into one 8-byte store.
+#pragma GCC unroll 8
+    for (std::size_t b = 0; b < 8; ++b) {
+      out[i + b] = static_cast<std::byte>(word >> (b * 8));
+    }
+  }
+  const std::uint64_t tail = splitmix64(seed + i / 8);
+  for (std::size_t b = 0; i + b < len; ++b) {
+    out[i + b] = static_cast<std::byte>(tail >> (b * 8));
+  }
+}
+
 inline std::vector<std::byte> kv_value_bytes(std::uint64_t seed,
                                              std::uint16_t len) {
   std::vector<std::byte> out(len);
-  for (std::uint32_t i = 0; i < len; ++i) out[i] = kv_value_byte(seed, i);
+  kv_fill_value(seed, out.data(), out.size());
   return out;
 }
 

@@ -1,6 +1,9 @@
 #include "apps/server_app.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <span>
 
 #include "util/assert.hpp"
 
@@ -141,6 +144,29 @@ void ServerApp::dirty_pages(const Region& r, std::uint64_t count, Rng& rng) {
   }
 }
 
+namespace {
+// KV cell layout within its page: value length, value seed, occupied flag,
+// then the value bytes. Header bytes 11..15 stay zero.
+constexpr std::uint32_t kCellLen = 0;
+constexpr std::uint32_t kCellSeed = 2;
+constexpr std::uint32_t kCellOccupied = 10;
+constexpr std::uint32_t kCellValue = 16;
+}  // namespace
+
+void kv_write_cell(kern::AddressSpace& mm, kern::PageNum page,
+                   std::uint64_t seed, std::uint16_t len) {
+  NLC_CHECK(len <= kPageSize - kCellValue);
+  // Only the first kCellValue + len bytes are written and stored, so the
+  // rest of the buffer is left uninitialized.
+  std::array<std::byte, kPageSize> cell;
+  std::memset(cell.data(), 0, kCellValue);
+  std::memcpy(cell.data() + kCellLen, &len, 2);
+  std::memcpy(cell.data() + kCellSeed, &seed, 8);
+  cell[kCellOccupied] = std::byte{1};
+  kv_fill_value(seed, cell.data() + kCellValue, len);
+  mm.write(page, 0, std::span(cell.data(), kCellValue + len));
+}
+
 std::shared_ptr<std::vector<std::byte>> ServerApp::apply_kv(
     const std::vector<std::byte>& payload) {
   kern::Process* p = env_.kernel->process(kv_.pid);
@@ -150,24 +176,19 @@ std::shared_ptr<std::vector<std::byte>> ServerApp::apply_kv(
   for (KvOp& op : ops) {
     kern::PageNum page = kv_.start + op.key % kv_.npages;
     if (op.op == KvOpType::kSet) {
-      NLC_CHECK(op.len <= kPageSize - 16);
-      std::vector<std::byte> cell(16 + op.len);
-      std::memcpy(cell.data(), &op.len, 2);
-      std::memcpy(cell.data() + 2, &op.seed, 8);
-      cell[10] = std::byte{1};  // occupied
-      auto value = kv_value_bytes(op.seed, op.len);
-      std::copy(value.begin(), value.end(), cell.begin() + 16);
-      p->mm().write(page, 0, cell);
+      kv_write_cell(p->mm(), page, op.seed, op.len);
       op.found = true;
-    } else {
-      auto header = p->mm().read(page, 0, 16);
-      op.found = header[10] == std::byte{1};
-      if (op.found) {
-        std::memcpy(&op.len, header.data(), 2);
-        std::memcpy(&op.seed, header.data() + 2, 8);
-        auto stored = p->mm().read(page, 16, op.len);
-        op.reply_seed = kv_content_hash(stored.data(), stored.size());
-      }
+      continue;
+    }
+    // GET: hash the stored bytes in place. The handle is dropped before
+    // the next op, so it never forces a copy-on-write clone.
+    const kern::PagePayload cell = p->mm().content(page);
+    op.found = cell != nullptr && (*cell)[kCellOccupied] == std::byte{1};
+    if (op.found) {
+      std::memcpy(&op.len, cell->data() + kCellLen, 2);
+      std::memcpy(&op.seed, cell->data() + kCellSeed, 8);
+      NLC_CHECK(kCellValue + op.len <= kPageSize);
+      op.reply_seed = kv_content_hash(cell->data() + kCellValue, op.len);
     }
   }
   return kv_encode(ops);

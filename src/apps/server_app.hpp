@@ -40,6 +40,12 @@ struct AppEnv {
 inline constexpr const char* kHeapLabel = "[heap]";
 inline constexpr const char* kKvLabel = "[kv-store]";
 
+/// Stores the KV record (seed, len) in `page`: a 16-byte header and the
+/// value bytes. The one writer of the cell layout that GETs read back, for
+/// SETs and for harness prefills alike.
+void kv_write_cell(kern::AddressSpace& mm, kern::PageNum page,
+                   std::uint64_t seed, std::uint16_t len);
+
 class ServerApp {
  public:
   ServerApp(AppEnv env, AppSpec spec);

@@ -1,6 +1,7 @@
 #include "clients/closed_loop.hpp"
 
 #include <deque>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -57,10 +58,7 @@ void ClosedLoopClient::verify_reply(const net::Segment& reply,
       continue;
     }
     if (!want.found) continue;
-    auto expect_bytes = apps::kv_value_bytes(want.seed, want.len);
-    std::uint64_t expect_hash =
-        apps::kv_content_hash(expect_bytes.data(), expect_bytes.size());
-    if (got.reply_seed != expect_hash || got.len != want.len) {
+    if (got.reply_seed != want.reply_seed || got.len != want.len) {
       ++kv_errors_;
     }
   }
@@ -77,10 +75,17 @@ sim::task<> ClosedLoopClient::connection(int index) {
   }
   connected_->done();
 
-  // Per-connection expectation map: key -> (seed, len) of the last SET
-  // composed on this connection (disjoint key ranges per connection, and
-  // requests are processed in order, so compose-time expectations hold).
-  std::map<std::uint32_t, std::pair<std::uint64_t, std::uint16_t>> expect;
+  // Per-connection expectation map: key -> the last SET composed on this
+  // connection (disjoint key ranges per connection, and requests are
+  // processed in order, so compose-time expectations hold). The value's
+  // content hash is computed at the first GET that needs it, then reused
+  // by every later GET of the same value.
+  struct Expected {
+    std::uint64_t seed = 0;
+    std::uint16_t len = 0;
+    std::optional<std::uint64_t> hash;
+  };
+  std::map<std::uint32_t, Expected> expect;
   std::uint32_t key_base =
       static_cast<std::uint32_t>(index) * cfg_.keys_per_connection;
   std::deque<Pending> outstanding;
@@ -101,7 +106,7 @@ sim::task<> ClosedLoopClient::connection(int index) {
           op.op = KvOpType::kSet;
           op.seed = rng.next();
           op.len = cfg_.value_len;
-          expect[op.key] = {op.seed, op.len};
+          expect[op.key] = Expected{op.seed, op.len, std::nullopt};
         } else {
           op.op = KvOpType::kGet;
         }
@@ -110,9 +115,15 @@ sim::task<> ClosedLoopClient::connection(int index) {
         if (op.op == KvOpType::kGet) {
           auto it = expect.find(op.key);
           if (it != expect.end()) {
+            Expected& e = it->second;
+            if (!e.hash) {
+              auto bytes = apps::kv_value_bytes(e.seed, e.len);
+              e.hash = apps::kv_content_hash(bytes.data(), bytes.size());
+            }
             snap.found = true;
-            snap.seed = it->second.first;
-            snap.len = it->second.second;
+            snap.seed = e.seed;
+            snap.len = e.len;
+            snap.reply_seed = *e.hash;  // the content hash the reply carries
           } else {
             snap.found = false;
           }

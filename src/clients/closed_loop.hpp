@@ -74,7 +74,9 @@ class ClosedLoopClient {
   struct Pending {
     std::uint64_t tag;
     Time sent_at;
-    std::vector<apps::KvOp> expected;  // kv mode: expectations per op
+    /// kv mode: the expected reply per op; a found GET carries its value's
+    /// content hash in reply_seed.
+    std::vector<apps::KvOp> expected;
   };
   sim::task<> connection(int index);
   void verify_reply(const net::Segment& reply, const Pending& p);

@@ -182,14 +182,20 @@ struct Options {
   /// compression.
   static Options table1_row(int row) {
     Options o;
-    o.optimize_criu = row >= 1;
-    o.cache_infrequent_state = row >= 2;
-    o.plug_input_blocking = row >= 3;
-    o.vma_via_netlink = row >= 4;
-    o.staging_buffer = row >= 5;
-    o.pages_via_shared_memory = row >= 6;
-    o.delta_compress_pages = row >= 7;
+    o.set_table1_row(row);
     return o;
+  }
+
+  /// Sets only the Table I optimization flags to row `row`; every other
+  /// field keeps its value.
+  void set_table1_row(int row) {
+    optimize_criu = row >= 1;
+    cache_infrequent_state = row >= 2;
+    plug_input_blocking = row >= 3;
+    vma_via_netlink = row >= 4;
+    staging_buffer = row >= 5;
+    pages_via_shared_memory = row >= 6;
+    delta_compress_pages = row >= 7;
   }
 
   static const char* table1_row_name(int row) {

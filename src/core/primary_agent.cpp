@@ -649,25 +649,26 @@ sim::task<> PrimaryAgent::log_flush_loop() {
 sim::task<> PrimaryAgent::log_ack_loop(std::size_t replica) {
   while (running_) {
     LogAckMsg ack = co_await replicas_[replica].log_ack_in->recv();
-    auto it = seg_recs_.find(ack.seq);
-    NLC_CHECK_MSG(it != seg_recs_.end(), "log ack for an unknown segment");
+    // Each replica acks in seq order, so segments reach their K-th ack in
+    // seq order too: an ack at or below the last released seq is a late
+    // replica catching up on an already retired segment.
+    const bool late = last_released_seq_ && ack.seq <= *last_released_seq_;
+    auto it = late ? seg_recs_.end() : seg_recs_.find(ack.seq);
+    NLC_CHECK_MSG(late || it != seg_recs_.end(),
+                  "log ack for an unknown segment");
     const Time now = kernel_->simulation().now();
     obs_.instant(Track::kPrimary, Stage::kReplicaLogAck, now, ack.seq,
                  {.aux = replica});
-    SegRec& sr = it->second;
-    ++sr.acks;
-    if (!sr.released && sr.acks >= quorum_k_) {
-      // K-of-N log quorum: the K-th replica can replay to this segment's
-      // end, so everything buffered before its marker may leave.
-      sr.released = true;
-      obs_.instant(Track::kPrimary, Stage::kLogAckRecv, now, ack.seq);
-      obs_.instant(Track::kPrimary, Stage::kLogRelease, now, ack.seq);
-      plug().release_to_marker(sr.marker);  // the plug emits kPlugRelease
-      metrics_->log_commit_latency_ms.add(to_millis(now - sr.cut_at));
-    }
-    // Retire only once every replica confirmed; with N = 1 that is the
-    // same step as the release above, keeping the two-node path intact.
-    if (sr.acks >= static_cast<int>(replicas_.size())) seg_recs_.erase(it);
+    if (late || ++it->second.acks < quorum_k_) continue;
+    // K-of-N log quorum: the K-th replica can replay to this segment's
+    // end, so everything buffered before its marker may leave. The record
+    // retires here, so a dead replica cannot pin it.
+    obs_.instant(Track::kPrimary, Stage::kLogAckRecv, now, ack.seq);
+    obs_.instant(Track::kPrimary, Stage::kLogRelease, now, ack.seq);
+    plug().release_to_marker(it->second.marker);  // emits kPlugRelease
+    metrics_->log_commit_latency_ms.add(to_millis(now - it->second.cut_at));
+    last_released_seq_ = ack.seq;
+    seg_recs_.erase(it);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "blockdev/drbd.hpp"
@@ -74,6 +75,8 @@ class PrimaryAgent {
 
   std::uint64_t current_epoch() const { return epoch_; }
   std::uint64_t acked_epoch() const { return acked_epoch_; }
+  /// Replay mode: log segments cut but not yet released by a K-of-N ack.
+  std::size_t log_segments_in_flight() const { return seg_recs_.size(); }
   /// The epoch-length controller (DESIGN.md §15); read-only for tests and
   /// the run drivers' controller summary.
   const epochctl::EpochController& controller() const { return controller_; }
@@ -228,16 +231,18 @@ class PrimaryAgent {
   /// Wakes the flush loop when buffered output is waiting on a log ship.
   std::unique_ptr<sim::Event> log_flush_event_;
   /// In-flight segments: seq -> (plug marker bounding its output, cut
-  /// time). Released (and erased) on the backup's log ack.
+  /// time). Released and erased at the K-th replica's log ack, so the map
+  /// holds only segments cut but not yet quorum-acked, whatever happens to
+  /// the other N - K replicas.
   struct SegRec {
     std::uint64_t marker = 0;
     Time cut_at = 0;
-    /// Replica acks seen; output releases at the K-th, the record retires
-    /// at the N-th (a dead replica leaves a bounded leak, erased never).
-    int acks = 0;
-    bool released = false;
+    int acks = 0;  // replica acks seen so far
   };
   std::map<std::uint64_t, SegRec> seg_recs_;
+  /// Highest released segment; acks at or below it are late (the segment
+  /// is already retired).
+  std::optional<std::uint64_t> last_released_seq_;
   /// log_bytes_shipped high-water at the previous checkpoint, for the
   /// per-epoch log-stream stamp in EpochDeltaStats::log_bytes.
   std::uint64_t log_bytes_at_last_epoch_ = 0;

@@ -5,7 +5,6 @@
 
 #include "apps/batch_app.hpp"
 #include "apps/diskstress.hpp"
-#include "apps/kv.hpp"
 #include "apps/server_app.hpp"
 #include "check/audit.hpp"
 #include "clients/closed_loop.hpp"
@@ -42,15 +41,7 @@ void prefill_kv(Cluster& cl, apps::ServerApp& app, std::uint64_t pages,
       constexpr std::uint64_t kContentSlice = 128;
       for (std::uint64_t i = 0; i < n; ++i) {
         if (i < kContentSlice) {
-          std::uint16_t len = 900;
-          std::uint64_t s = rng.next();
-          std::vector<std::byte> cell(16 + len);
-          std::memcpy(cell.data(), &len, 2);
-          std::memcpy(cell.data() + 2, &s, 8);
-          cell[10] = std::byte{1};
-          auto value = apps::kv_value_bytes(s, len);
-          std::copy(value.begin(), value.end(), cell.begin() + 16);
-          p->mm().write(v.start + i, 0, cell);
+          apps::kv_write_cell(p->mm(), v.start + i, rng.next(), 900);
         } else {
           p->mm().touch(v.start + i);
         }

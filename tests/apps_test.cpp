@@ -43,6 +43,30 @@ TEST(KvCodecTest, ValueBytesDeterministic) {
   EXPECT_NE(a, c);
 }
 
+TEST(KvCodecTest, WordWiseValueBytesMatchPerByteDefinition) {
+  std::vector<std::uint16_t> lens;
+  for (std::uint16_t len = 0; len <= 64; ++len) lens.push_back(len);
+  lens.push_back(900);
+  lens.push_back(4080);
+  for (std::uint64_t seed : {0ull, 7ull, 0x5EEDull, ~0ull}) {
+    for (std::uint16_t len : lens) {
+      auto bytes = kv_value_bytes(seed, len);
+      ASSERT_EQ(bytes.size(), len);
+      for (std::uint32_t i = 0; i < len; ++i) {
+        ASSERT_EQ(bytes[i], kv_value_byte(seed, i))
+            << "seed " << seed << " len " << len << " byte " << i;
+      }
+    }
+  }
+}
+
+TEST(KvCodecTest, ContentHashOfValueIsPinned) {
+  // GET replies carry this hash and the client checks it; a change to
+  // value generation or to the hash moves it.
+  auto v = kv_value_bytes(0x5EED, 900);
+  EXPECT_EQ(kv_content_hash(v.data(), v.size()), 0xfbc5a24748976fecull);
+}
+
 TEST(KvCodecTest, ContentHashDiscriminates) {
   auto a = kv_value_bytes(1, 64);
   auto b = kv_value_bytes(2, 64);
@@ -121,6 +145,48 @@ TEST(ServerAppTest, KvSetGetRoundTrip) {
   client.stop();
   EXPECT_GT(client.completed(), 50u);
   EXPECT_EQ(client.kv_errors(), 0u);
+}
+
+TEST(ServerAppTest, KvGetDetectsCorruptedStoredBytes) {
+  // The GET reply hashes the bytes really stored in the page, so a value
+  // byte changed behind the server's back must fail the client's check.
+  AppSpec spec = netecho_spec();
+  spec.kv_pages = 128;
+  ServerRig rig(spec);
+  clients::ClientConfig cc;
+  cc.local_ip = kClientIp;
+  cc.server_ip = kServiceIp;
+  cc.port = spec.port;
+  cc.connections = 1;
+  cc.kv_mode = true;
+  cc.kv_ops_per_request = 8;
+  cc.keys_per_connection = 64;
+  clients::ClosedLoopClient client(rig.cl.sim, rig.cl.client_domain,
+                                   rig.cl.client_tcp, cc, 6);
+  client.start();
+  rig.cl.sim.run_until(500_ms);
+  ASSERT_EQ(client.kv_errors(), 0u);
+
+  // Flip one value byte in every stored record (occupied flag at byte 10,
+  // value from byte 16).
+  std::uint64_t flipped = 0;
+  for (kern::Process* p :
+       rig.cl.primary_kernel->container_processes(rig.cid)) {
+    for (const kern::Vma& v : p->mm().vmas()) {
+      if (v.backing_file != kKvLabel) continue;
+      for (kern::PageNum page = v.start; page < v.end(); ++page) {
+        if (p->mm().read(page, 10, 1)[0] != std::byte{1}) continue;
+        auto b = p->mm().read(page, 16 + 100, 1);
+        b[0] ^= std::byte{0x01};
+        p->mm().write(page, 16 + 100, b);
+        ++flipped;
+      }
+    }
+  }
+  ASSERT_GT(flipped, 0u);
+  rig.cl.sim.run_until(1_s);
+  client.stop();
+  EXPECT_GT(client.kv_errors(), 0u);
 }
 
 TEST(ServerAppTest, DirtyPagesTrackedUnderLoad) {

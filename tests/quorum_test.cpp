@@ -2,13 +2,19 @@
 // K-of-N release discipline, the trace oracle's quorum and promotion
 // rules, and the end-to-end behavior of a 3-replica cluster — backup-lag
 // tolerance, single-backup-crash absorption, double failure, correlated
-// rack failure and the promotion-picks-most-caught-up regression. The
-// final tests pin the N = 1 degenerate case to the two-node seed engine.
+// rack failure, the promotion-picks-most-caught-up regression and the
+// in-flight log segment bound after a backup crash. The final tests pin
+// the N = 1 degenerate case to the two-node seed engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/catalog.hpp"
+#include "apps/server_app.hpp"
 #include "check/invariants.hpp"
 #include "check/trace_oracle.hpp"
+#include "clients/closed_loop.hpp"
+#include "core/cluster.hpp"
 #include "harness/experiment.hpp"
 #include "util/assert.hpp"
 
@@ -292,6 +298,60 @@ TEST(QuorumEndToEndTest, PromotionPicksMostCaughtUpReplica) {
   // The winner re-silvered the two survivors over the replication link.
   EXPECT_EQ(r.recovery.replicas_resilvered, 2u);
   EXPECT_GT(r.recovery.resilver_bytes, 0u);
+}
+
+TEST(QuorumEndToEndTest, DeadReplicaDoesNotPinLogSegments) {
+  // Replay mode, N = 3 / K = 2: a segment releases at its second log ack.
+  // After a backup dies only two replicas ack, so a record that waited
+  // for all N acks would stay forever, one per segment cut.
+  core::ClusterConfig ccfg;
+  ccfg.replicas = 3;
+  core::Cluster cl(ccfg);
+  apps::AppSpec spec = fast_spec();
+  kern::ContainerId cid = cl.create_service_container(spec.name).id();
+  apps::ServerApp app({&cl.sim, cl.primary_kernel.get(), &cl.primary_tcp,
+                       core::kServiceIp, 7},
+                      spec);
+  app.setup(cid);
+  core::Options opts;
+  opts.replicas = 3;
+  opts.quorum_k = 2;
+  opts.commit_mode = core::CommitMode::kReplay;
+  bool ready = false;
+  cl.sim.spawn([](core::Cluster& c, kern::ContainerId id, core::Options o,
+                  bool& r) -> sim::task<> {
+    co_await c.protect(id, o);
+    r = true;
+  }(cl, cid, opts, ready));
+  while (!ready && cl.sim.step()) {
+  }
+  ASSERT_TRUE(ready);
+
+  clients::ClientConfig cc;
+  cc.local_ip = core::kClientIp;
+  cc.server_ip = core::kServiceIp;
+  cc.port = spec.port;
+  cc.connections = 3;
+  cc.kv_mode = true;
+  cc.keys_per_connection = 64;
+  clients::ClosedLoopClient client(cl.sim, cl.client_domain, cl.client_tcp,
+                                   cc, 29);
+  client.start();
+  cl.sim.run_until(cl.sim.now() + nlc::milliseconds(300));
+  cl.fail_backup(1);
+  const std::uint64_t completed_at_fault = client.completed();
+  std::size_t peak = 0;
+  const Time end = cl.sim.now() + nlc::seconds(2);
+  while (cl.sim.now() < end && cl.sim.step()) {
+    peak = std::max(peak, cl.primary_agent->log_segments_in_flight());
+  }
+  client.stop();
+  // Hundreds of requests were released by log segments after the crash,
+  // yet only the few segments between a cut and its second ack were ever
+  // outstanding.
+  EXPECT_GT(client.completed(), completed_at_fault + 200);
+  EXPECT_EQ(client.kv_errors(), 0u);
+  EXPECT_LE(peak, 4u);
 }
 
 // ------------------------------------------------ N = 1 degenerate case ----

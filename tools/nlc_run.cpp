@@ -144,8 +144,7 @@ int main(int argc, char** argv) {
         cfg.nilicon.commit_mode = core::CommitMode::kReplay;
       else fail("unknown commit mode '" + m + "'");
     } else if (arg == "--opt-level") {
-      cfg.nilicon =
-          core::Options::table1_row(static_cast<int>(next_int(0, 7)));
+      cfg.nilicon.set_table1_row(static_cast<int>(next_int(0, 7)));
     } else if (arg == "--clients") {
       cfg.client_connections = static_cast<int>(next_int(1, 100000));
     } else if (arg == "--pipeline") {
