@@ -8,9 +8,13 @@
 // the real content-page checkpoint path.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -43,12 +47,12 @@ inline void kv_fill_value(std::uint64_t seed, std::byte* out,
                           std::size_t len) {
   std::size_t i = 0;
   for (; i + 8 <= len; i += 8) {
-    const std::uint64_t word = splitmix64(seed + i / 8);
-    // Unrolled, the eight byte stores merge into one 8-byte store.
-#pragma GCC unroll 8
-    for (std::size_t b = 0; b < 8; ++b) {
-      out[i + b] = static_cast<std::byte>(word >> (b * 8));
+    std::uint64_t word = splitmix64(seed + i / 8);
+    // One 8-byte store per word, least significant byte first.
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
     }
+    std::memcpy(out + i, &word, 8);
   }
   const std::uint64_t tail = splitmix64(seed + i / 8);
   for (std::size_t b = 0; i + b < len; ++b) {
@@ -73,6 +77,47 @@ inline std::uint64_t kv_content_hash(const std::byte* data,
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+/// Most byte ranges kv_content_hash_lanes hashes in one call.
+inline constexpr std::size_t kKvHashLanes = 4;
+
+/// kv_content_hash over up to kKvHashLanes independent byte ranges:
+/// out[l] == kv_content_hash(ranges[l].data(), ranges[l].size()). One
+/// FNV-1a chain waits on its multiply every byte; advancing the chains
+/// together over their common length keeps one multiply per lane in
+/// flight, and each tail then finishes alone.
+inline void kv_content_hash_lanes(
+    std::span<const std::span<const std::byte>> ranges,
+    std::span<std::uint64_t> out) {
+  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
+  constexpr std::uint64_t kPrime = 0x100000001b3ull;
+  const std::size_t n = ranges.size();
+  NLC_CHECK(n <= kKvHashLanes && out.size() == n);
+  if (n == 0) return;
+  // Unused lanes repeat lane 0: the same work, no branch in the loop.
+  std::array<const std::byte*, kKvHashLanes> p{};
+  std::size_t common = ranges[0].size();
+  for (std::size_t l = 0; l < kKvHashLanes; ++l) {
+    const std::span<const std::byte> r = ranges[l < n ? l : 0];
+    p[l] = r.data();
+    common = std::min(common, r.size());
+  }
+  std::uint64_t h0 = kBasis, h1 = kBasis, h2 = kBasis, h3 = kBasis;
+  for (std::size_t i = 0; i < common; ++i) {
+    h0 = (h0 ^ static_cast<std::uint64_t>(p[0][i])) * kPrime;
+    h1 = (h1 ^ static_cast<std::uint64_t>(p[1][i])) * kPrime;
+    h2 = (h2 ^ static_cast<std::uint64_t>(p[2][i])) * kPrime;
+    h3 = (h3 ^ static_cast<std::uint64_t>(p[3][i])) * kPrime;
+  }
+  const std::array<std::uint64_t, kKvHashLanes> lanes{h0, h1, h2, h3};
+  for (std::size_t l = 0; l < n; ++l) {
+    std::uint64_t h = lanes[l];
+    for (std::size_t i = common; i < ranges[l].size(); ++i) {
+      h = (h ^ static_cast<std::uint64_t>(p[l][i])) * kPrime;
+    }
+    out[l] = h;
+  }
 }
 
 inline std::shared_ptr<std::vector<std::byte>> kv_encode(

@@ -104,6 +104,28 @@ TEST(ClosedLoopClientTest, KvModeDetectsServerWithoutStore) {
   EXPECT_EQ(client.kv_errors(), client.completed());
 }
 
+TEST(ClosedLoopClientTest, KvModeWithFewKeysValidatesRepeatedValues) {
+  // Four keys and 16 ops per request: most requests GET one value twice
+  // and re-SET a key between two of its GETs, so the expected hashes must
+  // follow each value through the request, not just each key.
+  apps::AppSpec spec = apps::netecho_spec();
+  spec.kv_pages = 128;
+  Rig rig(spec);
+  ClientConfig cc = rig.base();
+  cc.connections = 2;
+  cc.kv_mode = true;
+  cc.keys_per_connection = 4;
+  ClosedLoopClient client(rig.cl.sim, rig.cl.client_domain,
+                          rig.cl.client_tcp, cc, 7);
+  client.start();
+  rig.cl.sim.run_until(1_s);
+  client.stop();
+  EXPECT_GT(client.completed(), 50u);
+  EXPECT_EQ(client.kv_errors(), 0u);
+  EXPECT_EQ(client.protocol_errors(), 0u);
+  EXPECT_EQ(client.broken_connections(), 0u);
+}
+
 TEST(ClosedLoopClientTest, ThinkTimeThrottles) {
   Rig rig(apps::netecho_spec());
   ClientConfig cc = rig.base();
