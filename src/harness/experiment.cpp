@@ -368,8 +368,6 @@ RunResult run_experiment(const RunConfig& cfg) {
       res.recovery = cl.backup_agent->recovery_metrics();
     }
     res.requests_after_fault = client.completed() - win->completed_at_fault;
-    res.kv_errors = client.kv_errors();
-    res.broken_connections = client.broken_connections();
     if (diskstress) res.diskstress_errors = diskstress->errors();
     if (state->restored_diskstress) {
       res.diskstress_errors += state->restored_diskstress->errors() -
@@ -390,10 +388,10 @@ RunResult run_experiment(const RunConfig& cfg) {
       res.interruption =
           max_post - static_cast<Time>(pre.percentile(50));
     }
-  } else {
-    res.kv_errors = client.kv_errors();
-    res.broken_connections = client.broken_connections();
   }
+  res.kv_errors = client.kv_errors();
+  res.broken_connections = client.broken_connections();
+  res.protocol_errors = client.protocol_errors();
   res.sim_events = cl.sim.events_processed();
   return res;
 }

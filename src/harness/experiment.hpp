@@ -122,6 +122,8 @@ struct RunResult {
   std::uint64_t requests_after_fault = 0;
   std::uint64_t kv_errors = 0;
   std::uint64_t broken_connections = 0;
+  /// Replies whose tag did not match the oldest outstanding request.
+  std::uint64_t protocol_errors = 0;
   std::uint64_t diskstress_errors = 0;
   std::uint64_t diskstress_post_failover_mismatches = 0;
   /// Client-observed service interruption (max latency spike minus the

@@ -9,16 +9,18 @@
 // injected at a seed-randomized epoch, and the delta codec exercised on odd
 // seeds. Every third seed additionally runs N=3/K=2 quorum replication
 // with a rotating fault scenario (primary over a chain; backup-crash,
-// correlated rack failure and double failure over a star). A run passes when the experiment completes without the auditor
-// throwing InvariantError and the failover recovered; the sweep exits
-// non-zero on the first violation, printing the offending seed so the run
-// can be replayed under a debugger:
+// correlated rack failure and double failure over a star). A run passes
+// when the experiment completes without the auditor throwing
+// InvariantError, the failover recovered, and the client saw no KV error,
+// broken connection or mis-tagged reply; the sweep exits non-zero on the
+// first violation, printing the offending seed so the run can be replayed
+// under a debugger:
 //
 //   nlc_audit --seeds 1 --base-seed <seed>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,20 +28,21 @@
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "util/assert.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
 using namespace nlc;
 
-void usage() {
-  std::printf(
-      "usage: nlc_audit [options]\n"
-      "  --seeds N        number of seeds to sweep (default 20)\n"
-      "  --base-seed N    first seed (default 1)\n"
-      "  --level L        commit|continuous audit level (default continuous)\n"
-      "  --measure-ms N   measurement window per run (default 1200)\n"
-      "  --no-fault       skip crash injection (protocol-only audit)\n");
-}
+const cli::Usage kUsage{
+    "nlc_audit",
+    "usage: nlc_audit [options]\n"
+    "  --seeds N        number of seeds to sweep, 1..100000 (default 20)\n"
+    "  --base-seed N    first seed (default 1)\n"
+    "  --level L        commit|continuous audit level (default continuous)\n"
+    "  --measure-ms N   measurement window per run, 1..3600000 (default\n"
+    "                   1200)\n"
+    "  --no-fault       skip crash injection (protocol-only audit)\n"};
 
 /// N-way sweep policy (DESIGN.md §16): every third seed runs N=3/K=2 with
 /// a rotating fault scenario — primary crash through the chain topology,
@@ -82,31 +85,29 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
+      if (i + 1 >= argc) kUsage.fail("missing value for " + arg);
       return argv[++i];
     };
     if (arg == "--seeds") {
-      seeds = static_cast<std::uint64_t>(std::atoll(next()));
+      seeds = static_cast<std::uint64_t>(kUsage.parse_int(arg, next(), 1,
+                                                          100000));
     } else if (arg == "--base-seed") {
-      base_seed = static_cast<std::uint64_t>(std::atoll(next()));
+      base_seed = static_cast<std::uint64_t>(kUsage.parse_int(
+          arg, next(), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--level") {
       std::string l = next();
       if (l == "commit") level = core::AuditLevel::kCommitPoints;
       else if (l == "continuous") level = core::AuditLevel::kContinuous;
-      else {
-        std::fprintf(stderr, "unknown audit level\n");
-        return 2;
-      }
+      else kUsage.fail("unknown audit level '" + l + "'");
     } else if (arg == "--measure-ms") {
-      measure = nlc::milliseconds(std::atoi(next()));
+      measure = nlc::milliseconds(kUsage.parse_int(arg, next(), 1, 3600000));
     } else if (arg == "--no-fault") {
       fault = false;
+    } else if (arg == "--help" || arg == "-h") {
+      std::fputs(kUsage.text().c_str(), stdout);
+      return 0;
     } else {
-      usage();
-      return arg == "--help" || arg == "-h" ? 0 : 2;
+      kUsage.fail("unknown argument '" + arg + "'");
     }
   }
 
@@ -226,11 +227,16 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(s), spec.name.c_str());
       return 1;
     }
-    if (fault && qp.on && r.kv_errors != 0) {
-      std::fprintf(stderr, "ERROR seed=%llu workload=%s: %llu KV errors — "
-                   "client-visible output loss under N=3/K=2\n",
+    // The client must see every acknowledged write and every reply, in
+    // order, on every seed.
+    if (r.kv_errors != 0 || r.broken_connections != 0 ||
+        r.protocol_errors != 0) {
+      std::fprintf(stderr, "ERROR seed=%llu workload=%s: client saw "
+                   "kv_errors=%llu broken=%llu protocol_errors=%llu\n",
                    static_cast<unsigned long long>(s), spec.name.c_str(),
-                   static_cast<unsigned long long>(r.kv_errors));
+                   static_cast<unsigned long long>(r.kv_errors),
+                   static_cast<unsigned long long>(r.broken_connections),
+                   static_cast<unsigned long long>(r.protocol_errors));
       return 1;
     }
     NLC_CHECK(r.audited);

@@ -7,9 +7,7 @@
 //
 // Prints one experiment's results as both a human summary and a single
 // JSON line (machine-scrapable for scripting sweeps).
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -22,6 +20,7 @@
 #include "trace/critical_path.hpp"
 #include "trace/export.hpp"
 #include "util/assert.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
@@ -35,66 +34,43 @@ std::optional<apps::AppSpec> find_spec(const std::string& name) {
   return std::nullopt;
 }
 
-void usage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: nlc_run [options]\n"
-      "  --workload NAME    swaptions|streamcluster|redis|ssdb|node|\n"
-      "                     lighttpd|djcms|netecho (default: netecho)\n"
-      "  --mode MODE        stock|nilicon|mc (default: nilicon)\n"
-      "  --seconds N        measurement window for servers (default 6)\n"
-      "  --batch-seconds N  per-thread CPU quota for batch apps (default 3)\n"
-      "  --epoch-ms N       NiLiCon epoch length (default 30)\n"
-      "  --epoch-policy P   fixed|adaptive (default fixed; adaptive =\n"
-      "                     trace-driven epoch-length controller,\n"
-      "                     DESIGN.md §15)\n"
-      "  --commit M         output-commit scheme: epoch|replay (default\n"
-      "                     epoch; replay = HyCoR-style event-log release,\n"
-      "                     DESIGN.md §14)\n"
-      "  --opt-level N      Table I cumulative optimization row 0..7\n"
-      "                     (7 = all + delta-compressed dirty pages)\n"
-      "  --clients N        override client connections\n"
-      "  --pipeline N       override per-connection request pipeline\n"
-      "  --seed N           RNG seed (default 1)\n"
-      "  --replicas N       backup replica count 1..16 (default 1; N>1\n"
-      "                     enables quorum output commit, DESIGN.md §16)\n"
-      "  --quorum K         replica acks required to release output,\n"
-      "                     0..N (default 0 = majority of N)\n"
-      "  --topology T       replication wiring: star|chain (default star)\n"
-      "  --fault            inject a fail-stop fault mid-run\n"
-      "  --fault-kind F     what fails: primary|backup|rack|double\n"
-      "                     (default primary; others need --replicas > 1)\n"
-      "  --audit L          attach the invariant auditor: off|commit|\n"
-      "                     continuous (default off; violations exit 1)\n"
-      "  --kv               validating KV payloads\n"
-      "  --diskstress       run the disk/memory consistency microbenchmark\n"
-      "  --trace FILE       record a flight-recorder trace and write it as\n"
-      "                     Chrome trace-event JSON (open in Perfetto:\n"
-      "                     ui.perfetto.dev); also prints the per-epoch\n"
-      "                     critical-path table (--trace=FILE works too)\n"
-      "  --list             list workloads and exit\n");
-}
-
-/// Bad input fails loudly: the reason and the usage text, exit status 2.
-[[noreturn]] void fail(const std::string& why) {
-  std::fprintf(stderr, "nlc_run: %s\n", why.c_str());
-  usage(stderr);
-  std::exit(2);
-}
-
-/// Parses all of `text` as a decimal integer in [lo, hi].
-long long parse_int(const std::string& flag, const char* text, long long lo,
-                    long long hi) {
-  long long v = 0;
-  const char* end = text + std::strlen(text);
-  const auto [stop, ec] = std::from_chars(text, end, v);
-  if (ec != std::errc{} || stop != end || stop == text || v < lo || v > hi) {
-    fail("invalid value '" + std::string(text) + "' for " + flag +
-         " (expected an integer in " + std::to_string(lo) + ".." +
-         std::to_string(hi) + ")");
-  }
-  return v;
-}
+const cli::Usage kUsage{
+    "nlc_run",
+    "usage: nlc_run [options]\n"
+    "  --workload NAME    swaptions|streamcluster|redis|ssdb|node|\n"
+    "                     lighttpd|djcms|netecho (default: netecho)\n"
+    "  --mode MODE        stock|nilicon|mc (default: nilicon)\n"
+    "  --seconds N        measurement window for servers (default 6)\n"
+    "  --batch-seconds N  per-thread CPU quota for batch apps (default 3)\n"
+    "  --epoch-ms N       NiLiCon epoch length (default 30)\n"
+    "  --epoch-policy P   fixed|adaptive (default fixed; adaptive =\n"
+    "                     trace-driven epoch-length controller,\n"
+    "                     DESIGN.md §15)\n"
+    "  --commit M         output-commit scheme: epoch|replay (default\n"
+    "                     epoch; replay = HyCoR-style event-log release,\n"
+    "                     DESIGN.md §14)\n"
+    "  --opt-level N      Table I cumulative optimization row 0..7\n"
+    "                     (7 = all + delta-compressed dirty pages)\n"
+    "  --clients N        override client connections\n"
+    "  --pipeline N       override per-connection request pipeline\n"
+    "  --seed N           RNG seed (default 1)\n"
+    "  --replicas N       backup replica count 1..16 (default 1; N>1\n"
+    "                     enables quorum output commit, DESIGN.md §16)\n"
+    "  --quorum K         replica acks required to release output,\n"
+    "                     0..N (default 0 = majority of N)\n"
+    "  --topology T       replication wiring: star|chain (default star)\n"
+    "  --fault            inject a fail-stop fault mid-run\n"
+    "  --fault-kind F     what fails: primary|backup|rack|double\n"
+    "                     (default primary; others need --replicas > 1)\n"
+    "  --audit L          attach the invariant auditor: off|commit|\n"
+    "                     continuous (default off; violations exit 1)\n"
+    "  --kv               validating KV payloads\n"
+    "  --diskstress       run the disk/memory consistency microbenchmark\n"
+    "  --trace FILE       record a flight-recorder trace and write it as\n"
+    "                     Chrome trace-event JSON (open in Perfetto:\n"
+    "                     ui.perfetto.dev); also prints the per-epoch\n"
+    "                     critical-path table (--trace=FILE works too)\n"
+    "  --list             list workloads and exit\n"};
 
 }  // namespace
 
@@ -108,23 +84,25 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) fail("missing value for " + arg);
+      if (i + 1 >= argc) kUsage.fail("missing value for " + arg);
       return argv[++i];
     };
     auto next_int = [&](long long lo, long long hi) {
-      return parse_int(arg, next(), lo, hi);
+      return kUsage.parse_int(arg, next(), lo, hi);
     };
     if (arg == "--workload") {
       const char* name = next();
       auto spec = find_spec(name);
-      if (!spec) fail("unknown workload '" + std::string(name) + "'");
+      if (!spec) {
+        kUsage.fail("unknown workload '" + std::string(name) + "'");
+      }
       cfg.spec = *spec;
     } else if (arg == "--mode") {
       std::string m = next();
       if (m == "stock") cfg.mode = harness::Mode::kStock;
       else if (m == "nilicon") cfg.mode = harness::Mode::kNiLiCon;
       else if (m == "mc") cfg.mode = harness::Mode::kMc;
-      else fail("unknown mode '" + m + "'");
+      else kUsage.fail("unknown mode '" + m + "'");
     } else if (arg == "--seconds") {
       cfg.measure = nlc::seconds(next_int(1, 3600));
     } else if (arg == "--batch-seconds") {
@@ -136,13 +114,13 @@ int main(int argc, char** argv) {
       if (p == "fixed") cfg.nilicon.epoch_policy = core::EpochPolicy::kFixed;
       else if (p == "adaptive")
         cfg.nilicon.epoch_policy = core::EpochPolicy::kAdaptive;
-      else fail("unknown epoch policy '" + p + "'");
+      else kUsage.fail("unknown epoch policy '" + p + "'");
     } else if (arg == "--commit") {
       std::string m = next();
       if (m == "epoch") cfg.nilicon.commit_mode = core::CommitMode::kEpoch;
       else if (m == "replay")
         cfg.nilicon.commit_mode = core::CommitMode::kReplay;
-      else fail("unknown commit mode '" + m + "'");
+      else kUsage.fail("unknown commit mode '" + m + "'");
     } else if (arg == "--opt-level") {
       cfg.nilicon.set_table1_row(static_cast<int>(next_int(0, 7)));
     } else if (arg == "--clients") {
@@ -159,7 +137,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--topology") {
       const char* t = next();
       if (!topo::parse_topology(t, &cfg.nilicon.topology)) {
-        fail("unknown topology '" + std::string(t) + "'");
+        kUsage.fail("unknown topology '" + std::string(t) + "'");
       }
     } else if (arg == "--fault") {
       cfg.inject_fault = true;
@@ -169,7 +147,7 @@ int main(int argc, char** argv) {
       else if (f == "backup") cfg.fault_kind = harness::FaultKind::kBackup;
       else if (f == "rack") cfg.fault_kind = harness::FaultKind::kRack;
       else if (f == "double") cfg.fault_kind = harness::FaultKind::kDouble;
-      else fail("unknown fault kind '" + f + "'");
+      else kUsage.fail("unknown fault kind '" + f + "'");
     } else if (arg == "--audit") {
       std::string l = next();
       if (l == "off") cfg.nilicon.audit_level = core::AuditLevel::kOff;
@@ -177,7 +155,7 @@ int main(int argc, char** argv) {
         cfg.nilicon.audit_level = core::AuditLevel::kCommitPoints;
       else if (l == "continuous")
         cfg.nilicon.audit_level = core::AuditLevel::kContinuous;
-      else fail("unknown audit level '" + l + "'");
+      else kUsage.fail("unknown audit level '" + l + "'");
     } else if (arg == "--trace") {
       trace_path = next();
       cfg.nilicon.trace_level = core::TraceLevel::kFull;
@@ -195,14 +173,14 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--help" || arg == "-h") {
-      usage(stdout);
+      std::fputs(kUsage.text().c_str(), stdout);
       return 0;
     } else {
-      fail("unknown argument '" + arg + "'");
+      kUsage.fail("unknown argument '" + arg + "'");
     }
   }
   if (cfg.nilicon.quorum_k > cfg.nilicon.replicas) {
-    fail("--quorum " + std::to_string(cfg.nilicon.quorum_k) +
+    kUsage.fail("--quorum " + std::to_string(cfg.nilicon.quorum_k) +
          " exceeds --replicas " + std::to_string(cfg.nilicon.replicas));
   }
 
