@@ -108,7 +108,7 @@ sim::task<> BackupAgent::state_loop() {
     pages_->begin_checkpoint(msg.epoch);
     std::uint64_t visits = 0;
     const std::uint64_t fold_t0 = util::wall_now_ns();
-    if (radix_ != nullptr && radix_->shards() > 1) {
+    if (radix_ != nullptr) {
       // Sharded fold (DESIGN.md §10): same state and modeled visit total
       // as the per-record loop, fanned out over the shard subtrees.
       visits = radix_->store_batch(msg.image.pages, &util::shard_pool());

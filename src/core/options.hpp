@@ -155,9 +155,9 @@ struct Options {
   TraceLevel trace_level = TraceLevel::kOff;
 
   /// DESIGN.md §10: intra-epoch page-pipeline shard count. 0 = auto
-  /// (NLC_SHARDS env, else hardware concurrency); 1 = the serial reference
-  /// engine. All shipped bytes, stats and visit counts are byte-identical
-  /// for any value — only wall clock changes.
+  /// (NLC_SHARDS env, else hardware concurrency). The count sets only the
+  /// fan-out of the one page engine: all shipped bytes, stats and visit
+  /// counts are byte-identical for any value — only wall clock changes.
   int page_shards = 0;
 
   int resolved_page_shards() const {
@@ -166,11 +166,10 @@ struct Options {
     return s > util::kMaxShards ? util::kMaxShards : s;
   }
 
-  /// DESIGN.md §12: scan-kernel tier of the sharded delta codec. kAuto
-  /// defers to NLC_SIMD (scalar | swar64 | simd | auto = fastest the CPU
-  /// runs). Every tier produces byte-identical observables — only wall
-  /// clock changes; NLC_SHARDS=1 keeps the scalar reference engine
-  /// regardless of tier.
+  /// DESIGN.md §12: scan-kernel tier of the delta codec, at every shard
+  /// count. kAuto defers to NLC_SIMD (scalar | swar64 | simd | auto =
+  /// fastest the CPU runs). Every tier produces byte-identical observables
+  /// — only wall clock changes.
   util::SimdTier simd_tier = util::SimdTier::kAuto;
 
   util::SimdTier resolved_simd_tier() const {

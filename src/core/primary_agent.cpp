@@ -294,16 +294,15 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
 
   // ---- Harvest the container state (CRIU engine) ---------------------------
   // Sharded page pipeline (DESIGN.md §10): harvest fill, delta encode and
-  // the backup's fold all fan out on the shared pool when shards > 1;
-  // outputs are byte-identical to the serial engine either way.
-  int pshards = delta_.shards();
-  util::WorkerPool* ppool = pshards > 1 ? &util::shard_pool() : nullptr;
+  // the backup's fold fan out over the shards on the shared pool; outputs
+  // are byte-identical for any shard count.
+  util::WorkerPool* ppool = &util::shard_pool();
   criu::HarvestOptions ho;
   ho.incremental = !initial;
   ho.vma_via_netlink = opts_.vma_via_netlink;
   ho.pages_via_shared_memory = opts_.pages_via_shared_memory;
   ho.fs_cache_via_dnc = opts_.fs_cache_via_dnc;
-  ho.shards = pshards;
+  ho.shards = delta_.shards();
   ho.pool = ppool;
   const criu::InfrequentState* cached =
       opts_.cache_infrequent_state ? cache_.get() : nullptr;

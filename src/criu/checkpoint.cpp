@@ -15,25 +15,18 @@ namespace {
 /// enough that the line is still resident when reached.
 constexpr std::size_t kFillPrefetch = 8;
 
-/// Fills pages[base .. base+n) from an index-addressable source. Each slot
-/// depends only on its own source entry, so contiguous chunks writing
-/// disjoint slots reproduce the serial image byte for byte (DESIGN.md
-/// §10); the content-page count folds per chunk in chunk order. Returns
-/// the number of content pages filled.
+/// Fills pages[base .. base+n) from an index-addressable source in
+/// min(shards, n) contiguous chunks. Each slot depends only on its own
+/// source entry, so the image is the same byte for byte for any chunk
+/// count (DESIGN.md §10); the content-page count folds per chunk in chunk
+/// order. Returns the number of content pages filled.
 template <typename FillOne>
 std::uint64_t fill_page_records(std::vector<PageRecord>& pages,
                                 std::size_t base, std::size_t n, int shards,
                                 util::WorkerPool* pool, FillOne fill_one) {
   pages.resize(base + n);
-  if (shards <= 1 || n < 2) {
-    std::uint64_t content = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (fill_one(i, pages[base + i])) ++content;
-    }
-    return content;
-  }
   std::size_t nchunks =
-      std::min<std::size_t>(static_cast<std::size_t>(shards), n);
+      std::min<std::size_t>(static_cast<std::size_t>(std::max(shards, 1)), n);
   std::vector<std::uint64_t> per(nchunks, 0);
   auto chunk = [&](std::size_t c) {
     std::size_t lo = n * c / nchunks;

@@ -79,8 +79,8 @@ inline void seal_delta(PageDelta& d) {
 /// Encodes `cur` against reference `prev` (null => raw). Adjacent changed
 /// bytes closer than the run-header cost are merged into one run, which is
 /// what a real encoder would do to minimize framing. This is the reference
-/// kernel: byte-at-a-time, used by the serial (NLC_SHARDS=1) pipeline and
-/// as the oracle the fast kernel is property-tested against.
+/// kernel: byte-at-a-time, the oracle the fast kernel is property-tested
+/// against and the shadow encoder of check::DeltaReplayChecker.
 inline PageDelta delta_encode(const kern::PageBytes* prev,
                               const kern::PageBytes& cur) {
   NLC_CHECK(cur.size() == nlc::kPageSize);
@@ -121,8 +121,8 @@ inline PageDelta delta_encode(const kern::PageBytes* prev,
   return d;
 }
 
-/// Span-scanning encoder kernel used by the sharded pipeline (DESIGN.md
-/// §10/§12): equal spans — the overwhelming majority of bytes of a typical
+/// Span-scanning encoder kernel used by DeltaCodec (DESIGN.md §10/§12):
+/// equal spans — the overwhelming majority of bytes of a typical
 /// dirty page — and changed spans are both resolved by the dispatched scan
 /// primitives (util/simd.hpp): 8 bytes per compare at kSwar64, 32 at
 /// kVector, byte-at-a-time at kScalar. Run boundaries follow exactly the
@@ -205,6 +205,8 @@ inline kern::PageBytes delta_apply(const kern::PageBytes* prev,
 struct EpochDeltaStats {
   std::uint64_t content_pages = 0;  // pages run through the encoder
   std::uint64_t delta_pages = 0;    // shipped as deltas
+  /// Of delta_pages: resolved by handle identity with no byte scan.
+  std::uint64_t identity_pages = 0;
   std::uint64_t raw_pages = 0;      // no reference / compression lost
   std::uint64_t raw_bytes = 0;      // page bytes before compression
   std::uint64_t wire_bytes = 0;     // page bytes after compression
@@ -227,16 +229,13 @@ struct EpochDeltaStats {
 /// Primary-side per-container compression stage. Keeps the last shipped
 /// payload of every content page as a shared handle.
 ///
-/// Sharded mode (shards > 1, DESIGN.md §10): the reference set is split
-/// into independent per-shard maps keyed by shard_of(page) — a page's
-/// references live in one shard forever, so encode_epoch() fans the
-/// per-shard encode out on the worker pool with no locks, using the
-/// span-scanning kernel at the codec's SIMD tier (NLC_SIMD /
-/// Options::simd_tier, DESIGN.md §12). Stats merge by summation in shard
-/// order. Stamped
-/// wire sizes and EpochDeltaStats are byte-identical for any shard count;
-/// shards == 1 is the exact serial pre-shard engine (reference kernel,
-/// one map).
+/// The reference set is split into independent per-shard maps keyed by
+/// shard_of(page) (DESIGN.md §10) — a page's references live in one shard
+/// forever, so encode_epoch() fans the per-shard encode out on the worker
+/// pool with no locks, using the span-scanning kernel at the codec's SIMD
+/// tier (NLC_SIMD / Options::simd_tier, DESIGN.md §12). Stats merge by
+/// summation in shard order. Stamped wire sizes and EpochDeltaStats are
+/// byte-identical for any shard count; the count sets only the fan-out.
 class DeltaCodec {
  public:
   explicit DeltaCodec(int shards = 1,
@@ -253,16 +252,6 @@ class DeltaCodec {
   /// `pool` (null = inline shard loop) carries the sharded fan-out.
   EpochDeltaStats encode_epoch(CheckpointImage& img,
                                util::WorkerPool* pool = nullptr) {
-    if (shards() == 1) {
-      // Presize for the upper bound of this epoch's inserts so try_emplace
-      // never rehashes mid-epoch.
-      prev_[0].reserve(prev_[0].size() + img.pages.size());
-      EpochDeltaStats st;
-      for (PageRecord& rec : img.pages) {
-        encode_one(rec, prev_[0], st, /*fast=*/false);
-      }
-      return st;
-    }
     ShardPlan plan = ShardPlan::build(img.pages, shards());
     std::vector<EpochDeltaStats> per(prev_.size());
     auto encode_shard = [&](std::size_t s) {
@@ -280,7 +269,7 @@ class DeltaCodec {
             util::prefetch_read(next.content->data());
           }
         }
-        encode_one(img.pages[bucket[k]], prev_[s], per[s], /*fast=*/true);
+        encode_one(img.pages[bucket[k]], prev_[s], per[s]);
       }
     };
     if (pool != nullptr) {
@@ -293,6 +282,7 @@ class DeltaCodec {
     for (const EpochDeltaStats& p : per) {
       st.content_pages += p.content_pages;
       st.delta_pages += p.delta_pages;
+      st.identity_pages += p.identity_pages;
       st.raw_pages += p.raw_pages;
       st.raw_bytes += p.raw_bytes;
       st.wire_bytes += p.wire_bytes;
@@ -300,17 +290,10 @@ class DeltaCodec {
     return st;
   }
 
-  std::uint64_t reference_pages() const {
-    std::uint64_t n = 0;
-    for (const auto& m : prev_) n += m.size();
-    return n;
-  }
-
  private:
   using RefMap = std::unordered_map<kern::PageNum, kern::PagePayload>;
 
-  void encode_one(PageRecord& rec, RefMap& refs, EpochDeltaStats& st,
-                  bool fast) const {
+  void encode_one(PageRecord& rec, RefMap& refs, EpochDeltaStats& st) const {
     if (!rec.has_content()) return;
     ++st.content_pages;
     st.raw_bytes += nlc::kPageSize;
@@ -318,21 +301,20 @@ class DeltaCodec {
     // advance-reference store (the encode and stamp paths used to hit the
     // map separately per page).
     auto [it, inserted] = refs.try_emplace(rec.page);
-    if (fast && !inserted && it->second == rec.content) {
+    if (!inserted && it->second == rec.content) {
       // Identity fast path: the record still carries the exact handle we
       // shipped last epoch. The address space clones-on-write whenever a
       // payload is shared — and our reference handle keeps it shared — so
-      // handle identity proves the bytes are unchanged. The reference
-      // kernel would scan 2x4 KiB to emit zero runs; the result is the
-      // same header-only delta either way.
+      // handle identity proves the bytes are unchanged. Scanning both
+      // 4 KiB pages would emit zero runs: the same header-only delta.
       rec.wire_size = kDeltaPageHeader;
       st.wire_bytes += kDeltaPageHeader;
       ++st.delta_pages;
+      ++st.identity_pages;
       return;
     }
     const kern::PageBytes* ref = inserted ? nullptr : it->second.get();
-    PageDelta d = fast ? delta_encode_fast(ref, *rec.content, tier_)
-                       : delta_encode(ref, *rec.content);
+    PageDelta d = delta_encode_fast(ref, *rec.content, tier_);
     rec.wire_size = d.wire_size;
     st.wire_bytes += d.wire_size;
     if (d.raw) {

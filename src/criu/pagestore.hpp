@@ -106,8 +106,6 @@ class ListPageStore final : public PageStore {
     return out;
   }
 
-  std::size_t checkpoint_count() const { return dirs_.size(); }
-
  private:
   struct Dir {
     std::uint64_t epoch;
@@ -119,14 +117,14 @@ class ListPageStore final : public PageStore {
 /// NiLiCon: four-level radix tree, 2^9 fan-out per level (like x86-64 page
 /// tables); constant 4 modeled visits per store.
 ///
-/// Sharded mode (shards > 1, DESIGN.md §10): the tree becomes a forest of
-/// independent subtrees, one per page-number shard (shard_of). store() and
-/// store_batch() only touch the owning shard's subtree and counters, so an
-/// epoch fold fans out across the worker pool with no locks on the hot
-/// path. Modeled visit accounting stays the paper's constant kLevels per
-/// store for every shard count; internally each shard memoizes the leaf
-/// directory of the last stored page, so folding a dense sorted range
-/// resolves ~1 level per page instead of walking all 4.
+/// The tree is a forest of independent subtrees, one per page-number shard
+/// (shard_of, DESIGN.md §10). store() and store_batch() only touch the
+/// owning shard's subtree and counters, so an epoch fold fans out across
+/// the worker pool with no locks on the hot path. Modeled visit accounting
+/// stays the paper's constant kLevels per store for every shard count;
+/// internally each shard memoizes the leaf directory of the last stored
+/// page, so folding a dense sorted range resolves ~1 level per page instead
+/// of walking all 4.
 ///
 /// Memory layout (DESIGN.md §12): nodes are 4-byte headers in one dense
 /// per-shard vector; each node's 512 child/leaf slots are 32-bit indices in
@@ -144,7 +142,7 @@ class RadixPageStore final : public PageStore {
 
   int shards() const { return static_cast<int>(shards_.size()); }
 
-  void begin_checkpoint(std::uint64_t epoch) override { epoch_ = epoch; }
+  void begin_checkpoint(std::uint64_t /*epoch*/) override {}
 
   std::uint64_t store(const PageRecord& rec) override {
     return store_into(shards_[shard_of(rec.page, shards())], rec);
@@ -155,7 +153,9 @@ class RadixPageStore final : public PageStore {
   /// visit total that store()ing every record in image order would.
   std::uint64_t store_batch(const std::vector<PageRecord>& recs,
                             util::WorkerPool* pool) {
-    if (shards() == 1 || recs.size() < 2) {
+    // A fold of zero or one record skips the shard plan and the pool
+    // dispatch; the backup commits many such epochs.
+    if (recs.size() < 2) {
       std::uint64_t visits = 0;
       for (const PageRecord& r : recs) visits += store(r);
       return visits;
@@ -200,15 +200,9 @@ class RadixPageStore final : public PageStore {
   }
 
   std::vector<const PageRecord*> all_pages() const override {
-    if (shards_.size() == 1) {
-      std::vector<const PageRecord*> out;
-      out.reserve(shards_[0].count);
-      collect(shards_[0], shards_[0].root, 3, out);
-      return out;
-    }
     // Deterministic merge: each shard's walk is ascending by page number;
-    // a k-way merge reproduces the globally ascending order a one-shard
-    // tree yields, for any shard count.
+    // a k-way merge yields one globally ascending order for any shard
+    // count.
     std::vector<std::vector<const PageRecord*>> per(shards_.size());
     std::size_t total = 0;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -338,7 +332,6 @@ class RadixPageStore final : public PageStore {
   }
 
   std::vector<Shard> shards_;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace nlc::criu

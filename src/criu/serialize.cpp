@@ -1,11 +1,9 @@
 #include "criu/serialize.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/arena.hpp"
 #include "util/assert.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::criu {
 
@@ -38,12 +36,6 @@ class Writer {
   void end_section(std::size_t mark) {
     auto len = static_cast<std::uint32_t>(buf_.size() - mark);
     std::memcpy(buf_.data() + mark - 4, &len, 4);
-  }
-
-  /// Splices a chunk buffer produced by another Writer (sharded pages
-  /// section; concatenation in chunk order reproduces the serial bytes).
-  void append(const std::vector<std::byte>& v) {
-    buf_.insert(buf_.end(), v.begin(), v.end());
   }
 
   std::vector<std::byte> take() { return std::move(buf_); }
@@ -203,11 +195,6 @@ void put_page(Writer& w, const PageRecord& p) {
 }  // namespace
 
 std::vector<std::byte> serialize_image(const CheckpointImage& img) {
-  return serialize_image(img, 1, nullptr);
-}
-
-std::vector<std::byte> serialize_image(const CheckpointImage& img, int shards,
-                                       util::WorkerPool* pool) {
   Writer w;
   w.u32(kImageMagic);
   w.u16(kImageVersion);
@@ -321,27 +308,7 @@ std::vector<std::byte> serialize_image(const CheckpointImage& img, int shards,
   // --- pages -------------------------------------------------------------------
   sec = w.begin_section();
   w.u32(static_cast<std::uint32_t>(img.pages.size()));
-  if (shards <= 1 || img.pages.size() < 2) {
-    for (const PageRecord& p : img.pages) put_page(w, p);
-  } else {
-    std::size_t n = img.pages.size();
-    std::size_t nchunks =
-        std::min<std::size_t>(static_cast<std::size_t>(shards), n);
-    std::vector<std::vector<std::byte>> parts(nchunks);
-    auto emit = [&](std::size_t c) {
-      std::size_t lo = n * c / nchunks;
-      std::size_t hi = n * (c + 1) / nchunks;
-      Writer pw;
-      for (std::size_t i = lo; i < hi; ++i) put_page(pw, img.pages[i]);
-      parts[c] = pw.take();
-    };
-    if (pool != nullptr) {
-      pool->run(nchunks, emit);
-    } else {
-      for (std::size_t c = 0; c < nchunks; ++c) emit(c);
-    }
-    for (const auto& part : parts) w.append(part);
-  }
+  for (const PageRecord& p : img.pages) put_page(w, p);
   w.end_section(sec);
 
   return w.take();

@@ -15,10 +15,6 @@
 
 #include "criu/image.hpp"
 
-namespace nlc::util {
-class WorkerPool;
-}
-
 namespace nlc::criu {
 
 inline constexpr std::uint32_t kImageMagic = 0x4E4C4349;  // "NLCI"
@@ -26,13 +22,6 @@ inline constexpr std::uint16_t kImageVersion = 2;  // v2: per-page wire_size
 
 /// Serializes `img` into a self-contained byte buffer.
 std::vector<std::byte> serialize_image(const CheckpointImage& img);
-
-/// Sharded variant (DESIGN.md §10): the pages section — the bulk of the
-/// buffer — is emitted per contiguous chunk on the pool and concatenated
-/// in chunk order, so the output is byte-identical to serialize_image(img)
-/// for any shard count. `pool` may be null (inline chunk loop).
-std::vector<std::byte> serialize_image(const CheckpointImage& img, int shards,
-                                       util::WorkerPool* pool);
 
 /// Parses a buffer produced by serialize_image. Throws InvariantError on
 /// magic/version mismatch, truncation, or framing corruption.

@@ -1,19 +1,19 @@
 // Page-number sharding for the intra-epoch page pipeline (DESIGN.md §10).
 //
 // One epoch's dirty-page work — harvest record fill, delta encoding,
-// backup-side radix fold, wire serialization — is partitioned into
-// NLC_SHARDS independent shards so the stages can run on the shared
-// util::WorkerPool. Two partition schemes are used, both deterministic:
+// backup-side radix fold — is partitioned into NLC_SHARDS independent
+// shards so the stages can run on the shared util::WorkerPool. One shard
+// runs the same code with no fan-out. Two partition schemes are used,
+// both deterministic:
 //
 //  * by page number (shard_of): low-bit interleave, so a dense working set
 //    spreads evenly. Used by the stages that keep per-page state across
 //    epochs (delta reference maps, radix subtrees) — a page's shard is a
 //    permanent home, which is what makes the per-shard structures
 //    lock-free on the hot path.
-//  * by contiguous index range (chunk bounds inside each stage): used by
-//    the stages that stream over an already-ordered record vector
-//    (harvest fill, serialization), where concatenating the chunks in
-//    order reproduces the serial output byte for byte.
+//  * by contiguous index range (chunk bounds inside the stage): used by
+//    the harvest fill, which streams over an already-ordered record
+//    vector, so the chunks write disjoint slots of the same image.
 //
 // The merge/aggregation step of every stage folds per-shard results in
 // shard-index order; all shipped bytes, visit counts and EpochDeltaStats

@@ -1,15 +1,16 @@
 #include "harness/parallel.hpp"
 
-#include <cstdlib>
+#include <limits>
 #include <thread>
+
+#include "util/cli.hpp"
 
 namespace nlc::harness {
 
 int TrialRunner::env_jobs() {
-  if (const char* v = std::getenv("NLC_JOBS"); v != nullptr && v[0] != '\0') {
-    int j = std::atoi(v);
-    if (j >= 1) return j;
-  }
+  const auto j = static_cast<int>(cli::env_int(
+      "NLC_JOBS", 0, std::numeric_limits<int>::max(), 0));
+  if (j >= 1) return j;
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -69,7 +69,8 @@ auto invoke_trial(Fn& fn, TrialContext& ctx) {
 
 class TrialRunner {
  public:
-  /// Reads NLC_JOBS; unset/0 means hardware_concurrency, minimum 1.
+  /// Reads NLC_JOBS, a whole integer >= 0; unset/0 means
+  /// hardware_concurrency, minimum 1. Anything else exits 2.
   static int env_jobs();
 
   explicit TrialRunner(int jobs = env_jobs())

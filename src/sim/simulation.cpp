@@ -22,6 +22,7 @@ Simulation::~Simulation() { shutdown(); }
 TimerHandle Simulation::call_at(Time t, DomainPtr domain,
                                 std::function<void()> fn) {
   NLC_CHECK_MSG(t >= now_, "cannot schedule an event in the past");
+  ++timers_scheduled_;
   auto state = std::make_shared<TimerHandle::State>();
   state->fn = std::move(fn);
   state->domain = std::move(domain);
@@ -38,16 +39,11 @@ TimerHandle Simulation::call_after(Time delay, DomainPtr domain,
 
 void Simulation::schedule_resume(Time t, DomainPtr domain,
                                  std::coroutine_handle<> h) {
-  if (resume_fast_path_) {
-    // Dedicated resume entry: no TimerHandle::State allocation and no
-    // type-erased std::function — resumes dominate the event mix
-    // (sleep_for + every sync-primitive wakeup), so this is the engine's
-    // hot path.
-    NLC_CHECK_MSG(t >= now_, "cannot schedule a resume in the past");
-    enqueue(QueueEntry{t, next_seq_++, h, std::move(domain)});
-    return;
-  }
-  call_at(t, std::move(domain), [h] { h.resume(); });
+  // Dedicated resume entry: no TimerHandle::State allocation and no
+  // type-erased std::function — resumes dominate the event mix (sleep_for
+  // + every sync-primitive wakeup), so this is the engine's hot path.
+  NLC_CHECK_MSG(t >= now_, "cannot schedule a resume in the past");
+  enqueue(QueueEntry{t, next_seq_++, h, std::move(domain)});
 }
 
 Simulation::RootDriver Simulation::drive(task<> t) {
@@ -137,13 +133,10 @@ bool Simulation::dispatch(QueueEntry& entry) {
 }
 
 void Simulation::enqueue(QueueEntry entry) {
-  // The same-time lane is part of the fast-path redesign; with the knob
-  // off the engine reproduces the legacy cost model (every event heap-
-  // sifted), which is what the microbenchmark compares against. Routing
-  // does not affect event order either way: the lane preserves (time, seq).
-  if (resume_fast_path_ && entry.time == now_) {
+  if (entry.time == now_) {
     now_queue_.push_back(std::move(entry));
   } else {
+    ++heap_pushes_;
     queue_.push(std::move(entry));
   }
 }

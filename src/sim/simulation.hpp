@@ -149,14 +149,12 @@ class Simulation {
     events_since_probe_ = 0;
   }
 
-  /// Selects between the fast path (the default: dedicated coroutine-
-  /// resume queue entry plus the same-time FIFO lane) and the legacy cost
-  /// model, which wraps every resume in a heap-allocated `std::function`
-  /// callback and sifts every event through the heap. The legacy path is
-  /// kept for the engine microbenchmark and the determinism regression
-  /// test; both paths produce identical event sequences.
-  void set_resume_fast_path(bool on) { resume_fast_path_ = on; }
-  bool resume_fast_path() const { return resume_fast_path_; }
+  /// Number of call_at/call_after calls since construction. Each allocates
+  /// one TimerHandle::State; coroutine resumes never count here.
+  std::uint64_t timers_scheduled() const { return timers_scheduled_; }
+  /// Number of entries that went to the heap rather than the same-time
+  /// lane, i.e. were scheduled for a time later than now().
+  std::uint64_t heap_pushes() const { return heap_pushes_; }
 
  private:
   // A queue entry is either a timer callback (`resume` null, `ref` holds a
@@ -274,12 +272,13 @@ class Simulation {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t timers_scheduled_ = 0;
+  std::uint64_t heap_pushes_ = 0;
   std::function<void()> audit_probe_;
   std::uint64_t audit_probe_every_ = 1024;
   std::uint64_t events_since_probe_ = 0;
   bool stop_requested_ = false;
   bool tearing_down_ = false;
-  bool resume_fast_path_ = true;
   DomainPtr current_domain_;
   std::exception_ptr pending_exception_;
   ReadyQueue queue_;

@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "util/cli.hpp"
+
 namespace nlc::util {
 
 const char* simd_tier_name(SimdTier t) {
@@ -32,12 +34,14 @@ SimdTier env_simd_tier() {
   const char* v = std::getenv("NLC_SIMD");
   if (v == nullptr || v[0] == '\0') return best_simd_tier();
   const std::string_view s(v);
+  if (s == "auto") return best_simd_tier();
   if (s == "scalar") return SimdTier::kScalar;
   if (s == "swar64" || s == "swar") return SimdTier::kSwar64;
   if (s == "simd" || s == "avx2" || s == "vector") {
     return cpu_supports_vector() ? SimdTier::kVector : SimdTier::kSwar64;
   }
-  return best_simd_tier();  // "auto" and anything unrecognized
+  cli::env_fail("NLC_SIMD", v,
+                "one of scalar, swar64, swar, simd, avx2, vector, auto");
 }
 
 SimdTier resolve_simd_tier(SimdTier t) {

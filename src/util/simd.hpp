@@ -48,9 +48,10 @@ bool cpu_supports_vector();
 SimdTier best_simd_tier();
 
 /// NLC_SIMD env: "scalar", "swar64"/"swar", "simd"/"avx2"/"vector", or
-/// "auto"/unset (= best_simd_tier()). Unsupported requests clamp down to
-/// the best runnable tier. Never returns kAuto. Re-reads the environment on
-/// every call so tests can flip tiers within one process.
+/// "auto"/unset (= best_simd_tier()); any other value exits 2. Unsupported
+/// requests clamp down to the best runnable tier. Never returns kAuto.
+/// Re-reads the environment on every call so tests can flip tiers within
+/// one process.
 SimdTier env_simd_tier();
 
 /// kAuto -> env_simd_tier(); concrete tiers clamp to what the CPU runs.

@@ -1,7 +1,8 @@
 #include "util/worker_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "util/cli.hpp"
 
 namespace nlc::util {
 
@@ -129,10 +130,9 @@ void WorkerPool::worker_loop() {
 }
 
 int env_shards() {
-  if (const char* v = std::getenv("NLC_SHARDS"); v != nullptr && v[0] != '\0') {
-    int s = std::atoi(v);
-    if (s >= 1) return std::min(s, kMaxShards);
-  }
+  const auto s =
+      static_cast<int>(cli::env_int("NLC_SHARDS", 0, kMaxShards, 0));
+  if (s >= 1) return s;
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   return std::min(static_cast<int>(hw), kMaxShards);

@@ -86,8 +86,9 @@ class WorkerPool {
   std::mutex dispatch_m_;
 };
 
-/// NLC_SHARDS: page-pipeline shard count. Unset or 0 means hardware
-/// concurrency; always clamped to [1, kMaxShards].
+/// NLC_SHARDS: page-pipeline shard count, a whole integer in
+/// 0..kMaxShards; unset or 0 means hardware concurrency, capped at
+/// kMaxShards. Anything else exits 2 (cli::env_int).
 int env_shards();
 
 /// Process-wide pool for the sharded page pipeline, shared by every agent

@@ -1,9 +1,11 @@
 // Determinism regression tests for the parallel trial runner and the
-// event-loop coroutine fast path: identical seeds must produce
-// byte-identical metrics and event counts (a) serial vs parallel runner,
-// (b) across repeats, (c) fast-path vs generic resume queue entries.
+// event loop: identical seeds must produce byte-identical metrics and
+// event counts (a) serial vs parallel runner, (b) across repeats; and
+// (c) events with equal times fire in scheduling order, whichever queue
+// (heap or same-time lane) they took.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,7 +15,7 @@
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "sim/simulation.hpp"
-#include "sim/sync.hpp"
+#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace nlc {
@@ -158,57 +160,91 @@ TEST(TrialRunner, WallClockAccounting) {
   EXPECT_GE(runner.total_trial_seconds(), 0.0);
 }
 
-// ---- (c) fast-path vs generic resume entry --------------------------------
+// ---- (c) equal-time events fire in scheduling order ------------------------
 
-sim::task<> mixed_workload(sim::Simulation& sim, sim::Event& ev,
-                           std::vector<int>& log, int id) {
-  for (int i = 0; i < 50; ++i) {
-    co_await sim.sleep_for(nlc::microseconds(7 + id));
-    log.push_back(id * 1000 + i);
-    if (i == 25 && id == 0) ev.set();
-  }
-}
-
-sim::task<> event_waiter(sim::Event& ev, std::vector<int>& log) {
-  co_await ev.wait();
-  log.push_back(-1);
-}
-
-struct EngineTrace {
-  std::vector<int> log;
-  std::uint64_t events = 0;
-  Time end_time = 0;
+/// One dispatched event: when it fired, and a tag drawn when it was
+/// scheduled. Tags count up, so tag order is scheduling order.
+struct Dispatch {
+  Time time = 0;
+  std::uint64_t tag = 0;
+  bool zero_delay = false;  // due at the time it was scheduled
 };
 
-EngineTrace run_engine(bool fast_path) {
-  sim::Simulation sim;
-  sim.set_resume_fast_path(fast_path);
-  sim::Event ev(sim);
-  EngineTrace tr;
-  // Mix of plain resumes, sync-primitive wakeups, timers, and a domain
-  // kill mid-run (dead-domain wakeups must be skipped identically).
-  auto dom = std::make_shared<sim::Domain>("victim");
-  sim.spawn(event_waiter(ev, tr.log));
-  for (int id = 0; id < 4; ++id) {
-    sim.spawn(id == 3 ? dom : nullptr, mixed_workload(sim, ev, tr.log, id));
+struct DispatchLog {
+  std::vector<Dispatch> log;
+  std::uint64_t next_tag = 0;
+};
+
+/// Resumes 0-6 us ahead (0 takes the same-time lane) and, every few steps,
+/// a timer under the coroutine's domain that is either zero-delay or up to
+/// 10 us later.
+sim::task<> ordering_worker(sim::Simulation& sim, DispatchLog& d, int id,
+                            int steps, int& done) {
+  Rng rng(0x0DE5'0000u + static_cast<std::uint64_t>(id));
+  for (int i = 0; i < steps; ++i) {
+    if (rng.uniform(0, 2) == 0) {
+      const Time delay =
+          rng.uniform(0, 1) == 0 ? 0 : nlc::microseconds(rng.uniform(1, 10));
+      const std::uint64_t tag = d.next_tag++;
+      sim.call_after(delay, sim.current_domain(), [&sim, &d, tag, delay] {
+        d.log.push_back({sim.now(), tag, delay == 0});
+      });
+    }
+    const Time delay = nlc::microseconds(rng.uniform(0, 6));
+    const std::uint64_t tag = d.next_tag++;
+    co_await sim.sleep_for(delay);
+    d.log.push_back({sim.now(), tag, delay == 0});
+    ++done;
   }
-  sim.call_after(nlc::microseconds(100),
-                 [&] { tr.log.push_back(-2); });
-  sim.call_after(nlc::microseconds(120), [&] { dom->kill(); });
-  sim.run();
-  tr.events = sim.events_processed();
-  tr.end_time = sim.now();
-  sim.shutdown();
-  return tr;
 }
 
-TEST(SimEngineDeterminism, FastPathVsGenericEntryIdentical) {
-  EngineTrace fast = run_engine(true);
-  EngineTrace generic = run_engine(false);
-  EXPECT_EQ(fast.log, generic.log);
-  EXPECT_EQ(fast.events, generic.events);
-  EXPECT_EQ(fast.end_time, generic.end_time);
-  EXPECT_GT(fast.events, 0u);
+TEST(SimEngineDeterminism, EqualTimeEventsFireInSchedulingOrder) {
+  constexpr int kWorkers = 6;
+  constexpr int kSteps = 300;
+  sim::Simulation sim;
+  DispatchLog d;
+  auto victim = std::make_shared<sim::Domain>("victim");
+  std::vector<int> done(kWorkers, 0);
+  for (int id = 0; id < kWorkers; ++id) {
+    sim.spawn(id == kWorkers - 1 ? victim : nullptr,
+              ordering_worker(sim, d, id, kSteps, done[id]));
+  }
+  const std::uint64_t kill_tag = d.next_tag++;
+  sim.call_after(nlc::microseconds(200), [&] {
+    d.log.push_back({sim.now(), kill_tag, false});
+    victim->kill();
+  });
+  sim.run();
+
+  // Every dispatched event logged itself once, and the log is ordered by
+  // (time, scheduling order).
+  ASSERT_EQ(d.log.size(), sim.events_processed());
+  EXPECT_TRUE(std::is_sorted(d.log.begin(), d.log.end(),
+                             [](const Dispatch& a, const Dispatch& b) {
+                               if (a.time != b.time) return a.time < b.time;
+                               return a.tag < b.tag;
+                             }));
+  // The kill froze the victim and discarded its pending events; the other
+  // workers ran to the end.
+  EXPECT_LT(done[kWorkers - 1], kSteps);
+  for (int id = 0; id + 1 < kWorkers; ++id) EXPECT_EQ(done[id], kSteps) << id;
+  // Some times saw both a heap entry and a same-time-lane entry fire.
+  int mixed_times = 0;
+  for (std::size_t i = 0; i < d.log.size();) {
+    std::size_t j = i;
+    bool lane = false;
+    bool heap = false;
+    for (; j < d.log.size() && d.log[j].time == d.log[i].time; ++j) {
+      if (d.log[j].zero_delay) {
+        lane = true;
+      } else {
+        heap = true;
+      }
+    }
+    if (lane && heap) ++mixed_times;
+    i = j;
+  }
+  EXPECT_GT(mixed_times, 0);
 }
 
 TEST(SimEngineDeterminism, ExperimentEventsStableAcrossRepeats) {

@@ -1,9 +1,10 @@
 // Determinism contract of the sharded intra-epoch page pipeline
-// (DESIGN.md §10): for ANY NLC_SHARDS value, the serial reference engine
-// and the sharded engine must produce byte-identical wire bytes, delta
-// stats, visit counts and restore images. Also unit-tests the shared
-// util::WorkerPool (the fan-out primitive) and property-tests the
-// word-scanning delta kernel against the byte-at-a-time reference.
+// (DESIGN.md §10): for ANY NLC_SHARDS value, the engine must produce
+// byte-identical wire bytes, delta stats, visit counts and restore images,
+// and every stamped wire size must match the byte-at-a-time reference
+// kernel. Also unit-tests the shared util::WorkerPool (the fan-out
+// primitive) and property-tests the word-scanning delta kernel against
+// the reference.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 
 #include "apps/catalog.hpp"
 #include "blockdev/disk.hpp"
+#include "check/invariants.hpp"
 #include "criu/checkpoint.hpp"
 #include "criu/delta.hpp"
 #include "criu/pagestore.hpp"
@@ -175,13 +177,16 @@ TEST(DeltaKernelTest, NoReferenceIsRawInBothKernels) {
   EXPECT_EQ(ref.wire_size, fast.wire_size);
 }
 
-// The sharded codec short-circuits a page whose record still carries the
-// exact reference handle (identity implies byte equality under COW
-// freezing). The stamped wire size and stats must match what the serial
-// reference codec computes by scanning the identical bytes.
+// The codec short-circuits a page whose record still carries the exact
+// reference handle (identity implies byte equality under COW freezing), at
+// every shard count. The stamped wire size must be what the reference
+// kernel computes by scanning the identical bytes.
 TEST(DeltaKernelTest, IdentityShortCircuitMatchesReferenceCodec) {
   Rng rng(0xD157'0004);
   auto payload = util::arena_make_shared<kern::PageBytes>(random_page(rng));
+  const criu::PageDelta ref = criu::delta_encode(payload.get(), *payload);
+  ASSERT_FALSE(ref.raw);
+  ASSERT_EQ(ref.wire_size, criu::kDeltaPageHeader);
 
   auto make_image = [&](std::uint64_t epoch) {
     criu::CheckpointImage img;
@@ -193,24 +198,22 @@ TEST(DeltaKernelTest, IdentityShortCircuitMatchesReferenceCodec) {
     return img;
   };
 
-  criu::DeltaCodec serial(1);
-  criu::DeltaCodec sharded(2);
-  criu::CheckpointImage s0 = make_image(0);
-  criu::CheckpointImage p0 = make_image(0);
-  serial.encode_epoch(s0);
-  sharded.encode_epoch(p0);
+  for (int nshards : {1, 2}) {
+    criu::DeltaCodec codec(nshards);
+    criu::CheckpointImage e0 = make_image(0);
+    criu::EpochDeltaStats first = codec.encode_epoch(e0);
+    EXPECT_EQ(first.raw_pages, 1u) << nshards << " shards";
+    EXPECT_EQ(first.identity_pages, 0u) << nshards << " shards";
 
-  // Second epoch ships the same handle: serial scans 4 KiB of equal
-  // bytes, sharded takes the identity path; results must be identical.
-  criu::CheckpointImage s1 = make_image(1);
-  criu::CheckpointImage p1 = make_image(1);
-  criu::EpochDeltaStats a = serial.encode_epoch(s1);
-  criu::EpochDeltaStats b = sharded.encode_epoch(p1);
-  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
-  EXPECT_EQ(a.delta_pages, b.delta_pages);
-  EXPECT_EQ(a.raw_pages, b.raw_pages);
-  EXPECT_EQ(s1.pages[0].wire_size, p1.pages[0].wire_size);
-  EXPECT_EQ(p1.pages[0].wire_size, criu::kDeltaPageHeader);
+    // The second epoch ships the same handle: the identity path.
+    criu::CheckpointImage e1 = make_image(1);
+    criu::EpochDeltaStats st = codec.encode_epoch(e1);
+    EXPECT_EQ(st.identity_pages, 1u) << nshards << " shards";
+    EXPECT_EQ(st.delta_pages, 1u) << nshards << " shards";
+    EXPECT_EQ(st.raw_pages, 0u) << nshards << " shards";
+    EXPECT_EQ(st.wire_bytes, ref.wire_size) << nshards << " shards";
+    EXPECT_EQ(e1.pages[0].wire_size, ref.wire_size) << nshards << " shards";
+  }
 }
 
 // ---------------------------------------------- end-to-end shard contract ----
@@ -260,7 +263,10 @@ struct PipelineRig {
   }
 };
 
-/// Everything the contract says must not depend on the shard count.
+/// Everything the contract says must not depend on the shard count. Each
+/// epoch is also replayed through check::DeltaReplayChecker, which
+/// re-encodes every page with the reference kernel and checks the stamped
+/// wire size and the round trip.
 struct PipelineTrace {
   std::vector<std::byte> wire;            // concatenated serialized epochs
   std::vector<std::uint64_t> stats;       // per-epoch EpochDeltaStats fields
@@ -276,6 +282,7 @@ PipelineTrace run_pipeline(int nshards, int epochs) {
   if (nshards > 1) pool = std::make_unique<util::WorkerPool>(nshards - 1);
   criu::DeltaCodec codec(nshards);
   criu::RadixPageStore store(nshards);
+  check::DeltaReplayChecker oracle;
   PipelineTrace tr;
 
   for (int e = 0; e < epochs; ++e) {
@@ -288,11 +295,11 @@ PipelineTrace run_pipeline(int nshards, int epochs) {
         rig.engine.harvest(rig.cid, static_cast<std::uint64_t>(e), nullptr,
                            ho);
     criu::EpochDeltaStats ds = codec.encode_epoch(hr.image, pool.get());
+    oracle.replay(hr.image, /*delta_enabled=*/true);
     tr.stats.insert(tr.stats.end(),
-                    {ds.content_pages, ds.delta_pages, ds.raw_pages,
-                     ds.raw_bytes, ds.wire_bytes});
-    std::vector<std::byte> bytes =
-        serialize_image(hr.image, nshards, pool.get());
+                    {ds.content_pages, ds.delta_pages, ds.identity_pages,
+                     ds.raw_pages, ds.raw_bytes, ds.wire_bytes});
+    std::vector<std::byte> bytes = serialize_image(hr.image);
     tr.wire.insert(tr.wire.end(), bytes.begin(), bytes.end());
     store.begin_checkpoint(static_cast<std::uint64_t>(e));
     tr.visits += store.store_batch(hr.image.pages, pool.get());
@@ -311,15 +318,14 @@ PipelineTrace run_pipeline(int nshards, int epochs) {
 }
 
 TEST(ShardDeterminismTest, WireBytesStatsAndRestoreIdenticalAcrossShards) {
-  PipelineTrace serial = run_pipeline(1, 4);
-  // The serialized stream must also round-trip through the serial parser.
+  PipelineTrace one = run_pipeline(1, 4);
   for (int nshards : {2, 3, 8}) {
     PipelineTrace sharded = run_pipeline(nshards, 4);
-    EXPECT_EQ(sharded.wire, serial.wire) << nshards << " shards";
-    EXPECT_EQ(sharded.stats, serial.stats) << nshards << " shards";
-    EXPECT_EQ(sharded.visits, serial.visits) << nshards << " shards";
-    EXPECT_EQ(sharded.restore, serial.restore) << nshards << " shards";
-    EXPECT_EQ(sharded.restore_bytes, serial.restore_bytes)
+    EXPECT_EQ(sharded.wire, one.wire) << nshards << " shards";
+    EXPECT_EQ(sharded.stats, one.stats) << nshards << " shards";
+    EXPECT_EQ(sharded.visits, one.visits) << nshards << " shards";
+    EXPECT_EQ(sharded.restore, one.restore) << nshards << " shards";
+    EXPECT_EQ(sharded.restore_bytes, one.restore_bytes)
         << nshards << " shards";
   }
 }
@@ -333,7 +339,7 @@ TEST(ShardDeterminismTest, ShardedSerializedImageDeserializes) {
   ho.shards = 4;
   ho.pool = &pool;
   criu::HarvestResult hr = rig.engine.harvest(rig.cid, 1, nullptr, ho);
-  std::vector<std::byte> bytes = serialize_image(hr.image, 4, &pool);
+  std::vector<std::byte> bytes = serialize_image(hr.image);
   criu::CheckpointImage back = criu::deserialize_image(bytes);
   ASSERT_EQ(back.pages.size(), hr.image.pages.size());
   for (std::size_t i = 0; i < back.pages.size(); ++i) {

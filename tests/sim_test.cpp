@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -418,6 +419,63 @@ TEST(SimulationTest, DeterministicEventCount) {
     return sim.events_processed();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// The engine-hot bench's workloads, checked by what the resume path does:
+// a coroutine resume allocates no TimerHandle::State (timers_scheduled()
+// stays 0), and only the sleeps — wake-ups later than now() — enter the
+// heap; every same-time hand-off takes the lane.
+
+TEST(SimEngineCountersTest, SleepWorkloadSchedulesNoTimers) {
+  constexpr int kTasks = 100;
+  constexpr int kWakeups = 200;
+  Simulation sim;
+  for (int t = 0; t < kTasks; ++t) {
+    sim.spawn([](Simulation& s, int n) -> task<> {
+      for (int i = 0; i < n; ++i) co_await s.sleep_for(1_us);
+    }(sim, kWakeups));
+  }
+  sim.run();
+  const std::uint64_t sleeps = std::uint64_t{kTasks} * kWakeups;
+  EXPECT_EQ(sim.events_processed(), sleeps);
+  EXPECT_EQ(sim.timers_scheduled(), 0u);
+  EXPECT_EQ(sim.heap_pushes(), sleeps);
+}
+
+TEST(SimEngineCountersTest, PingPongHandOffsTakeTheLane) {
+  constexpr int kPairs = 50;
+  constexpr int kBounces = 200;
+  Simulation sim;
+  std::vector<std::unique_ptr<Mailbox<int>>> boxes;
+  for (int p = 0; p < kPairs * 2; ++p) {
+    boxes.push_back(std::make_unique<Mailbox<int>>(sim));
+  }
+  for (int p = 0; p < kPairs; ++p) {
+    Mailbox<int>& to_pong = *boxes[p * 2];
+    Mailbox<int>& to_ping = *boxes[p * 2 + 1];
+    sim.spawn([](Simulation& s, Mailbox<int>& out, Mailbox<int>& in,
+                 int n) -> task<> {
+      for (int i = 0; i < n; ++i) {
+        out.send(1);
+        (void)co_await in.recv();
+        co_await s.sleep_for(1_us);
+      }
+    }(sim, to_pong, to_ping, kBounces));
+    sim.spawn([](Mailbox<int>& in, Mailbox<int>& out, int n) -> task<> {
+      for (int i = 0; i < n; ++i) {
+        (void)co_await in.recv();
+        out.send(1);
+      }
+    }(to_pong, to_ping, kBounces));
+  }
+  sim.run();
+  const std::uint64_t sleeps = std::uint64_t{kPairs} * kBounces;
+  EXPECT_EQ(sim.timers_scheduled(), 0u);
+  EXPECT_EQ(sim.heap_pushes(), sleeps);
+  // Per pair: one wake-up per sleep, plus the mailbox hand-offs — pong's
+  // first token is already queued, so 2 * kBounces - 1 of them.
+  EXPECT_EQ(sim.events_processed(),
+            std::uint64_t{kPairs} * (3 * kBounces - 1));
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // sub-word tails), for delta_encode_fast against the byte-at-a-time
 // reference over adversarial run patterns, and for the full sharded
 // harvest -> encode -> serialize -> fold pipeline across
-// (shards, tier) combinations. Plus sanity for the payload/node arena:
+// (shards, tier) combinations, whose every stamped wire size is checked
+// against the reference kernel. Plus sanity for the payload/node arena:
 // blocks flow across threads and the stats counters move.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 
 #include "apps/catalog.hpp"
 #include "blockdev/disk.hpp"
+#include "check/invariants.hpp"
 #include "criu/checkpoint.hpp"
 #include "criu/delta.hpp"
 #include "criu/pagestore.hpp"
@@ -254,6 +256,9 @@ PipelineTrace run_pipeline(int nshards, util::SimdTier tier, int epochs) {
   if (nshards > 1) pool = std::make_unique<util::WorkerPool>(nshards - 1);
   criu::DeltaCodec codec(nshards, tier);
   criu::RadixPageStore store(nshards);
+  // Re-encodes every page with the reference kernel and checks the
+  // stamped wire size and the round trip.
+  check::DeltaReplayChecker oracle;
   PipelineTrace tr;
 
   for (int e = 0; e < epochs; ++e) {
@@ -265,11 +270,11 @@ PipelineTrace run_pipeline(int nshards, util::SimdTier tier, int epochs) {
     criu::HarvestResult hr = rig.engine.harvest(
         rig.cid, static_cast<std::uint64_t>(e), nullptr, ho);
     criu::EpochDeltaStats ds = codec.encode_epoch(hr.image, pool.get());
+    oracle.replay(hr.image, /*delta_enabled=*/true);
     tr.stats.insert(tr.stats.end(),
-                    {ds.content_pages, ds.delta_pages, ds.raw_pages,
-                     ds.raw_bytes, ds.wire_bytes});
-    std::vector<std::byte> bytes =
-        serialize_image(hr.image, nshards, pool.get());
+                    {ds.content_pages, ds.delta_pages, ds.identity_pages,
+                     ds.raw_pages, ds.raw_bytes, ds.wire_bytes});
+    std::vector<std::byte> bytes = serialize_image(hr.image);
     tr.wire.insert(tr.wire.end(), bytes.begin(), bytes.end());
     store.begin_checkpoint(static_cast<std::uint64_t>(e));
     tr.visits += store.store_batch(hr.image.pages, pool.get());
@@ -288,7 +293,8 @@ PipelineTrace run_pipeline(int nshards, util::SimdTier tier, int epochs) {
 }
 
 TEST(SimdPipelineTest, ObservablesIdenticalAcrossTiersAndShards) {
-  // The serial reference engine at the scalar tier is the oracle.
+  // One shard at the scalar tier is the baseline; run_pipeline checks
+  // every configuration against the reference kernel as well.
   PipelineTrace ref = run_pipeline(1, util::SimdTier::kScalar, 4);
   for (int nshards : {1, 8}) {
     for (util::SimdTier tier : runnable_tiers()) {
