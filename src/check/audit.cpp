@@ -1,6 +1,5 @@
 #include "check/audit.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "kernel/kernel.hpp"
@@ -22,33 +21,24 @@ std::uint64_t restore_equivalence_walk(const criu::PageStore& store,
                                        kern::ContainerId cid) {
   std::uint64_t compared = 0;
   for (const kern::Process* p : kernel.container_processes(cid)) {
-    // Walk pages in ascending page-number order, not hash order: when more
-    // than one page diverges, the report (and the failing-check identity a
+    // The page table walks in ascending page-number order: when more than
+    // one page diverges, the report (and the failing-check identity a
     // negative test asserts on) must not depend on allocation addresses.
-    std::vector<std::pair<kern::PageNum, const kern::AddressSpace::PageState*>>
-        resident;
-    resident.reserve(p->mm().page_states().size());
-    // NLC_LINT_OK(unordered-iter): hash-order collection; sorted below
-    for (const auto& [pg, st] : p->mm().page_states()) {
-      resident.emplace_back(pg, &st);
-    }
-    std::sort(resident.begin(), resident.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [page, state_ptr] : resident) {
-      const kern::AddressSpace::PageState& state = *state_ptr;
-      if (!state.payload) continue;
-      const criu::PageRecord* rec = store.lookup(page);
-      NLC_CHECK_MSG(rec != nullptr,
-                    "audit: restored content page missing from the store");
-      NLC_CHECK_MSG(rec->content != nullptr,
-                    "audit: restored bytes for an accounting-only page");
-      if (rec->content.get() != state.payload.get()) {
-        NLC_CHECK_MSG(*rec->content == *state.payload,
-                      "audit: restored memory diverged from the committed "
-                      "page store");
-      }
-      ++compared;
-    }
+    p->mm().for_each_resident(
+        [&](kern::PageNum page, const kern::AddressSpace::PageState& state) {
+          if (!state.payload) return;
+          const criu::PageRecord* rec = store.lookup(page);
+          NLC_CHECK_MSG(rec != nullptr,
+                        "audit: restored content page missing from the store");
+          NLC_CHECK_MSG(rec->content != nullptr,
+                        "audit: restored bytes for an accounting-only page");
+          if (rec->content.get() != state.payload.get()) {
+            NLC_CHECK_MSG(*rec->content == *state.payload,
+                          "audit: restored memory diverged from the committed "
+                          "page store");
+          }
+          ++compared;
+        });
   }
   return compared;
 }

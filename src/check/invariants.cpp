@@ -181,17 +181,20 @@ void PayloadFreezeGuard::pin(const kern::PagePayload& payload) {
   if (!payload) return;
   const kern::PageBytes* key = payload.get();
   auto [it, inserted] = entries_.try_emplace(key);
-  if (inserted) {
-    // May momentarily duplicate a stale key left behind by verify_entry's
-    // erase (allocator address reuse); compact_order() dedupes.
-    order_.push_back(key);
-  } else if (!it->second.ref.expired()) {
-    return;  // already pinned
-  }
-  // First sight — or the allocator reused the address of a retired payload.
+  if (!inserted && !it->second.ref.expired()) return;  // already pinned
+  // First sight — or a new payload at the address of a retired one, which
+  // is a new pin at the end of the order.
   it->second.ref = payload;
   it->second.fingerprint = fnv1a_page(*payload);
-  ++pins_;
+  it->second.seq = ++pins_;
+  order_.push_back(Pin{key, pins_});
+}
+
+PayloadFreezeGuard::EntryMap::iterator PayloadFreezeGuard::live_entry(
+    const Pin& pin) {
+  auto it = entries_.find(pin.key);
+  return it != entries_.end() && it->second.seq == pin.seq ? it
+                                                           : entries_.end();
 }
 
 void PayloadFreezeGuard::verify_entry(EntryMap::iterator it) {
@@ -208,18 +211,9 @@ void PayloadFreezeGuard::verify_entry(EntryMap::iterator it) {
 }
 
 void PayloadFreezeGuard::compact_order() {
-  std::vector<const kern::PageBytes*> live;
-  live.reserve(entries_.size());
-  for (const kern::PageBytes* key : order_) {
-    auto it = entries_.find(key);
-    if (it == entries_.end() || it->second.seen_in_compaction) continue;
-    it->second.seen_in_compaction = true;
-    live.push_back(key);
-  }
-  for (const kern::PageBytes* key : live) {
-    entries_.find(key)->second.seen_in_compaction = false;
-  }
-  order_ = std::move(live);
+  std::erase_if(order_, [&](const Pin& pin) {
+    return live_entry(pin) == entries_.end();
+  });
 }
 
 void PayloadFreezeGuard::verify_all() {
@@ -227,9 +221,9 @@ void PayloadFreezeGuard::verify_all() {
   // order follows allocation addresses and would make the point at which a
   // corruption check fires (and which of several corruptions reports
   // first) differ run to run.
-  compact_order();  // first: dedupe, so each live entry verifies once
-  for (const kern::PageBytes* key : order_) {
-    auto it = entries_.find(key);
+  compact_order();
+  for (const Pin& pin : order_) {
+    auto it = live_entry(pin);
     if (it != entries_.end()) verify_entry(it);
   }
   cycle_pos_ = 0;
@@ -242,7 +236,7 @@ void PayloadFreezeGuard::verify_budget(std::uint64_t budget) {
       cycle_pos_ = 0;
       if (order_.empty()) return;
     }
-    auto it = entries_.find(order_[cycle_pos_++]);
+    auto it = live_entry(order_[cycle_pos_++]);
     if (it != entries_.end()) verify_entry(it);
   }
 }

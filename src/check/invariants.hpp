@@ -165,25 +165,33 @@ class PayloadFreezeGuard {
   struct Entry {
     std::weak_ptr<const kern::PageBytes> ref;
     std::uint64_t fingerprint = 0;
-    bool seen_in_compaction = false;  // scratch for order_ deduplication
+    std::uint64_t seq = 0;  // pins_ at this pin: the entry's place in order_
   };
   // Keyed by payload identity: one page can have several generations of
   // payloads alive at once (image, store, delta reference). Identity
   // lookups only — every iteration order the guard exposes (verify_all,
-  // the verify_budget rotation) walks order_, the pin-order key list, so
+  // the verify_budget rotation) walks order_, the pin-order list, so
   // verification order never depends on allocation addresses.
   // NLC_LINT_OK(ptr-key): identity-lookup map; iteration goes via order_
   using EntryMap = std::unordered_map<const kern::PageBytes*, Entry>;
+  /// One pin in order_: a key plus the seq it was pinned with. A pair is
+  /// stale once its entry is erased or re-pinned under a later seq (a new
+  /// payload at a reused address), so a reused address takes its own pin's
+  /// place, never its predecessor's.
+  struct Pin {
+    const kern::PageBytes* key;
+    std::uint64_t seq;
+  };
+  /// The live entry `pin` refers to, or entries_.end() if it is stale.
+  EntryMap::iterator live_entry(const Pin& pin);
   void verify_entry(EntryMap::iterator it);
-  /// Drops stale/duplicate keys from order_ (entries erased by
-  /// verify_entry leave their key behind; allocator address reuse can
-  /// re-add one). Keeps first-pin order.
+  /// Drops stale pins from order_. Keeps pin order.
   void compact_order();
 
   EntryMap entries_;
-  /// Keys in first-pin order; superset of entries_' keys between
-  /// compactions. The single source of iteration order.
-  std::vector<const kern::PageBytes*> order_;
+  /// Pins in pin order; a superset of entries_ between compactions. The
+  /// single source of iteration order.
+  std::vector<Pin> order_;
   /// Rotation cursor for verify_budget(): order_ position drained across
   /// budgeted sweeps, refreshed by compact_order() on wrap.
   std::size_t cycle_pos_ = 0;

@@ -184,11 +184,10 @@ HarvestResult CheckpointEngine::harvest(kern::ContainerId cid,
   for (kern::Process* p : procs) {
     kern::AddressSpace& mm = p->mm();
     scanned_pages += mm.mapped_pages();
-    const auto& states = mm.page_states();
     if (opts.incremental) {
       // The dirty list already carries (page, state*) pairs (DESIGN.md
       // §12): sorting the contiguous vector restores deterministic image
-      // order, and the fill below is a linear scan with zero hash probes.
+      // order, and the fill below is a linear scan with no page lookups.
       std::vector<kern::AddressSpace::DirtyRef> dirty(
           mm.dirty_pages().begin(), mm.dirty_pages().end());
       std::sort(dirty.begin(), dirty.end(),
@@ -213,16 +212,15 @@ HarvestResult CheckpointEngine::harvest(kern::ContainerId cid,
     } else {
       // Full dump: only pages that were ever touched are present — anon
       // pages never written have no physical frame and CRIU does not dump
-      // holes. Restored holes read as zeros either way. Walking the
-      // resident map (instead of probing every page of every VMA) skips
-      // holes for free and avoids a per-page hash lookup.
+      // holes. Restored holes read as zeros either way. The page table's
+      // walk skips unallocated leaves whole and yields ascending page
+      // order, so the image needs no sort.
       std::vector<std::pair<kern::PageNum, const kern::AddressSpace::PageState*>>
           resident;
-      resident.reserve(states.size());
-      // NLC_LINT_OK(unordered-iter): hash-order collection; sorted below
-      for (const auto& [pg, st] : states) resident.emplace_back(pg, &st);
-      std::sort(resident.begin(), resident.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
+      mm.for_each_resident(
+          [&](kern::PageNum pg, const kern::AddressSpace::PageState& st) {
+            resident.emplace_back(pg, &st);
+          });
       r.content_pages += fill_page_records(
           img.pages, img.pages.size(), resident.size(), opts.shards,
           opts.pool, [&](std::size_t i, PageRecord& rec) {

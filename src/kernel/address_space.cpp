@@ -1,6 +1,7 @@
 #include "kernel/address_space.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/assert.hpp"
 
@@ -16,9 +17,8 @@ Vma AddressSpace::map(std::uint64_t npages, VmaKind kind,
   v.kind = kind;
   v.backing_file = std::move(backing_file);
   next_page_ += npages + 16;  // guard gap, like real mmap layouts
-  mapped_pages_ += npages;
-  vmas_.push_back(std::move(v));
-  return vmas_.back();
+  insert_vma(v);
+  return v;
 }
 
 void AddressSpace::install_vma(const Vma& v) {
@@ -29,8 +29,17 @@ void AddressSpace::install_vma(const Vma& v) {
   }
   next_vma_id_ = std::max(next_vma_id_, v.id + 1);
   next_page_ = std::max(next_page_, v.end() + 16);
+  insert_vma(v);
+}
+
+void AddressSpace::insert_vma(Vma v) {
+  auto it = std::upper_bound(
+      vmas_.begin(), vmas_.end(), v.start,
+      [](PageNum start, const Vma& x) { return start < x.start; });
+  const auto pos = it - vmas_.begin();
   mapped_pages_ += v.npages;
-  vmas_.push_back(v);
+  dirs_.emplace(dirs_.begin() + pos, (v.npages + kLeafPages - 1) / kLeafPages);
+  vmas_.insert(it, std::move(v));
 }
 
 void AddressSpace::unmap(std::uint64_t vma_id) {
@@ -41,11 +50,17 @@ void AddressSpace::unmap(std::uint64_t vma_id) {
   std::erase_if(dirty_, [&](const DirtyRef& d) {
     return it->contains(d.page);
   });
-  for (PageNum p = it->start; p < it->end(); ++p) {
-    pages_.erase(p);
-  }
+  dirs_.erase(dirs_.begin() + (it - vmas_.begin()));
   mapped_pages_ -= it->npages;
   vmas_.erase(it);
+}
+
+std::uint64_t AddressSpace::leaf_count() const {
+  std::uint64_t n = 0;
+  for (const Directory& dir : dirs_) {
+    for (const auto& leaf : dir) n += leaf ? 1 : 0;
+  }
+  return n;
 }
 
 const Vma* AddressSpace::find_vma(std::uint64_t vma_id) const {
@@ -55,16 +70,35 @@ const Vma* AddressSpace::find_vma(std::uint64_t vma_id) const {
   return nullptr;
 }
 
-void AddressSpace::check_mapped(PageNum page) const {
-  for (const auto& v : vmas_) {
-    if (v.contains(page)) return;
+std::size_t AddressSpace::vma_index(PageNum page) const {
+  auto it = std::upper_bound(
+      vmas_.begin(), vmas_.end(), page,
+      [](PageNum p, const Vma& v) { return p < v.start; });
+  if (it == vmas_.begin() || !std::prev(it)->contains(page)) {
+    return vmas_.size();
   }
-  NLC_CHECK_MSG(false, "access to unmapped page");
+  return static_cast<std::size_t>(std::prev(it) - vmas_.begin());
+}
+
+AddressSpace::PageState& AddressSpace::mapped_slot(PageNum page) {
+  const std::size_t i = vma_index(page);
+  NLC_CHECK_MSG(i < vmas_.size(), "access to unmapped page");
+  const std::uint64_t off = page - vmas_[i].start;
+  std::unique_ptr<Leaf>& leaf = dirs_[i][off / kLeafPages];
+  if (!leaf) leaf = std::make_unique<Leaf>();
+  return (*leaf)[off % kLeafPages];
+}
+
+const AddressSpace::PageState* AddressSpace::slot(PageNum page) const {
+  const std::size_t i = vma_index(page);
+  if (i == vmas_.size()) return nullptr;
+  const std::uint64_t off = page - vmas_[i].start;
+  const Leaf* leaf = dirs_[i][off / kLeafPages].get();
+  return leaf == nullptr ? nullptr : &(*leaf)[off % kLeafPages];
 }
 
 bool AddressSpace::touch(PageNum page) {
-  check_mapped(page);
-  PageState& st = pages_[page];
+  PageState& st = mapped_slot(page);
   ++st.version;
   if (!tracking_) return false;
   return mark_dirty(page, st);
@@ -88,8 +122,7 @@ std::uint64_t AddressSpace::touch_range(PageNum start, std::uint64_t count) {
 bool AddressSpace::write(PageNum page, std::uint32_t offset,
                          std::span<const std::byte> data) {
   NLC_CHECK(offset + data.size() <= kPageSize);
-  check_mapped(page);
-  PageState& st = pages_[page];
+  PageState& st = mapped_slot(page);
   ++st.version;
   if (!st.payload) {
     st.payload = util::arena_make_shared<PageBytes>(kPageSize, std::byte{0});
@@ -111,23 +144,22 @@ std::vector<std::byte> AddressSpace::read(PageNum page, std::uint32_t offset,
                                           std::uint32_t len) const {
   NLC_CHECK(offset + len <= kPageSize);
   std::vector<std::byte> out(len, std::byte{0});
-  auto it = pages_.find(page);
-  if (it != pages_.end() && it->second.payload) {
-    const PageBytes& buf = *it->second.payload;
+  const PageState* st = slot(page);
+  if (st != nullptr && st->payload) {
+    const PageBytes& buf = *st->payload;
     std::copy(buf.begin() + offset, buf.begin() + offset + len, out.begin());
   }
   return out;
 }
 
 PagePayload AddressSpace::content(PageNum page) const {
-  auto it = pages_.find(page);
-  if (it == pages_.end()) return nullptr;
-  return it->second.payload;
+  const PageState* st = slot(page);
+  return st == nullptr ? nullptr : st->payload;
 }
 
 void AddressSpace::install_content(PageNum page, PagePayload data) {
   NLC_CHECK(data != nullptr && data->size() == kPageSize);
-  PageState& st = pages_[page];
+  PageState& st = mapped_slot(page);
   ++st.version;
   // Adopt the shared handle. The stored pointer is non-const because this
   // address space owns future mutations of the page; copy-on-write in
@@ -150,8 +182,8 @@ void AddressSpace::disable_tracking() {
 }
 
 std::uint64_t AddressSpace::page_version(PageNum page) const {
-  auto it = pages_.find(page);
-  return it == pages_.end() ? 0 : it->second.version;
+  const PageState* st = slot(page);
+  return st == nullptr ? 0 : st->version;
 }
 
 }  // namespace nlc::kern

@@ -15,18 +15,24 @@
 // payload is shared, so a post-thaw write can never mutate bytes already
 // captured in an in-flight or committed checkpoint image.
 //
+// The page table is per VMA, like /proc/pid/pagemap: each VMA owns a
+// directory of 512-page leaves, allocated on first use, and a page's state
+// is found by a binary search over the start-sorted VMAs plus an index
+// (DESIGN.md §12).
+//
 // Soft-dirty tracking mirrors Linux's /proc/pid/clear_refs + pagemap
 // protocol: clear_soft_dirty() arms tracking and clears the bits;
 // dirty_pages() is the set a pagemap scan would report. The *cost* of the
 // scan (per mapped page) is charged by the checkpoint engine, not here.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "kernel/ids.hpp"
@@ -66,9 +72,9 @@ struct Vma {
 class AddressSpace {
  public:
   /// Per-page resident state: monotone version plus the (possibly null)
-  /// content payload. Exposed so the checkpoint engine can walk residents
-  /// with one hash lookup per page instead of separate version/content
-  /// probes.
+  /// content payload. A page is resident iff its version is non-zero.
+  /// Exposed so the checkpoint engine reads a page's version and payload
+  /// from one slot instead of separate version/content probes.
   struct PageState {
     std::uint64_t version = 0;
     std::shared_ptr<PageBytes> payload;  // null for accounting pages
@@ -77,9 +83,10 @@ class AddressSpace {
   };
 
   /// One dirty-list entry: the page number plus a direct pointer to its
-  /// resident state (stable: the page map is node-based). The harvest fill
-  /// walks this contiguous vector linearly — no per-page hash probe, and
-  /// the next entries are prefetchable (DESIGN.md §12).
+  /// resident state (stable: a leaf never moves until its VMA is
+  /// unmapped). The harvest fill walks this contiguous vector linearly — no
+  /// per-page lookup, and the next entries are prefetchable (DESIGN.md
+  /// §12).
   struct DirtyRef {
     PageNum page = 0;
     PageState* state = nullptr;
@@ -152,15 +159,35 @@ class AddressSpace {
   /// Pages dirtied since the last clear_soft_dirty(), in dirtying order
   /// (each page once). Sorted copies are the caller's job. The entries
   /// carry the page-state pointer so the harvest fill is one linear scan
-  /// over this vector instead of a hash probe per page.
+  /// over this vector instead of a page-table lookup per page.
   const std::vector<DirtyRef>& dirty_pages() const { return dirty_; }
 
-  /// All resident pages (ever touched/written); iteration order is
-  /// unspecified. Full dumps walk this instead of probing every page of
-  /// every VMA.
-  const std::unordered_map<PageNum, PageState>& page_states() const {
-    return pages_;
+  /// Calls f(page, state) for every resident page (ever touched, written
+  /// or installed) in ascending page order. Full dumps walk this instead
+  /// of probing every page of every VMA; unallocated leaves are skipped
+  /// whole.
+  template <typename F>
+  void for_each_resident(F&& f) const {
+    for (std::size_t i = 0; i < vmas_.size(); ++i) {
+      const Vma& v = vmas_[i];
+      const Directory& dir = dirs_[i];
+      for (std::uint64_t l = 0; l < dir.size(); ++l) {
+        if (!dir[l]) continue;
+        const std::uint64_t base = l * kLeafPages;
+        const std::uint64_t n = std::min(kLeafPages, v.npages - base);
+        for (std::uint64_t s = 0; s < n; ++s) {
+          const PageState& st = (*dir[l])[s];
+          if (st.version != 0) f(v.start + base + s, st);
+        }
+      }
+    }
   }
+
+  /// Page-table leaves currently allocated (each covers kLeafPages pages
+  /// of one VMA); a leaf is allocated by the first touch(), write() or
+  /// install_content() to any of its pages. Counts by walking the
+  /// directories, so it is for tests and diagnostics, not hot paths.
+  std::uint64_t leaf_count() const;
 
   /// Per-page monotone version, for tests asserting incremental semantics.
   std::uint64_t page_version(PageNum page) const;
@@ -169,19 +196,40 @@ class AddressSpace {
   /// whose payload was still referenced by a checkpoint image/store).
   std::uint64_t cow_clones() const { return cow_clones_; }
 
+  /// Pages per page-table leaf (as in an x86-64 page table).
+  static constexpr std::uint64_t kLeafPages = 512;
+
  private:
-  void check_mapped(PageNum page) const;
+  /// One leaf of a VMA's page table: the states of kLeafPages consecutive
+  /// pages. Heap-allocated on first use and never moved until its VMA is
+  /// unmapped, so DirtyRef pointers into it stay valid.
+  using Leaf = std::array<PageState, kLeafPages>;
+  /// A VMA's leaves, indexed by (page - start) / kLeafPages; null until a
+  /// page in the leaf is first touched, written or installed.
+  using Directory = std::vector<std::unique_ptr<Leaf>>;
+
+  /// Inserts `v` at its start-sorted position with an empty directory.
+  void insert_vma(Vma v);
+  /// Position in vmas_ of the VMA containing `page`, or vmas_.size().
+  std::size_t vma_index(PageNum page) const;
+  /// The state slot of a mapped page, allocating its leaf if needed.
+  /// Throws on a page outside every VMA.
+  PageState& mapped_slot(PageNum page);
+  /// The state slot of `page`, or null if it is unmapped or its leaf was
+  /// never allocated. Never allocates.
+  const PageState* slot(PageNum page) const;
   /// Appends `page` to the dirty list iff not already there; returns true
   /// on the clean->dirty transition (a soft-dirty write fault).
   bool mark_dirty(PageNum page, PageState& st);
 
+  /// Sorted by start; dirs_[i] is the page table of vmas_[i].
   std::vector<Vma> vmas_;
+  std::vector<Directory> dirs_;
   std::uint64_t next_vma_id_ = 1;
   PageNum next_page_ = 0x1000;  // arbitrary non-zero base
   std::uint64_t mapped_pages_ = 0;
   bool tracking_ = false;
   std::vector<DirtyRef> dirty_;
-  std::unordered_map<PageNum, PageState> pages_;
   std::uint64_t cow_clones_ = 0;
 };
 

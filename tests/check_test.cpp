@@ -245,6 +245,36 @@ TEST(PayloadFreezeTest, BudgetedSweepDetectsMutation) {
   EXPECT_THROW(guard.verify_budget(8), InvariantError);
 }
 
+TEST(PayloadFreezeTest, ReusedAddressVerifiesAfterEarlierPins) {
+  // A new payload at a retired payload's address is a new pin: it verifies
+  // after every payload pinned in between, never in its predecessor's place
+  // (which would make the verification order depend on which thread freed
+  // the old block).
+  PayloadFreezeGuard guard;
+  auto storage =
+      util::arena_make_shared<kern::PageBytes>(nlc::kPageSize, std::byte{1});
+  // The aliasing constructor gives each generation its own lifetime at the
+  // same address.
+  auto generation = [&] {
+    return kern::PagePayload(std::make_shared<int>(0), storage.get());
+  };
+  kern::PagePayload first = generation();
+  guard.pin(first);
+  kern::PagePayload between = make_payload(std::byte{2});
+  guard.pin(between);
+  first.reset();
+  guard.verify_all();  // retires the first generation, verifies `between`
+  ASSERT_EQ(guard.verifications(), 1u);
+  ASSERT_EQ(guard.live(), 1u);
+
+  kern::PagePayload reused = generation();
+  guard.pin(reused);
+  EXPECT_EQ(guard.pins(), 3u);
+  const_cast<kern::PageBytes&>(*between)[0] = std::byte{0xFF};
+  EXPECT_THROW(guard.verify_all(), InvariantError);
+  EXPECT_EQ(guard.verifications(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // StoreEquivalenceChecker
 

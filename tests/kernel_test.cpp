@@ -2,13 +2,18 @@
 
 #include <cstring>
 #include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "kernel/address_space.hpp"
 #include "kernel/cpu.hpp"
 #include "kernel/fs.hpp"
 #include "kernel/kernel.hpp"
 #include "sim/simulation.hpp"
+#include "util/arena.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace nlc::kern {
 namespace {
@@ -179,6 +184,211 @@ TEST(AddressSpaceTest, PageVersionMonotone) {
   as.touch(start);
   as.touch(start);
   EXPECT_EQ(as.page_version(start), v0 + 2);
+}
+
+TEST(AddressSpaceTest, InstallContentOnUnmappedPageThrows) {
+  AddressSpace as;
+  const Vma a = as.map(10, VmaKind::kAnon);
+  const Vma b = as.map(4, VmaKind::kAnon);
+  PagePayload bytes =
+      util::arena_make_shared<PageBytes>(kPageSize, std::byte{7});
+  EXPECT_THROW(as.install_content(a.end() + 3, bytes), InvariantError);
+  // One past the end still lies inside the last leaf's slot range.
+  EXPECT_THROW(as.install_content(a.end(), bytes), InvariantError);
+  EXPECT_THROW(as.install_content(b.end(), bytes), InvariantError);
+  EXPECT_EQ(as.content(a.end()), nullptr);
+  std::uint64_t resident = 0;
+  as.for_each_resident([&](PageNum, const AddressSpace::PageState&) {
+    ++resident;
+  });
+  EXPECT_EQ(resident, 0u);
+  as.install_content(a.end() - 1, bytes);
+  EXPECT_EQ(as.content(a.end() - 1), bytes);
+}
+
+/// Every resident page as (page, version), in the page table's walk order.
+std::vector<std::pair<PageNum, std::uint64_t>> resident_pages(
+    const AddressSpace& as) {
+  std::vector<std::pair<PageNum, std::uint64_t>> out;
+  as.for_each_resident([&](PageNum p, const AddressSpace::PageState& st) {
+    out.emplace_back(p, st.version);
+  });
+  return out;
+}
+
+TEST(AddressSpaceTest, DirtyRefsSurviveMappingChanges) {
+  // The harvest holds dirty_pages() entries (page + state pointer); mapping
+  // changes and new leaves elsewhere must never move a page's state.
+  constexpr std::uint64_t kLeaf = AddressSpace::kLeafPages;
+  AddressSpace as;
+  const Vma a = as.map(3 * kLeaf, VmaKind::kAnon);
+  const Vma b = as.map(700, VmaKind::kStack);
+  as.clear_soft_dirty();
+  as.touch(a.start);
+  as.write(a.start + 1, 0, bytes_of("held"));
+  as.touch(b.start + 5);
+  const std::vector<AddressSpace::DirtyRef> held(as.dirty_pages().begin(),
+                                                 as.dirty_pages().end());
+  ASSERT_EQ(held.size(), 3u);
+
+  // New leaves in the same VMAs, a VMA installed below every other one, a
+  // run of maps that regrows the directory list, and unmaps.
+  as.touch(a.start + kLeaf + 9);
+  as.touch(a.start + 2 * kLeaf);
+  as.touch(b.start + kLeaf);
+  Vma low;
+  low.id = 1000;
+  low.start = 0x10;
+  low.npages = 40;
+  as.install_vma(low);
+  as.touch(low.start + 39);
+  std::vector<std::uint64_t> extra;
+  for (int i = 0; i < 24; ++i) {
+    const Vma v = as.map(kLeaf + 3, VmaKind::kAnon);
+    as.touch(v.start + kLeaf + i % 3);
+    as.write(v.start, 0, bytes_of("new"));
+    extra.push_back(v.id);
+  }
+  for (std::size_t i = 0; i < extra.size(); i += 2) as.unmap(extra[i]);
+  as.touch(a.start);  // same page again: no new dirty entry
+
+  for (const AddressSpace::DirtyRef& d : held) {
+    EXPECT_EQ(d.state->version, as.page_version(d.page)) << d.page;
+    EXPECT_TRUE(d.state->dirty) << d.page;
+  }
+  EXPECT_EQ(as.read(a.start + 1, 0, 4), bytes_of("held"));
+  for (const AddressSpace::DirtyRef& d : as.dirty_pages()) {
+    EXPECT_EQ(d.state->version, as.page_version(d.page)) << d.page;
+  }
+
+  as.clear_soft_dirty();
+  for (const AddressSpace::DirtyRef& d : held) {
+    EXPECT_FALSE(d.state->dirty) << d.page;
+    EXPECT_TRUE(as.touch(d.page)) << "soft-dirty bit not cleared: " << d.page;
+  }
+  EXPECT_EQ(as.dirty_pages().size(), held.size());
+}
+
+TEST(AddressSpaceTest, InstallVmaBelowKeepsVmasSorted) {
+  AddressSpace as;
+  const Vma hi = as.map(600, VmaKind::kAnon);
+  as.write(hi.start + 513, 0, bytes_of("hi"));
+  Vma lo;
+  lo.id = 50;
+  lo.start = 0x100;
+  lo.npages = 20;
+  as.install_vma(lo);
+  as.write(lo.start + 3, 0, bytes_of("lo"));
+  Vma mid;
+  mid.id = 51;
+  mid.start = 0x200;
+  mid.npages = 10;
+  as.install_vma(mid);
+  as.touch(mid.start);
+  as.touch(hi.start);
+
+  ASSERT_EQ(as.vmas().size(), 3u);
+  EXPECT_EQ(as.vmas()[0].id, lo.id);
+  EXPECT_EQ(as.vmas()[1].id, mid.id);
+  EXPECT_EQ(as.vmas()[2].id, hi.id);
+  // Each VMA still reaches its own pages after the inserts.
+  EXPECT_EQ(as.read(lo.start + 3, 0, 2), bytes_of("lo"));
+  EXPECT_EQ(as.read(hi.start + 513, 0, 2), bytes_of("hi"));
+  const std::vector<std::pair<PageNum, std::uint64_t>> want = {
+      {lo.start + 3, 1}, {mid.start, 1}, {hi.start, 1}, {hi.start + 513, 1}};
+  EXPECT_EQ(resident_pages(as), want);
+}
+
+TEST(AddressSpaceTest, ResidentWalkMatchesReferenceModel) {
+  // A seeded mix of mutations over four VMAs, some ending in a partial
+  // leaf, checked after every step against a std::map of versions.
+  constexpr std::uint64_t kLeaf = AddressSpace::kLeafPages;
+  const std::uint64_t sizes[] = {1, kLeaf - 1, kLeaf + 1, 2 * kLeaf + 476,
+                                 kLeaf, 3};
+  Rng rng(20260417);
+  AddressSpace as;
+  std::vector<Vma> live;
+  std::size_t next_size = 0;
+  auto map_one = [&] {
+    live.push_back(as.map(sizes[next_size++ % std::size(sizes)],
+                          VmaKind::kAnon));
+  };
+  for (int i = 0; i < 4; ++i) map_one();
+  std::map<PageNum, std::uint64_t> model;
+  std::set<std::pair<std::uint64_t, std::uint64_t>> leaves;  // (vma, leaf)
+  as.clear_soft_dirty();
+  PagePayload bytes =
+      util::arena_make_shared<PageBytes>(kPageSize, std::byte{3});
+
+  for (int step = 0; step < 3000; ++step) {
+    const auto op = rng.uniform(0, 99);
+    const std::size_t vi =
+        static_cast<std::size_t>(rng.uniform(0, std::ssize(live) - 1));
+    const Vma v = live[vi];
+    if (op < 2) {
+      as.unmap(v.id);
+      for (PageNum p = v.start; p < v.end(); ++p) model.erase(p);
+      std::erase_if(leaves, [&](const auto& l) { return l.first == v.id; });
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(vi));
+      map_one();
+    } else if (op < 6) {
+      // Just past the end, inside the last leaf's slots when it is partial.
+      EXPECT_THROW(as.touch(v.end()), InvariantError);
+    } else {
+      // Bias toward leaf edges and the last page.
+      const std::int64_t last = static_cast<std::int64_t>(v.npages) - 1;
+      std::int64_t off = rng.uniform(0, last);
+      if (rng.chance(0.3)) off = std::min<std::int64_t>(last, kLeaf - 1);
+      if (rng.chance(0.2)) off = last;
+      const PageNum page = v.start + static_cast<std::uint64_t>(off);
+      if (op < 60) {
+        as.touch(page);
+      } else if (op < 85) {
+        as.write(page, 8, bytes_of("m"));
+      } else {
+        as.install_content(page, bytes);
+      }
+      ++model[page];
+      leaves.emplace(v.id, static_cast<std::uint64_t>(off) / kLeaf);
+    }
+    const std::vector<std::pair<PageNum, std::uint64_t>> want(model.begin(),
+                                                              model.end());
+    ASSERT_EQ(resident_pages(as), want) << "step " << step;
+    ASSERT_EQ(as.leaf_count(), leaves.size()) << "step " << step;
+  }
+  for (const auto& [page, version] : model) {
+    EXPECT_EQ(as.page_version(page), version);
+  }
+  for (const AddressSpace::DirtyRef& d : as.dirty_pages()) {
+    EXPECT_TRUE(model.contains(d.page));
+  }
+}
+
+TEST(AddressSpaceTest, LeavesAreAllocatedOnFirstTouch) {
+  // A redis-sized address space: 48 VMAs, 131,144 pages, none resident.
+  AddressSpace as;
+  const Vma heap = as.map(30000, VmaKind::kAnon);
+  const Vma kv = as.map(100000, VmaKind::kAnon);
+  for (int i = 0; i < 46; ++i) as.map(i < 44 ? 24 : 44, VmaKind::kFileMap);
+  EXPECT_EQ(as.mapped_pages(), 131144u);
+  EXPECT_EQ(as.leaf_count(), 0u);
+
+  // Readers never allocate.
+  EXPECT_EQ(as.read(kv.start + 777, 0, 4), std::vector<std::byte>(4));
+  EXPECT_EQ(as.content(heap.start), nullptr);
+  EXPECT_EQ(as.page_version(kv.end() - 1), 0u);
+  EXPECT_EQ(as.leaf_count(), 0u);
+
+  as.touch(kv.start + 99999);
+  EXPECT_EQ(as.leaf_count(), 1u);
+  as.touch(kv.end() - 2);  // same leaf
+  EXPECT_EQ(as.read(kv.start, 0, 1), std::vector<std::byte>(1));
+  EXPECT_EQ(as.content(heap.start + 4096), nullptr);
+  EXPECT_EQ(as.leaf_count(), 1u);
+  as.write(heap.start, 0, bytes_of("x"));
+  EXPECT_EQ(as.leaf_count(), 2u);
+  as.unmap(kv.id);
+  EXPECT_EQ(as.leaf_count(), 1u);
 }
 
 // ----------------------------------------------------------------- CPU ----

@@ -346,7 +346,7 @@ bool body_is_order_independent(const Toks& t, std::size_t begin,
 }
 
 /// Last identifier of a range expression after stripping trailing call
-/// parens: `p->mm().page_states()` → page_states, `d.pages` → pages.
+/// parens: `p->mm().vmas()` → vmas, `d.pages` → pages.
 std::string range_expr_name(const Toks& t, std::size_t begin,
                             std::size_t end) {
   std::size_t e = end;  // one past last expr token
