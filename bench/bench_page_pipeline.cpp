@@ -13,11 +13,15 @@
 // to report encode ns/page and the achieved compression ratio.
 //
 // A third section sweeps the sharded intra-epoch pipeline (DESIGN.md §10):
-// harvest fill -> delta encode -> radix fold, at 1/2/4/8 shards over
-// several page counts. Every configuration runs the same engine; the
-// shard count sets only the fan-out. The sweep checks that wire bytes,
-// visit counts and stats stay byte-identical across shard counts, and
-// that the codec resolves every unchanged page by handle identity.
+// harvest fill -> delta encode -> radix fold, at 1/2/4/8 shards over page
+// counts on both sides of criu::kFanOutMinPages. Every configuration runs
+// the same engine; the shard count sets the partition, and a stage hands
+// its shards to the pool only from kFanOutMinPages pages up, so a smaller
+// row runs every shard on the calling thread. Each row prints whether it
+// fanned out. The sweep checks that wire bytes, visit counts and stats
+// stay byte-identical across shard counts, that exactly the rows with
+// more than one shard at or above the gate fanned out, and that the codec
+// resolves every unchanged page by handle identity.
 //
 // Results are printed and written to BENCH_page_pipeline.json in the
 // working directory. The smoke run (the nlc_bench_smoke ctest targets)
@@ -36,6 +40,7 @@
 #include "criu/checkpoint.hpp"
 #include "criu/delta.hpp"
 #include "criu/pagestore.hpp"
+#include "criu/shard.hpp"
 #include "kernel/kernel.hpp"
 #include "net/network.hpp"
 #include "net/tcp.hpp"
@@ -122,6 +127,7 @@ struct ShardResult {
   std::uint64_t visits = 0;
   std::uint64_t content_pages = 0;
   std::uint64_t identity_pages = 0;
+  std::uint64_t fan_outs = 0;  // batches the stages handed to the pool
 };
 
 ShardResult run_shard_config(std::uint64_t npages, int nshards, int reps) {
@@ -166,6 +172,7 @@ ShardResult run_shard_config(std::uint64_t npages, int nshards, int reps) {
     res.identity_pages += ds.identity_pages;
   }
   NLC_CHECK(store.page_count() == npages);
+  if (pool != nullptr) res.fan_outs = pool->fan_outs();
   return res;
 }
 
@@ -226,13 +233,15 @@ int main(int argc, char** argv) {
          "extension — one engine at 1/2/4/8 shards");
   std::printf("scan-kernel tier: %s\n\n",
               util::simd_tier_name(util::env_simd_tier()));
+  std::printf("stages fan out from %zu pages (criu::kFanOutMinPages)\n\n",
+              criu::kFanOutMinPages);
   std::vector<std::uint64_t> page_counts;
   if (smoke) {
     page_counts = {1'000};
   } else if (full) {
-    page_counts = {1'000, 10'000, 100'000};
+    page_counts = {1'000, criu::kFanOutMinPages, 100'000};
   } else {
-    page_counts = {1'000, 10'000};
+    page_counts = {1'000, criu::kFanOutMinPages};
   }
   const int shard_counts[] = {1, 2, 4, 8};
   std::string sweep_json;
@@ -246,6 +255,9 @@ int main(int argc, char** argv) {
       ShardResult r = run_shard_config(pages, nshards, reps);
       NLC_CHECK_MSG(r.identity_pages == unchanged,
                     "codec missed the identity path on unchanged pages");
+      const bool fanned = r.fan_outs > 0;
+      NLC_CHECK_MSG(fanned == (nshards > 1 && pages >= criu::kFanOutMinPages),
+                    "a stage fanned out on the wrong side of the gate");
       if (nshards == 1) {
         one = r;
       } else {
@@ -258,17 +270,18 @@ int main(int argc, char** argv) {
         NLC_CHECK_MSG(r.content_pages == one.content_pages,
                       "page counts depend on the shard count");
       }
-      std::printf("%8llu pages | %d shards | %10.1f ns/page\n",
+      std::printf("%8llu pages | %d shards | %10.1f ns/page | %s\n",
                   static_cast<unsigned long long>(pages), nshards,
-                  r.ns_per_page);
+                  r.ns_per_page, fanned ? "fan-out" : "inline");
       char row[256];
       std::snprintf(row, sizeof row,
                     "%s{\"pages\": %llu, \"shards\": %d, "
-                    "\"ns_per_page\": %.1f, \"wire_bytes\": %llu, "
-                    "\"visits\": %llu, \"identity_pages\": %llu}",
+                    "\"ns_per_page\": %.1f, \"fan_out\": %s, "
+                    "\"wire_bytes\": %llu, \"visits\": %llu, "
+                    "\"identity_pages\": %llu}",
                     sweep_json.empty() ? "    " : ",\n    ",
                     static_cast<unsigned long long>(pages), nshards,
-                    r.ns_per_page,
+                    r.ns_per_page, fanned ? "true" : "false",
                     static_cast<unsigned long long>(r.wire_bytes),
                     static_cast<unsigned long long>(r.visits),
                     static_cast<unsigned long long>(r.identity_pages));

@@ -110,7 +110,8 @@ sim::task<> BackupAgent::state_loop() {
     const std::uint64_t fold_t0 = util::wall_now_ns();
     if (radix_ != nullptr) {
       // Sharded fold (DESIGN.md §10): same state and modeled visit total
-      // as the per-record loop, fanned out over the shard subtrees.
+      // as the per-record loop, shard subtree by shard subtree (fanned out
+      // on the pool from criu::kFanOutMinPages records up).
       visits = radix_->store_batch(msg.image.pages, &util::shard_pool());
     } else {
       for (const criu::PageRecord& pr : msg.image.pages) {

@@ -155,9 +155,11 @@ struct Options {
   TraceLevel trace_level = TraceLevel::kOff;
 
   /// DESIGN.md §10: intra-epoch page-pipeline shard count. 0 = auto
-  /// (NLC_SHARDS env, else hardware concurrency). The count sets only the
-  /// fan-out of the one page engine: all shipped bytes, stats and visit
-  /// counts are byte-identical for any value — only wall clock changes.
+  /// (NLC_SHARDS env, else hardware concurrency). The count sets the
+  /// partition of the one page engine; a stage fans its shards out on the
+  /// shared pool only for a batch of criu::kFanOutMinPages pages or more.
+  /// All shipped bytes, stats and visit counts are byte-identical for any
+  /// value — only wall clock changes.
   int page_shards = 0;
 
   int resolved_page_shards() const {

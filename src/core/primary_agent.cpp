@@ -294,8 +294,9 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
 
   // ---- Harvest the container state (CRIU engine) ---------------------------
   // Sharded page pipeline (DESIGN.md §10): harvest fill, delta encode and
-  // the backup's fold fan out over the shards on the shared pool; outputs
-  // are byte-identical for any shard count.
+  // the backup's fold run shard by shard, on the shared pool for a batch of
+  // criu::kFanOutMinPages pages or more and on this thread below it;
+  // outputs are byte-identical for any shard count.
   util::WorkerPool* ppool = &util::shard_pool();
   criu::HarvestOptions ho;
   ho.incremental = !initial;

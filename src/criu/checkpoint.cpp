@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "criu/shard.hpp"
 #include "util/assert.hpp"
 #include "util/simd.hpp"
 #include "util/worker_pool.hpp"
@@ -16,9 +17,10 @@ namespace {
 constexpr std::size_t kFillPrefetch = 8;
 
 /// Fills pages[base .. base+n) from an index-addressable source in
-/// min(shards, n) contiguous chunks. Each slot depends only on its own
-/// source entry, so the image is the same byte for byte for any chunk
-/// count (DESIGN.md §10); the content-page count folds per chunk in chunk
+/// min(shards, n) contiguous chunks, fanned out on `pool` only from
+/// kFanOutMinPages entries up. Each slot depends only on its own source
+/// entry, so the image is the same byte for byte for any chunk count
+/// (DESIGN.md §10); the content-page count folds per chunk in chunk
 /// order. Returns the number of content pages filled.
 template <typename FillOne>
 std::uint64_t fill_page_records(std::vector<PageRecord>& pages,
@@ -37,6 +39,7 @@ std::uint64_t fill_page_records(std::vector<PageRecord>& pages,
     }
     per[c] = count;
   };
+  pool = fan_out_pool(pool, n);
   if (pool != nullptr) {
     pool->run(nchunks, chunk);
   } else {

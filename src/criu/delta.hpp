@@ -231,11 +231,13 @@ struct EpochDeltaStats {
 ///
 /// The reference set is split into independent per-shard maps keyed by
 /// shard_of(page) (DESIGN.md §10) — a page's references live in one shard
-/// forever, so encode_epoch() fans the per-shard encode out on the worker
-/// pool with no locks, using the span-scanning kernel at the codec's SIMD
-/// tier (NLC_SIMD / Options::simd_tier, DESIGN.md §12). Stats merge by
-/// summation in shard order. Stamped wire sizes and EpochDeltaStats are
-/// byte-identical for any shard count; the count sets only the fan-out.
+/// forever, so encode_epoch() can fan the per-shard encode out on the
+/// worker pool with no locks, using the span-scanning kernel at the
+/// codec's SIMD tier (NLC_SIMD / Options::simd_tier, DESIGN.md §12).
+/// Stats merge by summation in shard order. Stamped wire sizes and
+/// EpochDeltaStats are byte-identical for any shard count; the count sets
+/// the partition, and the shards fan out only for a batch of
+/// kFanOutMinPages pages or more.
 class DeltaCodec {
  public:
   explicit DeltaCodec(int shards = 1,
@@ -249,7 +251,8 @@ class DeltaCodec {
   /// Encodes every content page of `img` against the previously shipped
   /// version, stamping PageRecord::wire_size, and advances the reference
   /// set. Accounting pages (no bytes to diff) keep full wire cost.
-  /// `pool` (null = inline shard loop) carries the sharded fan-out.
+  /// `pool` (null = inline shard loop) carries the sharded fan-out of an
+  /// image of kFanOutMinPages records or more; a smaller one runs inline.
   EpochDeltaStats encode_epoch(CheckpointImage& img,
                                util::WorkerPool* pool = nullptr) {
     ShardPlan plan = ShardPlan::build(img.pages, shards());
@@ -272,6 +275,7 @@ class DeltaCodec {
         encode_one(img.pages[bucket[k]], prev_[s], per[s]);
       }
     };
+    pool = fan_out_pool(pool, img.pages.size());
     if (pool != nullptr) {
       pool->run(prev_.size(), encode_shard);
     } else {

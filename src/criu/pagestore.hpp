@@ -119,12 +119,12 @@ class ListPageStore final : public PageStore {
 ///
 /// The tree is a forest of independent subtrees, one per page-number shard
 /// (shard_of, DESIGN.md §10). store() and store_batch() only touch the
-/// owning shard's subtree and counters, so an epoch fold fans out across
-/// the worker pool with no locks on the hot path. Modeled visit accounting
-/// stays the paper's constant kLevels per store for every shard count;
-/// internally each shard memoizes the leaf directory of the last stored
-/// page, so folding a dense sorted range resolves ~1 level per page instead
-/// of walking all 4.
+/// owning shard's subtree and counters, so a large epoch fold fans out
+/// across the worker pool with no locks on the hot path. Modeled visit
+/// accounting stays the paper's constant kLevels per store for every
+/// shard count; internally each shard memoizes the leaf directory of the
+/// last stored page, so folding a dense sorted range resolves ~1 level per
+/// page instead of walking all 4.
 ///
 /// Memory layout (DESIGN.md §12): nodes are 4-byte headers in one dense
 /// per-shard vector; each node's 512 child/leaf slots are 32-bit indices in
@@ -149,7 +149,8 @@ class RadixPageStore final : public PageStore {
   }
 
   /// Folds one epoch's records, fanning the per-shard work out on `pool`
-  /// (null = inline shard loop). Produces exactly the state and modeled
+  /// for a batch of kFanOutMinPages records or more (null or a smaller
+  /// batch = inline shard loop). Produces exactly the state and modeled
   /// visit total that store()ing every record in image order would.
   std::uint64_t store_batch(const std::vector<PageRecord>& recs,
                             util::WorkerPool* pool) {
@@ -174,6 +175,7 @@ class RadixPageStore final : public PageStore {
         store_into(sh, recs[bucket[k]]);
       }
     };
+    pool = fan_out_pool(pool, recs.size());
     if (pool != nullptr) {
       pool->run(shards_.size(), fold_one);
     } else {

@@ -2,9 +2,11 @@
 //
 // One epoch's dirty-page work — harvest record fill, delta encoding,
 // backup-side radix fold — is partitioned into NLC_SHARDS independent
-// shards so the stages can run on the shared util::WorkerPool. One shard
-// runs the same code with no fan-out. Two partition schemes are used,
-// both deterministic:
+// shards. The count sets the partition; whether a stage hands its shards
+// to the shared util::WorkerPool is a separate rule, fan_out_pool():
+// a batch of kFanOutMinPages pages or more fans out, a smaller one runs
+// its shards in order on the calling thread. Two partition schemes are
+// used, both deterministic:
 //
 //  * by page number (shard_of): low-bit interleave, so a dense working set
 //    spreads evenly. Used by the stages that keep per-page state across
@@ -17,7 +19,8 @@
 //
 // The merge/aggregation step of every stage folds per-shard results in
 // shard-index order; all shipped bytes, visit counts and EpochDeltaStats
-// are byte-identical for any shard count (tests/shard_determinism_test).
+// are byte-identical for any shard count and on either side of the gate
+// (tests/shard_determinism_test).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +28,26 @@
 
 #include "criu/image.hpp"
 
+namespace nlc::util {
+class WorkerPool;
+}  // namespace nlc::util
+
 namespace nlc::criu {
+
+/// Smallest batch, in pages, that a page stage hands to its worker pool.
+/// A NiLiCon epoch's dirty set is far smaller (the paper's Table III runs
+/// from ~50 to ~6K pages at 30 ms epochs): waking the helpers and waiting
+/// for them costs more than such a batch saves, so those batches run on
+/// the caller. From here up the fan-out pays (DESIGN.md §10).
+inline constexpr std::size_t kFanOutMinPages = 16384;
+
+/// The pool a stage of `pages` pages runs its shards on: `pool` from
+/// kFanOutMinPages pages up, null (the shards in order on the caller)
+/// below. Only the thread changes, never the partition or the output.
+inline util::WorkerPool* fan_out_pool(util::WorkerPool* pool,
+                                      std::size_t pages) {
+  return pages >= kFanOutMinPages ? pool : nullptr;
+}
 
 /// Deterministic page → shard mapping (low-bit interleave).
 inline std::size_t shard_of(kern::PageNum page, int nshards) {

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -13,6 +12,10 @@ namespace {
 constexpr std::size_t kMinShift = std::bit_width(kArenaMinBlock) - 1;  // 6
 constexpr std::size_t kMaxShift = std::bit_width(kArenaMaxBlock) - 1;  // 16
 constexpr std::size_t kClasses = kMaxShift - kMinShift + 1;
+
+/// Bytes per slab: every class carves at least four blocks from one.
+constexpr std::size_t kSlabBytes = 256 * 1024;
+static_assert(kSlabBytes >= 4 * kArenaMaxBlock);
 
 /// Blocks moved between a thread cache and the central freelist per
 /// refill/spill, and the cache's high-water mark per class.
@@ -85,15 +88,13 @@ class Arena {
  private:
   void carve_slab(std::size_t cls) {
     const std::size_t bsz = class_bytes(cls);
-    std::size_t slab = env_arena_slab_bytes();
-    if (slab < bsz) slab = bsz;
-    auto mem = std::make_unique<std::byte[]>(slab);
+    auto mem = std::make_unique<std::byte[]>(kSlabBytes);
     std::byte* base = mem.get();
     auto& central = central_[cls];
-    for (std::size_t off = 0; off + bsz <= slab; off += bsz) {
+    for (std::size_t off = 0; off + bsz <= kSlabBytes; off += bsz) {
       central.push_back(base + off);
     }
-    slab_bytes_ += slab;
+    slab_bytes_ += kSlabBytes;
     slabs_.push_back(std::move(mem));
   }
 
@@ -162,20 +163,5 @@ void arena_count_fallback() { Arena::instance().count_fallback(); }
 }  // namespace detail
 
 ArenaStats arena_stats() { return Arena::instance().stats(); }
-
-std::size_t env_arena_slab_bytes() {
-  static const std::size_t bytes = [] {
-    std::size_t kb = 256;
-    if (const char* v = std::getenv("NLC_ARENA_SLAB_KB");
-        v != nullptr && v[0] != '\0') {
-      const long parsed = std::atol(v);
-      if (parsed >= 64 && parsed <= 16384) {
-        kb = static_cast<std::size_t>(parsed);
-      }
-    }
-    return kb * 1024;
-  }();
-  return bytes;
-}
 
 }  // namespace nlc::util

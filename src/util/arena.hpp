@@ -7,8 +7,8 @@
 // memory-bound (ROADMAP open item 5). This module replaces those calls with
 // a size-class slab arena:
 //
-//  * one process-wide `Arena` owns large slabs (NLC_ARENA_SLAB_KB, default
-//    256 KiB) and carves them into power-of-two blocks (64 B .. 64 KiB);
+//  * one process-wide `Arena` owns large slabs (256 KiB each) and carves
+//    them into power-of-two blocks (64 B .. 64 KiB);
 //  * each thread keeps a small per-class cache of free blocks, refilled and
 //    spilled in batches, so steady-state allocation is a thread-local
 //    vector pop — no lock, no malloc. Blocks freed on a different thread
@@ -60,10 +60,6 @@ void arena_count_fallback();
 }  // namespace detail
 
 ArenaStats arena_stats();
-
-/// NLC_ARENA_SLAB_KB: slab granularity in KiB (clamped to [64, 16384];
-/// default 256). Read once at first allocation.
-std::size_t env_arena_slab_bytes();
 
 /// Standard allocator over the thread-cached slab arena. Stateless: any
 /// instance can free any instance's blocks (all storage is process-wide),

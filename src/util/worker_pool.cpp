@@ -87,6 +87,7 @@ void WorkerPool::run(std::size_t n,
     active_ = static_cast<int>(threads_.size());
     ++generation_;
   }
+  fan_outs_.fetch_add(1, std::memory_order_relaxed);
   cv_start_.notify_all();
 
   const WorkerPool* prev = t_busy_pool;

@@ -4,7 +4,10 @@
 //  * harness::TrialRunner — parallelism *across* independent simulations
 //    (NLC_JOBS, DESIGN.md §9);
 //  * the sharded intra-epoch page pipeline — parallelism *within* one
-//    epoch's dirty-page work (NLC_SHARDS, DESIGN.md §10).
+//    epoch's dirty-page work (NLC_SHARDS, DESIGN.md §10). Its stages hand
+//    a batch to the pool only from criu::kFanOutMinPages pages up; the
+//    smaller batches a 30 ms epoch produces run on the caller, because
+//    waking the helpers and waiting for them costs more than it saves.
 //
 // run(n, fn) executes fn(0..n-1) with the calling thread participating:
 // helper threads and the caller pull indices from one atomic counter, so a
@@ -54,6 +57,12 @@ class WorkerPool {
 
   int helpers() const { return static_cast<int>(threads_.size()); }
 
+  /// Batches handed to the helpers so far. A batch run inline (no
+  /// helpers, one index, nested or contended call) does not count.
+  std::uint64_t fan_outs() const {
+    return fan_outs_.load(std::memory_order_relaxed);
+  }
+
   /// Executes fn(0), ..., fn(n-1), returning when all have completed. The
   /// caller participates; helpers join in when available. Rethrows the
   /// lowest-index task exception after the batch drains.
@@ -84,6 +93,7 @@ class WorkerPool {
   /// Serializes concurrent run() callers; a caller that cannot take it
   /// immediately runs inline (nested-pool policy).
   std::mutex dispatch_m_;
+  std::atomic<std::uint64_t> fan_outs_{0};
 };
 
 /// NLC_SHARDS: page-pipeline shard count, a whole integer in

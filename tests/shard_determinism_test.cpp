@@ -3,8 +3,9 @@
 // byte-identical wire bytes, delta stats, visit counts and restore images,
 // and every stamped wire size must match the byte-at-a-time reference
 // kernel. Also unit-tests the shared util::WorkerPool (the fan-out
-// primitive) and property-tests the word-scanning delta kernel against
-// the reference.
+// primitive), pins the rule that a stage fans out only from
+// criu::kFanOutMinPages pages up, and property-tests the word-scanning
+// delta kernel against the reference.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -219,7 +220,10 @@ TEST(DeltaKernelTest, IdentityShortCircuitMatchesReferenceCodec) {
 // ---------------------------------------------- end-to-end shard contract ----
 
 /// A container with `npages` of content, every page dirty, frozen — the
-/// same input for every shard configuration.
+/// same input for every shard configuration. `touched_pages` maps a second
+/// VMA whose pages are touched every epoch but never written: they lift an
+/// epoch past criu::kFanOutMinPages at the memory cost of page records,
+/// not of page bytes.
 struct PipelineRig {
   sim::Simulation sim;
   blk::Disk disk;
@@ -229,15 +233,19 @@ struct PipelineRig {
   kern::ContainerId cid;
   kern::Process* proc;
   kern::Vma vma;
+  kern::Vma touched;
   criu::CheckpointEngine engine;
 
-  explicit PipelineRig(std::uint64_t npages)
+  explicit PipelineRig(std::uint64_t npages, std::uint64_t touched_pages = 0)
       : kernel(sim, nullptr, "shard", disk), net(sim),
         tcp(sim, nullptr, net, net.add_host("h", nullptr)),
         cid(kernel.create_container("shard").id()),
         proc(&kernel.create_process(cid, "app")),
         vma(proc->mm().map(npages, kern::VmaKind::kAnon)),
         engine(kernel, tcp) {
+    if (touched_pages > 0) {
+      touched = proc->mm().map(touched_pages, kern::VmaKind::kAnon);
+    }
     Rng rng(0x5EED);
     std::vector<std::byte> cell(kPageSize);
     for (std::uint64_t p = 0; p < npages; ++p) {
@@ -245,8 +253,13 @@ struct PipelineRig {
       proc->mm().write(vma.start + p, 0, cell);
     }
     proc->mm().clear_soft_dirty();
-    proc->mm().touch_range(vma.start, npages);
+    touch_all();
     kernel.freeze_container(cid);
+  }
+
+  void touch_all() {
+    proc->mm().touch_range(vma.start, vma.npages);
+    proc->mm().touch_range(touched.start, touched.npages);
   }
 
   /// Deterministic per-epoch mutation: overwrite a seeded-random slice of
@@ -259,7 +272,7 @@ struct PipelineRig {
       auto off = static_cast<std::uint64_t>(rng.uniform(0, kPageSize - 256));
       proc->mm().write(vma.start + p, off, val);
     }
-    proc->mm().touch_range(vma.start, vma.npages);
+    touch_all();
   }
 };
 
@@ -276,8 +289,11 @@ struct PipelineTrace {
 };
 
 PipelineTrace run_pipeline(int nshards, int epochs) {
+  // 700 pages carry the bytes; the touched-only VMA makes every epoch
+  // large enough that, with more than one shard, each stage runs on the
+  // pool's helpers and not inline.
   constexpr std::uint64_t kPages = 700;
-  PipelineRig rig(kPages);
+  PipelineRig rig(kPages, criu::kFanOutMinPages);
   std::unique_ptr<util::WorkerPool> pool;
   if (nshards > 1) pool = std::make_unique<util::WorkerPool>(nshards - 1);
   criu::DeltaCodec codec(nshards);
@@ -304,6 +320,11 @@ PipelineTrace run_pipeline(int nshards, int epochs) {
     store.begin_checkpoint(static_cast<std::uint64_t>(e));
     tr.visits += store.store_batch(hr.image.pages, pool.get());
   }
+  if (pool != nullptr) {
+    // Fill, encode and fold each fan out once per epoch.
+    EXPECT_EQ(pool->fan_outs(), 3u * static_cast<std::uint64_t>(epochs))
+        << nshards << " shards";
+  }
 
   for (const criu::PageRecord* r : store.all_pages()) {
     tr.restore.insert(tr.restore.end(),
@@ -327,6 +348,37 @@ TEST(ShardDeterminismTest, WireBytesStatsAndRestoreIdenticalAcrossShards) {
     EXPECT_EQ(sharded.restore, one.restore) << nshards << " shards";
     EXPECT_EQ(sharded.restore_bytes, one.restore_bytes)
         << nshards << " shards";
+  }
+}
+
+// The fan-out rule (criu::fan_out_pool): harvest fill, delta encode and
+// radix fold each hand a batch to the pool only from kFanOutMinPages pages
+// up. One page below the gate, all three run inline.
+TEST(FanOutGateTest, EachStageFansOutFromTheGate) {
+  util::WorkerPool pool(3);
+  for (std::size_t pages :
+       {criu::kFanOutMinPages - 1, criu::kFanOutMinPages}) {
+    const std::uint64_t per_stage = pages >= criu::kFanOutMinPages ? 1 : 0;
+    PipelineRig rig(1, pages - 1);  // one content page + touched-only pages
+    criu::DeltaCodec codec(4);
+    criu::RadixPageStore store(4);
+    criu::HarvestOptions ho;
+    ho.incremental = true;
+    ho.shards = 4;
+    ho.pool = &pool;
+
+    std::uint64_t before = pool.fan_outs();
+    criu::HarvestResult hr = rig.engine.harvest(rig.cid, 1, nullptr, ho);
+    ASSERT_EQ(hr.image.pages.size(), pages);
+    EXPECT_EQ(pool.fan_outs() - before, per_stage) << "fill, " << pages;
+
+    before = pool.fan_outs();
+    codec.encode_epoch(hr.image, &pool);
+    EXPECT_EQ(pool.fan_outs() - before, per_stage) << "encode, " << pages;
+
+    before = pool.fan_outs();
+    store.store_batch(hr.image.pages, &pool);
+    EXPECT_EQ(pool.fan_outs() - before, per_stage) << "fold, " << pages;
   }
 }
 

@@ -412,13 +412,5 @@ TEST(ArenaTest, BlocksFlowAcrossThreads) {
   SUCCEED();
 }
 
-TEST(ArenaTest, SlabSizeEnvIsClampedAndCached) {
-  // The env var is read once at first use; by now the arena has allocated,
-  // so this just checks the resolved value is inside the documented range.
-  const std::size_t bytes = util::env_arena_slab_bytes();
-  EXPECT_GE(bytes, 64u * 1024u);
-  EXPECT_LE(bytes, 16u * 1024u * 1024u);
-}
-
 }  // namespace
 }  // namespace nlc
