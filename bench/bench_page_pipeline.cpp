@@ -23,6 +23,12 @@
 // more than one shard at or above the gate fanned out, and that the codec
 // resolves every unchanged page by handle identity.
 //
+// After the sweep, the largest configuration's store is walked
+// (all_pages(), what failover restore does) and copied (clone(), what
+// re-silvering a surviving replica does), with ns/page for each; the
+// walk must be ascending and complete and the copy must walk the same
+// records.
+//
 // Results are printed and written to BENCH_page_pipeline.json in the
 // working directory. The smoke run (the nlc_bench_smoke ctest targets)
 // gates only deterministic properties, never a wall-clock ratio.
@@ -33,6 +39,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -130,12 +137,17 @@ struct ShardResult {
   std::uint64_t fan_outs = 0;  // batches the stages handed to the pool
 };
 
-ShardResult run_shard_config(std::uint64_t npages, int nshards, int reps) {
+/// Runs one sweep configuration; its final store is handed to `keep` if
+/// given.
+ShardResult run_shard_config(
+    std::uint64_t npages, int nshards, int reps,
+    std::unique_ptr<criu::RadixPageStore>* keep = nullptr) {
   World w(npages);
   std::unique_ptr<util::WorkerPool> pool;
   if (nshards > 1) pool = std::make_unique<util::WorkerPool>(nshards - 1);
   criu::DeltaCodec codec(nshards);
-  criu::RadixPageStore store(nshards);
+  auto owned = std::make_unique<criu::RadixPageStore>(nshards);
+  criu::RadixPageStore& store = *owned;
   std::uint64_t epoch = 1;
 
   // Reference epoch: every page ships raw, the codec and store warm up.
@@ -173,6 +185,56 @@ ShardResult run_shard_config(std::uint64_t npages, int nshards, int reps) {
   }
   NLC_CHECK(store.page_count() == npages);
   if (pool != nullptr) res.fan_outs = pool->fan_outs();
+  if (keep != nullptr) *keep = std::move(owned);
+  return res;
+}
+
+/// Restore's walk and the re-silver's copy over a folded store: best-of
+/// ns/page for each, after checking that the walk is ascending and
+/// complete and that the copy walks the same records.
+struct WalkCopyResult {
+  double walk_ns_per_page = 1e18;
+  double copy_ns_per_page = 1e18;
+};
+
+WalkCopyResult run_walk_and_copy(const criu::RadixPageStore& store,
+                                 int reps) {
+  const std::vector<const criu::PageRecord*> walk = store.all_pages();
+  NLC_CHECK_MSG(walk.size() == store.page_count(),
+                "all_pages() length differs from page_count()");
+  for (std::size_t i = 1; i < walk.size(); ++i) {
+    NLC_CHECK_MSG(walk[i - 1]->page < walk[i]->page,
+                  "all_pages() is not ascending");
+  }
+  {
+    const std::unique_ptr<criu::PageStore> copy = store.clone();
+    const std::vector<const criu::PageRecord*> again = copy->all_pages();
+    NLC_CHECK_MSG(again.size() == walk.size(), "copy lost or gained pages");
+    for (std::size_t i = 0; i < walk.size(); ++i) {
+      NLC_CHECK_MSG(again[i]->page == walk[i]->page &&
+                        again[i]->version == walk[i]->version &&
+                        again[i]->wire_size == walk[i]->wire_size &&
+                        again[i]->content == walk[i]->content,
+                    "copy diverged from its source");
+    }
+  }
+  const double pages =
+      static_cast<double>(walk.empty() ? 1 : walk.size());
+  WalkCopyResult res;
+  for (int r = 0; r < reps; ++r) {
+    const std::uint64_t t0 = util::wall_now_ns();
+    const std::vector<const criu::PageRecord*> timed = store.all_pages();
+    const std::uint64_t t1 = util::wall_now_ns();
+    NLC_CHECK(timed.size() == walk.size());
+    res.walk_ns_per_page =
+        std::min(res.walk_ns_per_page, ns_between(t0, t1) / pages);
+    const std::uint64_t t2 = util::wall_now_ns();
+    const std::unique_ptr<criu::PageStore> copy = store.clone();
+    const std::uint64_t t3 = util::wall_now_ns();
+    NLC_CHECK(copy->page_count() == store.page_count());
+    res.copy_ns_per_page =
+        std::min(res.copy_ns_per_page, ns_between(t2, t3) / pages);
+  }
   return res;
 }
 
@@ -245,6 +307,8 @@ int main(int argc, char** argv) {
   }
   const int shard_counts[] = {1, 2, 4, 8};
   std::string sweep_json;
+  // The store of the sweep's last configuration, the largest.
+  std::unique_ptr<criu::RadixPageStore> largest;
   for (std::uint64_t pages : page_counts) {
     // run_shard_config rewrites every 5th page; the other four of every
     // five keep the handle the codec shipped last epoch.
@@ -252,7 +316,7 @@ int main(int argc, char** argv) {
         (pages - (pages + 4) / 5) * static_cast<std::uint64_t>(reps);
     ShardResult one;
     for (int nshards : shard_counts) {
-      ShardResult r = run_shard_config(pages, nshards, reps);
+      ShardResult r = run_shard_config(pages, nshards, reps, &largest);
       NLC_CHECK_MSG(r.identity_pages == unchanged,
                     "codec missed the identity path on unchanged pages");
       const bool fanned = r.fan_outs > 0;
@@ -289,6 +353,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  // ---- Restore walk and re-silver copy of the largest store ---------------
+  const WalkCopyResult wc = run_walk_and_copy(*largest, reps);
+  std::printf("\n%-38s | %10.1f ns/page (%llu pages)\n",
+              "store walk (all_pages)", wc.walk_ns_per_page,
+              static_cast<unsigned long long>(largest->page_count()));
+  std::printf("%-38s | %10.1f ns/page\n", "store copy (re-silver)",
+              wc.copy_ns_per_page);
+
   std::FILE* f = std::fopen("BENCH_page_pipeline.json", "w");
   if (f != nullptr) {
     std::fprintf(f,
@@ -297,10 +369,13 @@ int main(int argc, char** argv) {
                  "  \"ns_per_page_zero_copy\": %.1f,\n"
                  "  \"delta_encode_ns_per_page\": %.1f,\n"
                  "  \"compression_ratio\": %.4f,\n"
-                 "  \"shard_sweep\": [\n%s\n  ]\n"
+                 "  \"shard_sweep\": [\n%s\n  ],\n"
+                 "  \"store_walk_ns_per_page\": %.1f,\n"
+                 "  \"store_copy_ns_per_page\": %.1f\n"
                  "}\n",
                  static_cast<unsigned long long>(npages), zero_ns, delta_ns,
-                 ds.ratio(), sweep_json.c_str());
+                 ds.ratio(), sweep_json.c_str(), wc.walk_ns_per_page,
+                 wc.copy_ns_per_page);
     std::fclose(f);
     std::printf("\nwrote BENCH_page_pipeline.json\n");
   }

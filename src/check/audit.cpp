@@ -79,6 +79,9 @@ void ReplicaAudit::on_event(const trace::Event& e, const trace::Detail& d) {
       break;
     case Stage::kResilverAdopted:
       epoch_.resilver_adopted(e.arg);
+      NLC_CHECK_MSG(winner_ >= 0, "audit: re-silver before any promotion");
+      store_.resilvered(cluster_->backup(index_).page_store(),
+                        cluster_->backup(winner_).page_store());
       break;
     case Stage::kDrbdCommit:
       epoch_.drbd_applied(e.arg);
@@ -294,6 +297,7 @@ void InvariantAuditor::on_promoted(
         c.index, c.any_ack, c.acked_epoch, c.committed_nd_entries});
   }
   quorum_.promoted(winner, conv);
+  for (const auto& ra : replica_audits_) ra->promoted(winner);
 }
 
 void InvariantAuditor::sweep() {

@@ -12,8 +12,9 @@
 //     DRBD's buffered-write ordering inside the fold window;
 //   * COW payload freeze: page payloads captured by a checkpoint never
 //     change bytes while any pipeline stage still references them;
-//   * page-store/image equivalence after every fold, and restored-memory/
-//     store equivalence after failover;
+//   * page-store/image equivalence after every fold, restored-memory/
+//     store equivalence after failover, and survivor/winner store
+//     equivalence after every re-silver;
 //   * delta-codec shadow replay (wire-size stamps + byte-exact decode);
 //   * the stream ordering rules (trace_oracle.hpp), over exactly the
 //     emissions the flight recorder keeps.
@@ -55,6 +56,10 @@ class ReplicaAudit final : public trace::Subscriber {
 
   void on_event(const trace::Event& e, const trace::Detail& d) override;
 
+  /// The arbiter promoted replica `winner` (its kPromote is on the main
+  /// stream): a later re-silver of this replica copies that one's store.
+  void promoted(int winner) { winner_ = winner; }
+
   std::uint64_t epoch_checks() const { return epoch_.checks(); }
   std::uint64_t store_checks() const { return store_.checks(); }
   std::uint64_t restore_checks() const { return restore_equiv_checks_; }
@@ -66,6 +71,7 @@ class ReplicaAudit final : public trace::Subscriber {
   EpochCommitChecker epoch_;
   StoreEquivalenceChecker store_;
   std::uint64_t restore_equiv_checks_ = 0;
+  int winner_ = -1;
 };
 
 class InvariantAuditor final : public trace::Subscriber {

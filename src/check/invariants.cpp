@@ -362,6 +362,27 @@ void StoreEquivalenceChecker::check(const criu::PageStore& store,
   }
 }
 
+void StoreEquivalenceChecker::resilvered(const criu::PageStore& survivor,
+                                         const criu::PageStore& winner) {
+  NLC_CHECK_MSG(survivor.page_count() == winner.page_count(),
+                "audit: re-silvered store holds a different page count than "
+                "the winner's");
+  const std::vector<const criu::PageRecord*> got = survivor.all_pages();
+  const std::vector<const criu::PageRecord*> want = winner.all_pages();
+  NLC_CHECK_MSG(got.size() == want.size(),
+                "audit: re-silvered store walks a different number of pages "
+                "than the winner's");
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const criu::PageRecord& a = *got[i];
+    const criu::PageRecord& b = *want[i];
+    NLC_CHECK_MSG(a.page == b.page && a.version == b.version &&
+                      a.wire_size == b.wire_size && a.content == b.content,
+                  "audit: re-silvered store diverged from the winner's "
+                  "(page, version, wire size or payload handle)");
+  }
+  ++checks_;
+}
+
 // ---------------------------------------------------------------------------
 // QuorumCommitChecker
 

@@ -202,10 +202,16 @@ class PayloadFreezeGuard {
 /// Primary-delta / backup-fold byte equivalence, store side: after the
 /// fold of an epoch, every shipped page record must be retrievable from
 /// the committed page store with the same version and byte-identical
-/// payload.
+/// payload. After a re-silver, the survivor's store must equal the
+/// promoted winner's record for record.
 class StoreEquivalenceChecker {
  public:
   void check(const criu::PageStore& store, const criu::CheckpointImage& img);
+  /// `survivor` was just re-silvered from `winner`: same page count, and
+  /// the same page, version, wire size and payload handle at every
+  /// position of the two ascending walks. Counts as one check.
+  void resilvered(const criu::PageStore& survivor,
+                  const criu::PageStore& winner);
   std::uint64_t checks() const { return checks_; }
 
  private:

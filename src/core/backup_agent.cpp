@@ -109,9 +109,9 @@ sim::task<> BackupAgent::state_loop() {
     std::uint64_t visits = 0;
     const std::uint64_t fold_t0 = util::wall_now_ns();
     if (radix_ != nullptr) {
-      // Sharded fold (DESIGN.md §10): same state and modeled visit total
-      // as the per-record loop, shard subtree by shard subtree (fanned out
-      // on the pool from criu::kFanOutMinPages records up).
+      // Batched fold (DESIGN.md §10): same state and modeled visit total
+      // as the per-record loop; from criu::kFanOutMinPages records up the
+      // pool folds leaf-owned buckets.
       visits = radix_->store_batch(msg.image.pages, &util::shard_pool());
     } else {
       for (const criu::PageRecord& pr : msg.image.pages) {
@@ -263,22 +263,11 @@ void BackupAgent::promote() {
 }
 
 void BackupAgent::adopt_resilver(const BackupAgent& src) {
-  // Rebuild the committed stores as copies of the winner's. Page payloads
-  // are shared handles, so this copies records, not page bytes; the bulk
+  // Install a copy of the winner's committed page store. Page payloads are
+  // shared handles, so the copy takes records, not page bytes; the bulk
   // transfer itself is metered by the arbiter on the replication link.
-  if (opts_.optimize_criu) {
-    auto radix =
-        std::make_unique<criu::RadixPageStore>(opts_.resolved_page_shards());
-    radix_ = radix.get();
-    pages_ = std::move(radix);
-  } else {
-    radix_ = nullptr;
-    pages_ = std::make_unique<criu::ListPageStore>();
-  }
-  pages_->begin_checkpoint(src.committed_epoch_);
-  for (const criu::PageRecord* pr : src.pages_->all_pages()) {
-    pages_->store(*pr);
-  }
+  pages_ = src.pages_->clone();
+  radix_ = dynamic_cast<criu::RadixPageStore*>(pages_.get());
   committed_fs_pages_ = src.committed_fs_pages_;
   committed_fs_inodes_ = src.committed_fs_inodes_;
   committed_epoch_ = src.committed_epoch_;

@@ -86,8 +86,11 @@ class BackupAgent {
   bool any_ack_sent() const { return any_ack_sent_; }
   std::uint64_t committed_nd_entries() const { return committed_nd_entries_; }
   /// Re-silvering (DESIGN.md §16): replace this survivor's committed
-  /// stores with copies of the promoted winner's (the transfer itself is
-  /// metered by the arbiter on the replication link).
+  /// stores with copies of the promoted winner's. The page store is
+  /// installed as one PageStore::clone() of the winner's, records sharing
+  /// their payload handles, instead of re-storing every page; the audit
+  /// checks the copy record for record at kResilverAdopted. The transfer
+  /// itself is metered by the arbiter on the replication link.
   void adopt_resilver(const BackupAgent& src);
   /// Arbiter bookkeeping recorded into this (winner) replica's recovery
   /// metrics.

@@ -8,19 +8,27 @@
 // cost constant. Both are implemented for the Table I ablation; store()
 // returns the number of node/directory visits so the backup agent can
 // charge simulated time per visit.
+//
+// Both stores are copyable through clone(): re-silvering a surviving
+// replica installs a copy of the promoted winner's store (DESIGN.md §16).
+// Records hold shared payload handles, so a copy takes records, never
+// page bytes.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <unordered_map>
+#include <vector>
 
 #include "criu/image.hpp"
 #include "criu/shard.hpp"
-#include "util/arena.hpp"
 #include "util/simd.hpp"
 #include "util/worker_pool.hpp"
 
@@ -44,8 +52,14 @@ class PageStore {
   /// Number of distinct pages held.
   virtual std::uint64_t page_count() const = 0;
 
-  /// All pages (restore walks this to materialize memory images).
+  /// All pages in ascending page order (restore walks this to materialize
+  /// memory images). The pointers stay valid until the store is destroyed
+  /// or the page is stored again.
   virtual std::vector<const PageRecord*> all_pages() const = 0;
+
+  /// An independent copy holding the same records (payload handles shared,
+  /// bytes not copied); storing into either leaves the other unchanged.
+  virtual std::unique_ptr<PageStore> clone() const = 0;
 };
 
 /// Stock CRIU: linked list of per-checkpoint directories.
@@ -89,6 +103,10 @@ class ListPageStore final : public PageStore {
     return n;
   }
 
+  std::unique_ptr<PageStore> clone() const override {
+    return std::make_unique<ListPageStore>(*this);
+  }
+
   std::vector<const PageRecord*> all_pages() const override {
     std::vector<const PageRecord*> out;
     for (const auto& d : dirs_) {
@@ -115,118 +133,107 @@ class ListPageStore final : public PageStore {
 };
 
 /// NiLiCon: four-level radix tree, 2^9 fan-out per level (like x86-64 page
-/// tables); constant 4 modeled visits per store.
+/// tables); constant kLevels modeled visits per store.
 ///
-/// The tree is a forest of independent subtrees, one per page-number shard
-/// (shard_of, DESIGN.md §10). store() and store_batch() only touch the
-/// owning shard's subtree and counters, so a large epoch fold fans out
-/// across the worker pool with no locks on the hot path. Modeled visit
-/// accounting stays the paper's constant kLevels per store for every
-/// shard count; internally each shard memoizes the leaf directory of the
-/// last stored page, so folding a dense sorted range resolves ~1 level per
-/// page instead of walking all 4.
+/// Layout (DESIGN.md §12). The leaves hold the committed PageRecords
+/// themselves: 512 record slots in page order plus a 512-bit occupancy
+/// mask. A slot's record is constructed by the first store to its page
+/// and only occupied slots are ever copied or destroyed, so a fresh leaf
+/// costs one 64-byte mask write, not 20 KiB of zeroing. Leaves are
+/// heap-allocated one by one and never move, so the pointers lookup() and
+/// all_pages() hand out stay valid across later stores to other pages.
+/// The two interior levels are u32 child tables of 512 entries in one
+/// vector; the level above them is keyed by the page number's remaining
+/// high bits, kept sorted, so every 64-bit page number has its own slot
+/// and all_pages() is one in-order walk.
 ///
-/// Memory layout (DESIGN.md §12): nodes are 4-byte headers in one dense
-/// per-shard vector; each node's 512 child/leaf slots are 32-bit indices in
-/// one contiguous per-shard slot table (arena-backed), and the PageRecords
-/// themselves live in a per-shard arena-backed deque — stable addresses for
-/// lookup()/all_pages(), no per-page heap allocation anywhere, and a fold
-/// or walk touches a handful of dense arrays instead of chasing 8 KiB
-/// heap-scattered nodes.
+/// The fold memoizes the leaf of the last stored page, so folding a
+/// dense sorted range resolves ~1 level per page instead of walking all
+/// 4. Modeled visit accounting stays the paper's constant kLevels per
+/// store whatever the fold resolves.
+///
+/// Fan-out (DESIGN.md §10): a leaf belongs to bucket shard_of(leaf number,
+/// shards()), where the leaf number is its page number >> 9. A batch of
+/// kFanOutMinPages records or more, with a pool, has every record's leaf
+/// resolved (and created) on the calling thread first; the pool's tasks
+/// then fold one bucket each, touching only that bucket's leaves.
 class RadixPageStore final : public PageStore {
  public:
   explicit RadixPageStore(int shards = 1)
-      : shards_(static_cast<std::size_t>(shards < 1 ? 1 : shards)) {
-    for (Shard& sh : shards_) sh.root = new_node(sh);
-  }
+      : buckets_(static_cast<std::size_t>(shards < 1 ? 1 : shards)) {}
 
-  int shards() const { return static_cast<int>(shards_.size()); }
+  RadixPageStore(const RadixPageStore& other)
+      : buckets_(other.buckets_), tops_(other.tops_), tables_(other.tables_),
+        count_(other.count_) {
+    leaves_.reserve(other.leaves_.size());
+    for (const std::unique_ptr<Leaf>& leaf : other.leaves_) {
+      leaves_.push_back(std::make_unique<Leaf>(*leaf));
+    }
+  }
+  RadixPageStore& operator=(const RadixPageStore&) = delete;
+
+  /// Fan-out bucket count (the NLC_SHARDS partition).
+  int shards() const { return static_cast<int>(buckets_); }
 
   void begin_checkpoint(std::uint64_t /*epoch*/) override {}
 
   std::uint64_t store(const PageRecord& rec) override {
-    return store_into(shards_[shard_of(rec.page, shards())], rec);
+    count_ += put(leaf_for(rec.page), rec);
+    return kLevels;
   }
 
-  /// Folds one epoch's records, fanning the per-shard work out on `pool`
-  /// for a batch of kFanOutMinPages records or more (null or a smaller
-  /// batch = inline shard loop). Produces exactly the state and modeled
+  /// Folds one epoch's records. A batch of kFanOutMinPages records or more
+  /// fans out on `pool` by leaf bucket; a smaller one (or a null pool)
+  /// folds inline in image order. Produces exactly the state and modeled
   /// visit total that store()ing every record in image order would.
   std::uint64_t store_batch(const std::vector<PageRecord>& recs,
                             util::WorkerPool* pool) {
-    // A fold of zero or one record skips the shard plan and the pool
-    // dispatch; the backup commits many such epochs.
-    if (recs.size() < 2) {
-      std::uint64_t visits = 0;
-      for (const PageRecord& r : recs) visits += store(r);
-      return visits;
-    }
-    ShardPlan plan = ShardPlan::build(recs, shards());
-    auto fold_one = [&](std::size_t s) {
-      Shard& sh = shards_[s];
-      const std::vector<std::uint32_t>& bucket = plan.buckets[s];
-      for (std::size_t k = 0; k < bucket.size(); ++k) {
-        // The bucket is a contiguous index list, so the walk itself is a
-        // linear scan; pull the next record (and its payload handle) while
-        // this one folds.
-        if (k + 1 < bucket.size()) {
-          util::prefetch_read(&recs[bucket[k + 1]]);
-        }
-        store_into(sh, recs[bucket[k]]);
-      }
-    };
     pool = fan_out_pool(pool, recs.size());
     if (pool != nullptr) {
-      pool->run(shards_.size(), fold_one);
-    } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) fold_one(s);
+      fold_fanned_out(recs, *pool);
+      return kLevels * recs.size();
+    }
+    for (std::size_t k = 0; k < recs.size(); ++k) {
+      // Records arrive page-sorted, so a record a few ahead usually lands
+      // in the memoized leaf: pull its slot in while this one folds.
+      if (k + kPrefetchAhead < recs.size()) {
+        const kern::PageNum ahead = recs[k + kPrefetchAhead].page;
+        if ((ahead >> kBits) == last_prefix_) {
+          util::prefetch_read(last_leaf_->place(index_at(ahead, 0)));
+        }
+      }
+      store(recs[k]);
     }
     return kLevels * recs.size();
   }
 
   const PageRecord* lookup(kern::PageNum page) const override {
-    const Shard& sh = shards_[shard_of(page, shards())];
-    std::uint32_t node = sh.root;
-    for (int level = 3; level >= 1; --level) {
-      node = sh.slot(sh.nodes[node].table, index_at(page, level));
-      if (node == kNil) return nullptr;
-    }
-    const std::uint32_t rec = sh.slot(sh.nodes[node].table, index_at(page, 0));
-    return rec == kNil ? nullptr : &sh.records[rec];
+    const Leaf* leaf = find_leaf(page);
+    return leaf == nullptr ? nullptr : leaf->find(index_at(page, 0));
   }
 
-  std::uint64_t page_count() const override {
-    std::uint64_t n = 0;
-    for (const Shard& sh : shards_) n += sh.count;
-    return n;
-  }
+  std::uint64_t page_count() const override { return count_; }
 
   std::vector<const PageRecord*> all_pages() const override {
-    // Deterministic merge: each shard's walk is ascending by page number;
-    // a k-way merge yields one globally ascending order for any shard
-    // count.
-    std::vector<std::vector<const PageRecord*>> per(shards_.size());
-    std::size_t total = 0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      per[s].reserve(shards_[s].count);
-      collect(shards_[s], shards_[s].root, 3, per[s]);
-      total += per[s].size();
-    }
     std::vector<const PageRecord*> out;
-    out.reserve(total);
-    std::vector<std::size_t> cur(per.size(), 0);
-    while (out.size() < total) {
-      std::size_t best = per.size();
-      for (std::size_t s = 0; s < per.size(); ++s) {
-        if (cur[s] == per[s].size()) continue;
-        if (best == per.size() ||
-            per[s][cur[s]]->page < per[best][cur[best]]->page) {
-          best = s;
+    out.reserve(count_);
+    for (const Top& top : tops_) {
+      for (std::size_t i2 = 0; i2 < kFanout; ++i2) {
+        const std::uint32_t mid = tables_[slot_at(top.table, i2)];
+        if (mid == kNil) continue;
+        for (std::size_t i1 = 0; i1 < kFanout; ++i1) {
+          const std::uint32_t l = tables_[slot_at(mid, i1)];
+          if (l == kNil) continue;
+          const Leaf& leaf = *leaves_[l];
+          leaf.for_each([&](std::size_t i) { out.push_back(leaf.slot(i)); });
         }
       }
-      out.push_back(per[best][cur[best]++]);
     }
     return out;
+  }
+
+  std::unique_ptr<PageStore> clone() const override {
+    return std::make_unique<RadixPageStore>(*this);
   }
 
   static constexpr std::uint64_t kLevels = 4;
@@ -235,105 +242,188 @@ class RadixPageStore final : public PageStore {
   static constexpr std::uint64_t kBits = 9;
   static constexpr std::size_t kFanout = 1u << kBits;
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  /// Records the inline fold looks ahead to prefetch a destination slot.
+  static constexpr std::size_t kPrefetchAhead = 4;
 
-  /// Node header. The 512 child (interior) or record (leaf) slots are u32
-  /// indices at offset table * kFanout of the owning shard's slot array —
-  /// half the footprint of 64-bit pointers, and dense. The header itself
-  /// must stay within one cache line (ISSUE 6 satellite).
-  struct Node {
-    std::uint32_t table = kNil;
-  };
-  static_assert(sizeof(Node) <= 64, "radix node header must fit a cache line");
+  /// 512 committed records of consecutive pages, in page order.
+  struct Leaf {
+    /// Bit i set iff slot i holds a live record.
+    std::array<std::uint64_t, kFanout / 64> used{};
+    /// Raw storage: a record is constructed by the first store to its
+    /// page and destroyed with the leaf.
+    alignas(PageRecord) std::byte raw[kFanout * sizeof(PageRecord)];
 
-  struct Shard {
-    /// Dense node headers; element 0..root created at construction.
-    std::vector<Node, util::ArenaAllocator<Node>> nodes;
-    /// All slot tables, kFanout entries per node, arena-backed.
-    std::vector<std::uint32_t, util::ArenaAllocator<std::uint32_t>> slots;
-    /// Committed records; deque keeps addresses stable across growth while
-    /// drawing its blocks from the arena.
-    std::deque<PageRecord, util::ArenaAllocator<PageRecord>> records;
-    std::uint32_t root = kNil;
-    std::uint64_t count = 0;
-    /// Fold fast path: leaf directory of the last stored page and its
-    /// page-number prefix (node indices never move, so the memo stays
-    /// valid for the store's lifetime).
-    std::uint32_t last_leaf = kNil;
-    kern::PageNum last_prefix = ~0ull;
-
-    std::uint32_t slot(std::uint32_t table, std::size_t idx) const {
-      return slots[static_cast<std::size_t>(table) * kFanout + idx];
+    // User-provided, so even a value-initializing allocation leaves the
+    // slots raw instead of zeroing 20 KiB per leaf.
+    Leaf() noexcept {}
+    Leaf(const Leaf& other) noexcept : used(other.used) {
+      for_each([&](std::size_t i) {
+        std::construct_at(place(i), *other.slot(i));
+      });
     }
-    void set_slot(std::uint32_t table, std::size_t idx, std::uint32_t v) {
-      slots[static_cast<std::size_t>(table) * kFanout + idx] = v;
+    Leaf& operator=(const Leaf&) = delete;
+    ~Leaf() {
+      for_each([&](std::size_t i) { std::destroy_at(slot(i)); });
     }
-  };
 
-  /// Appends a node with a fresh all-nil slot table; returns its index.
-  static std::uint32_t new_node(Shard& sh) {
-    const auto table =
-        static_cast<std::uint32_t>(sh.slots.size() / kFanout);
-    sh.slots.resize(sh.slots.size() + kFanout, kNil);
-    sh.nodes.push_back(Node{table});
-    return static_cast<std::uint32_t>(sh.nodes.size() - 1);
-  }
-
-  std::uint64_t store_into(Shard& sh, const PageRecord& rec) {
-    const kern::PageNum prefix = rec.page >> kBits;
-    std::uint32_t leaf;
-    if (sh.last_leaf != kNil && prefix == sh.last_prefix) {
-      leaf = sh.last_leaf;
-    } else {
-      std::uint32_t node = sh.root;
-      for (int level = 3; level >= 1; --level) {
-        const std::size_t idx = index_at(rec.page, level);
-        std::uint32_t child = sh.slot(sh.nodes[node].table, idx);
-        if (child == kNil) {
-          child = new_node(sh);
-          sh.set_slot(sh.nodes[node].table, idx, child);
+    bool occupied(std::size_t i) const {
+      return ((used[i / 64] >> (i % 64)) & 1u) != 0;
+    }
+    PageRecord* place(std::size_t i) {
+      return reinterpret_cast<PageRecord*>(raw + i * sizeof(PageRecord));
+    }
+    PageRecord* slot(std::size_t i) { return std::launder(place(i)); }
+    const PageRecord* slot(std::size_t i) const {
+      return std::launder(reinterpret_cast<const PageRecord*>(
+          raw + i * sizeof(PageRecord)));
+    }
+    const PageRecord* find(std::size_t i) const {
+      return occupied(i) ? slot(i) : nullptr;
+    }
+    /// f(i) for every occupied slot, ascending.
+    template <typename F>
+    void for_each(F&& f) const {
+      for (std::size_t w = 0; w < used.size(); ++w) {
+        for (std::uint64_t m = used[w]; m != 0; m &= m - 1) {
+          f(w * 64 + static_cast<std::size_t>(std::countr_zero(m)));
         }
-        node = child;
       }
-      leaf = node;
-      sh.last_leaf = leaf;
-      sh.last_prefix = prefix;
     }
-    const std::size_t idx = index_at(rec.page, 0);
-    const std::uint32_t slot = sh.slot(sh.nodes[leaf].table, idx);
-    if (slot == kNil) {
-      sh.set_slot(sh.nodes[leaf].table, idx,
-                  static_cast<std::uint32_t>(sh.records.size()));
-      sh.records.push_back(rec);
-      ++sh.count;
-    } else {
-      sh.records[slot] = rec;
-    }
-    // The paper's cost model charges the full level walk per store; the
-    // memoized walk is a wall-clock optimization, not a model change.
-    return kLevels;
-  }
+  };
+  static_assert(std::is_nothrow_copy_constructible_v<PageRecord>,
+                "Leaf's copy constructs records one by one and cannot unwind");
+
+  /// One level-3 entry: the page numbers sharing `key` = page >> 27 hang
+  /// off level-2 table `table`.
+  struct Top {
+    kern::PageNum key;
+    std::uint32_t table;
+  };
 
   static std::size_t index_at(kern::PageNum page, int level) {
     return static_cast<std::size_t>((page >> (kBits * level)) & (kFanout - 1));
   }
-
-  static void collect(const Shard& sh, std::uint32_t node, int level,
-                      std::vector<const PageRecord*>& out) {
-    const std::uint32_t table = sh.nodes[node].table;
-    if (level == 0) {
-      for (std::size_t i = 0; i < kFanout; ++i) {
-        const std::uint32_t rec = sh.slot(table, i);
-        if (rec != kNil) out.push_back(&sh.records[rec]);
-      }
-      return;
-    }
-    for (std::size_t i = 0; i < kFanout; ++i) {
-      const std::uint32_t child = sh.slot(table, i);
-      if (child != kNil) collect(sh, child, level - 1, out);
-    }
+  static std::size_t slot_at(std::uint32_t table, std::size_t idx) {
+    return static_cast<std::size_t>(table) * kFanout + idx;
   }
 
-  std::vector<Shard> shards_;
+  /// Stores `rec` into its slot of `leaf`; returns 1 iff the page is new.
+  static std::uint64_t put(Leaf& leaf, const PageRecord& rec) {
+    const std::size_t i = index_at(rec.page, 0);
+    std::uint64_t& word = leaf.used[i / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if ((word & bit) != 0) {
+      *leaf.slot(i) = rec;
+      return 0;
+    }
+    std::construct_at(leaf.place(i), rec);
+    word |= bit;
+    return 1;
+  }
+
+  /// Appends an all-nil interior table; returns its number.
+  std::uint32_t new_table() {
+    const auto t = static_cast<std::uint32_t>(tables_.size() / kFanout);
+    tables_.resize(tables_.size() + kFanout, kNil);
+    return t;
+  }
+
+  static kern::PageNum top_key(kern::PageNum page) {
+    return page >> (3 * kBits);
+  }
+  /// The first level-3 entry whose key is not below `key`.
+  std::vector<Top>::const_iterator top_pos(kern::PageNum key) const {
+    return std::lower_bound(
+        tops_.begin(), tops_.end(), key,
+        [](const Top& t, kern::PageNum k) { return t.key < k; });
+  }
+
+  const Leaf* find_leaf(kern::PageNum page) const {
+    const kern::PageNum key = top_key(page);
+    const auto it = top_pos(key);
+    if (it == tops_.end() || it->key != key) return nullptr;
+    const std::uint32_t mid = it->table;
+    const std::uint32_t low = tables_[slot_at(mid, index_at(page, 2))];
+    if (low == kNil) return nullptr;
+    const std::uint32_t l = tables_[slot_at(low, index_at(page, 1))];
+    return l == kNil ? nullptr : leaves_[l].get();
+  }
+
+  /// The leaf of `page`, created with its path if absent. Memoized on the
+  /// last page's leaf; leaves never move, so the memo never dangles.
+  Leaf& leaf_for(kern::PageNum page) {
+    const kern::PageNum prefix = page >> kBits;
+    if (prefix == last_prefix_) return *last_leaf_;
+    const kern::PageNum key = top_key(page);
+    auto it = top_pos(key);
+    if (it == tops_.end() || it->key != key) {
+      it = tops_.insert(it, Top{key, new_table()});
+    }
+    // Indices, not references: new_table() may grow tables_.
+    const std::size_t at2 = slot_at(it->table, index_at(page, 2));
+    if (tables_[at2] == kNil) {
+      const std::uint32_t t = new_table();
+      tables_[at2] = t;
+    }
+    const std::size_t at1 = slot_at(tables_[at2], index_at(page, 1));
+    if (tables_[at1] == kNil) {
+      tables_[at1] = static_cast<std::uint32_t>(leaves_.size());
+      leaves_.push_back(std::make_unique<Leaf>());
+    }
+    last_leaf_ = leaves_[tables_[at1]].get();
+    last_prefix_ = prefix;
+    return *last_leaf_;
+  }
+
+  /// A maximal run of consecutive image records sharing one leaf.
+  struct Run {
+    Leaf* leaf;
+    std::size_t bucket;
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+
+  void fold_fanned_out(const std::vector<PageRecord>& recs,
+                       util::WorkerPool& pool) {
+    // Resolve every leaf on this thread: the tasks below then only write
+    // slots and masks of leaves in their own bucket.
+    std::vector<Run> runs;
+    kern::PageNum run_prefix = 0;
+    for (std::uint32_t k = 0; k < recs.size(); ++k) {
+      const kern::PageNum prefix = recs[k].page >> kBits;
+      if (runs.empty() || prefix != run_prefix) {
+        runs.push_back(Run{&leaf_for(recs[k].page),
+                           shard_of(prefix, shards()), k, k});
+        run_prefix = prefix;
+      }
+      runs.back().end = k + 1;
+    }
+    std::vector<std::uint64_t> fresh(buckets_, 0);
+    pool.run(buckets_, [&](std::size_t b) {
+      std::uint64_t added = 0;
+      for (const Run& r : runs) {
+        if (r.bucket != b) continue;
+        for (std::uint32_t k = r.begin; k < r.end; ++k) {
+          added += put(*r.leaf, recs[k]);
+        }
+      }
+      fresh[b] = added;
+    });
+    for (std::uint64_t added : fresh) count_ += added;
+  }
+
+  std::size_t buckets_;
+  /// Level 3, sorted by key.
+  std::vector<Top> tops_;
+  /// Levels 2 and 1: kFanout entries per table. A level-2 entry names a
+  /// level-1 table, a level-1 entry a leaf in leaves_; kNil if absent.
+  std::vector<std::uint32_t> tables_;
+  std::vector<std::unique_ptr<Leaf>> leaves_;
+  std::uint64_t count_ = 0;
+  /// Fold memo: the leaf of the last stored page and its page >> 9. A copy
+  /// starts without one.
+  Leaf* last_leaf_ = nullptr;
+  kern::PageNum last_prefix_ = ~kern::PageNum{0};
 };
 
 }  // namespace nlc::criu

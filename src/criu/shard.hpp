@@ -5,14 +5,18 @@
 // shards. The count sets the partition; whether a stage hands its shards
 // to the shared util::WorkerPool is a separate rule, fan_out_pool():
 // a batch of kFanOutMinPages pages or more fans out, a smaller one runs
-// its shards in order on the calling thread. Two partition schemes are
-// used, both deterministic:
+// in order on the calling thread. Three partition schemes are used, all
+// deterministic:
 //
-//  * by page number (shard_of): low-bit interleave, so a dense working set
-//    spreads evenly. Used by the stages that keep per-page state across
-//    epochs (delta reference maps, radix subtrees) — a page's shard is a
-//    permanent home, which is what makes the per-shard structures
-//    lock-free on the hot path.
+//  * by page number (shard_of(page)): low-bit interleave, so a dense
+//    working set spreads evenly. Used by the delta codec, which keeps
+//    per-page reference maps across epochs — a page's shard is a
+//    permanent home, which is what makes the per-shard maps lock-free on
+//    the hot path.
+//  * by radix leaf (shard_of(page >> 9)): the backup's RadixPageStore is
+//    one tree whose leaves hold 512 pages' records; a fanned-out fold
+//    resolves every leaf on the caller first, then each shard writes only
+//    the leaves it owns.
 //  * by contiguous index range (chunk bounds inside the stage): used by
 //    the harvest fill, which streams over an already-ordered record
 //    vector, so the chunks write disjoint slots of the same image.

@@ -21,10 +21,9 @@
 //    few slabs instead of pointer-chasing the heap.
 //
 // `ArenaAllocator<T>` adapts the arena to standard containers; PageBytes
-// (kernel/address_space.hpp) and the RadixPageStore's tables/records ride
-// it. `arena_make_shared<T>()` is the mandated factory for refcounted
-// payloads (control block and object land in one arena block; lint bans
-// make_shared<PageBytes> elsewhere). COW semantics are untouched: the
+// (kernel/address_space.hpp) rides it. `arena_make_shared<T>()` is the
+// mandated factory for refcounted payloads (control block and object land
+// in one arena block; lint bans make_shared<PageBytes> elsewhere). COW semantics are untouched: the
 // shared_ptr refcount machinery is exactly std::allocate_shared's.
 #pragma once
 

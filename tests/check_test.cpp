@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "apps/catalog.hpp"
 #include "apps/server_app.hpp"
@@ -324,6 +325,63 @@ TEST(StoreEquivalenceTest, RejectsDivergedBytes) {
   img.pages.push_back(content_record(100, 3, std::byte{0xAB}));
   StoreEquivalenceChecker checker;
   EXPECT_THROW(checker.check(store, img), InvariantError);
+}
+
+// StoreEquivalenceChecker::resilvered: a survivor's copy of the promoted
+// winner's store must match it record for record.
+
+void fill_winner(criu::PageStore& store) {
+  store.begin_checkpoint(0);
+  for (kern::PageNum p = 510; p < 515; ++p) {
+    store.store(content_record(p, p, std::byte{0x5A}));
+  }
+}
+
+/// `fn` must throw an InvariantError whose message names the re-silver.
+template <typename F>
+void expect_resilver_violation(F&& fn) {
+  try {
+    fn();
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("re-silver"), std::string::npos)
+        << e.what();
+    return;
+  }
+  ADD_FAILURE() << "the checker accepted a diverged re-silver";
+}
+
+TEST(StoreEquivalenceTest, ResilveredCopyPasses) {
+  criu::RadixPageStore radix(4);
+  criu::ListPageStore list;
+  StoreEquivalenceChecker checker;
+  for (criu::PageStore* winner : {static_cast<criu::PageStore*>(&radix),
+                                  static_cast<criu::PageStore*>(&list)}) {
+    fill_winner(*winner);
+    checker.resilvered(*winner->clone(), *winner);
+  }
+  EXPECT_EQ(checker.checks(), 2u);
+}
+
+TEST(StoreEquivalenceTest, ResilverRejectsCopyMissingAPage) {
+  criu::RadixPageStore winner;
+  fill_winner(winner);
+  criu::RadixPageStore survivor;
+  for (const criu::PageRecord* r : winner.all_pages()) {
+    if (r->page != 512) survivor.store(*r);
+  }
+  StoreEquivalenceChecker checker;
+  expect_resilver_violation([&] { checker.resilvered(survivor, winner); });
+}
+
+TEST(StoreEquivalenceTest, ResilverRejectsChangedVersion) {
+  criu::RadixPageStore winner;
+  fill_winner(winner);
+  std::unique_ptr<criu::PageStore> survivor = winner.clone();
+  criu::PageRecord changed = *survivor->lookup(512);
+  ++changed.version;
+  survivor->store(changed);
+  StoreEquivalenceChecker checker;
+  expect_resilver_violation([&] { checker.resilvered(*survivor, winner); });
 }
 
 // ---------------------------------------------------------------------------

@@ -3,11 +3,20 @@
 // across seeds, epoch lengths, fault times and optimization configurations.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "apps/catalog.hpp"
 #include "criu/delta.hpp"
 #include "criu/pagestore.hpp"
 #include "harness/experiment.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
+#include "util/worker_pool.hpp"
 
 namespace nlc {
 namespace {
@@ -165,6 +174,186 @@ TEST_P(PageStoreEquivalence, RandomOperationSequences) {
 
 INSTANTIATE_TEST_SUITE_P(Sequences, PageStoreEquivalence,
                          ::testing::Range(0, 6));
+
+// ---- Invariant: the radix store matches a reference map after every
+// ---- store() and store_batch(), inline and fanned out, and its copies
+// ---- are independent of their source.
+
+/// Pages of three processes (kernel page bases pid << 24) whose bases sit
+/// under different level-3 and level-2 subtrees: offsets on leaf edges,
+/// across a level-2 edge, and scattered over sparse leaves.
+kern::PageNum random_page(Rng& rng) {
+  static constexpr kern::PageNum kPids[] = {1, 300, 70000};
+  static constexpr kern::PageNum kEdges[] = {
+      0, 1, 511, 512, 513, 1023, 1024, 1535, (1u << 18) - 1, 1u << 18,
+      (1u << 18) + 1};
+  const kern::PageNum base = kPids[rng.uniform(0, 2)] << 24;
+  if (rng.chance(0.5)) {
+    const auto last = static_cast<std::int64_t>(std::size(kEdges)) - 1;
+    return base + kEdges[rng.uniform(0, last)];
+  }
+  return base + static_cast<kern::PageNum>(rng.uniform(0, (1 << 20) - 1));
+}
+
+class RadixStoreModel : public ::testing::TestWithParam<int> {
+ protected:
+  using Model = std::map<kern::PageNum, criu::PageRecord>;
+
+  criu::PageRecord make(kern::PageNum page) {
+    criu::PageRecord r;
+    r.page = page;
+    r.version = ++version_;
+    r.wire_size = static_cast<std::uint32_t>(version_ % 4096);
+    // Distinct handles, so a record pointing at the wrong payload shows.
+    if (version_ % 3 != 0) {
+      r.content = util::arena_make_shared<kern::PageBytes>(
+          1, static_cast<std::byte>(version_));
+    }
+    return r;
+  }
+
+  /// A page-sorted image of `n` distinct pages, with one page repeated
+  /// (next to its first copy or at the end, out of order) if asked.
+  std::vector<criu::PageRecord> image(Rng& rng, std::size_t n,
+                                      bool repeat) {
+    std::set<kern::PageNum> pages;
+    if (n >= criu::kFanOutMinPages) {
+      // A dense run over dozens of leaves, plus a scattered tail.
+      const kern::PageNum start =
+          (kern::PageNum{300} << 24) +
+          static_cast<kern::PageNum>(rng.uniform(0, 1500));
+      for (kern::PageNum p = start; pages.size() < n - 200; ++p) {
+        pages.insert(p);
+      }
+    }
+    while (pages.size() < n) pages.insert(random_page(rng));
+    std::vector<criu::PageRecord> img;
+    for (kern::PageNum p : pages) img.push_back(make(p));
+    if (repeat) {
+      const std::size_t at = static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(img.size()) - 1));
+      criu::PageRecord again = make(img[at].page);
+      if (rng.chance(0.5)) {
+        img.insert(img.begin() + static_cast<std::ptrdiff_t>(at) + 1, again);
+      } else {
+        img.push_back(again);
+      }
+    }
+    return img;
+  }
+
+  static void expect_same(const criu::RadixPageStore& store,
+                          const Model& model, Rng& rng,
+                          const std::string& where) {
+    ASSERT_EQ(store.page_count(), model.size()) << where;
+    const std::vector<const criu::PageRecord*> walk = store.all_pages();
+    ASSERT_EQ(walk.size(), model.size()) << where;
+    auto it = model.begin();
+    for (std::size_t i = 0; i < walk.size(); ++i, ++it) {
+      const criu::PageRecord& got = *walk[i];
+      ASSERT_EQ(got.page, it->first) << where << ", walk position " << i;
+      ASSERT_EQ(got.version, it->second.version) << where;
+      ASSERT_EQ(got.wire_size, it->second.wire_size) << where;
+      ASSERT_EQ(got.content.get(), it->second.content.get()) << where;
+      ASSERT_EQ(store.lookup(it->first), walk[i]) << where;
+    }
+    // Absent pages, including the images of the present ones 2^36 pages
+    // up and down (a tree that dropped the high bits would alias them).
+    for (int k = 0; k < 64; ++k) {
+      kern::PageNum p = random_page(rng);
+      if (k % 4 == 1) p += kern::PageNum{1} << 36;
+      if (k % 4 == 2 && p >= (kern::PageNum{1} << 36)) {
+        p -= kern::PageNum{1} << 36;
+      }
+      if (model.contains(p)) continue;
+      ASSERT_EQ(store.lookup(p), nullptr) << where << ", page " << p;
+    }
+  }
+
+  std::uint64_t version_ = 0;
+};
+
+TEST_P(RadixStoreModel, MatchesReferenceMapAndCopiesAreIndependent) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 5);
+  const int shards = 1 + GetParam() % 4;
+  criu::RadixPageStore store(shards);
+  util::WorkerPool pool(3);
+  Model model;
+  std::uint64_t visits = 0;
+  std::uint64_t records = 0;
+
+  // A page in a leaf no step touches: its record must stay put while the
+  // tree grows around it.
+  const kern::PageNum pinned_page = (kern::PageNum{1} << 24) + (3u << 20);
+  const criu::PageRecord pinned_rec = make(pinned_page);
+  visits += store.store(pinned_rec);
+  ++records;
+  model[pinned_page] = pinned_rec;
+  const criu::PageRecord* pinned = store.lookup(pinned_page);
+  ASSERT_NE(pinned, nullptr);
+
+  for (int step = 0; step < 24; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const int kind = step == 5 || step == 17 ? 3
+                                             : static_cast<int>(
+                                                   rng.uniform(0, 2));
+    if (kind == 0) {
+      // Single stores.
+      for (int i = 0; i < 20; ++i) {
+        criu::PageRecord r = make(random_page(rng));
+        visits += store.store(r);
+        ++records;
+        model[r.page] = r;
+      }
+    } else {
+      // kind 1: inline batch without a pool; kind 2: inline batch below
+      // the gate with a pool; kind 3: fanned-out batch at the gate.
+      const std::size_t n =
+          kind == 3 ? criu::kFanOutMinPages + 64
+                    : static_cast<std::size_t>(rng.uniform(1, 900));
+      std::vector<criu::PageRecord> img = image(rng, n, rng.chance(0.7));
+      const std::uint64_t fan_outs = pool.fan_outs();
+      const std::uint64_t v =
+          store.store_batch(img, kind == 1 ? nullptr : &pool);
+      EXPECT_EQ(v, criu::RadixPageStore::kLevels * img.size()) << where;
+      EXPECT_EQ(pool.fan_outs() - fan_outs,
+                kind == 3 && shards > 1 ? 1u : 0u)
+          << where;
+      visits += v;
+      records += img.size();
+      for (const criu::PageRecord& r : img) model[r.page] = r;
+    }
+    ASSERT_EQ(visits, criu::RadixPageStore::kLevels * records) << where;
+    ASSERT_NO_FATAL_FAILURE(expect_same(store, model, rng, where));
+    ASSERT_EQ(store.lookup(pinned_page), pinned) << where;
+    ASSERT_EQ(pinned->version, pinned_rec.version) << where;
+
+    if (step % 6 == 5) {
+      // The copy walks the same records as separate objects; storing into
+      // it (a new page and an overwrite) leaves the source as it was.
+      std::unique_ptr<criu::PageStore> copy = store.clone();
+      const std::vector<const criu::PageRecord*> a = store.all_pages();
+      const std::vector<const criu::PageRecord*> b = copy->all_pages();
+      ASSERT_EQ(a.size(), b.size()) << where;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_NE(a[i], b[i]) << where;
+        ASSERT_EQ(a[i]->page, b[i]->page) << where;
+        ASSERT_EQ(a[i]->version, b[i]->version) << where;
+        ASSERT_EQ(a[i]->wire_size, b[i]->wire_size) << where;
+        ASSERT_EQ(a[i]->content, b[i]->content) << where;
+      }
+      copy->store(make(pinned_page));
+      copy->store(make(model.rbegin()->first + 1));
+      copy->store(make(a[a.size() / 2]->page));
+      EXPECT_EQ(copy->page_count(), store.page_count() + 1) << where;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same(store, model, rng, where + ", after a copy's stores"));
+      ASSERT_EQ(pinned->version, pinned_rec.version) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RadixStoreModel, ::testing::Range(0, 6));
 
 // ---- Invariant: determinism — identical configs yield identical runs.
 
