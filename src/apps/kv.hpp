@@ -2,19 +2,18 @@
 // the validation clients.
 //
 // A request payload is a sequence of operations; values are generated
-// deterministically from a seed so the client can verify a GET response
-// against what it previously SET without storing the bytes itself. One key
+// deterministically from a seed, so the server checks a stored value
+// against its seed in place and the client checks a GET's echoed seed
+// against the one it last SET, without either storing the bytes. One key
 // maps to one page in the app's KV region, so SET/GET traffic exercises
 // the real content-page checkpoint path.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -30,7 +29,9 @@ struct KvOp {
   std::uint64_t seed = 0;   // value generator seed (kSet)
   std::uint16_t len = 0;    // value length (kSet), or result length (reply)
   bool found = false;       // reply: key existed
-  std::uint64_t reply_seed = 0;  // reply to kGet: stored seed echoed back
+  /// Reply to a found kGet: the stored seed when the stored value bytes are
+  /// the ones that seed generates, its complement when they are not.
+  std::uint64_t reply_seed = 0;
 };
 
 inline constexpr std::size_t kKvOpWireSize = 24;
@@ -67,8 +68,32 @@ inline std::vector<std::byte> kv_value_bytes(std::uint64_t seed,
   return out;
 }
 
-/// FNV-1a over a byte range; used to verify that GET responses reflect
-/// bytes that really round-tripped through checkpoint/restore.
+/// True when bytes[0, len) equal what kv_fill_value(seed, out, len)
+/// writes. Its reading twin: one splitmix64 word per 8 bytes compared in
+/// place, then the tail.
+inline bool kv_value_matches(std::uint64_t seed, const std::byte* bytes,
+                             std::size_t len) {
+  std::uint64_t diff = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    // One 8-byte load per word, least significant byte first.
+    std::uint64_t stored;
+    std::memcpy(&stored, bytes + i, 8);
+    if constexpr (std::endian::native == std::endian::big) {
+      stored = __builtin_bswap64(stored);
+    }
+    diff |= stored ^ splitmix64(seed + i / 8);
+  }
+  const std::uint64_t tail = splitmix64(seed + i / 8);
+  for (std::size_t b = 0; i + b < len; ++b) {
+    diff |= static_cast<std::uint64_t>(bytes[i + b]) ^
+            ((tail >> (b * 8)) & 0xFF);
+  }
+  return diff == 0;
+}
+
+/// FNV-1a over a byte range; the replay log fingerprints each request
+/// payload it consumes with it (DESIGN.md §14).
 inline std::uint64_t kv_content_hash(const std::byte* data,
                                      std::size_t len) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -77,47 +102,6 @@ inline std::uint64_t kv_content_hash(const std::byte* data,
     h *= 0x100000001b3ull;
   }
   return h;
-}
-
-/// Most byte ranges kv_content_hash_lanes hashes in one call.
-inline constexpr std::size_t kKvHashLanes = 4;
-
-/// kv_content_hash over up to kKvHashLanes independent byte ranges:
-/// out[l] == kv_content_hash(ranges[l].data(), ranges[l].size()). One
-/// FNV-1a chain waits on its multiply every byte; advancing the chains
-/// together over their common length keeps one multiply per lane in
-/// flight, and each tail then finishes alone.
-inline void kv_content_hash_lanes(
-    std::span<const std::span<const std::byte>> ranges,
-    std::span<std::uint64_t> out) {
-  constexpr std::uint64_t kBasis = 0xcbf29ce484222325ull;
-  constexpr std::uint64_t kPrime = 0x100000001b3ull;
-  const std::size_t n = ranges.size();
-  NLC_CHECK(n <= kKvHashLanes && out.size() == n);
-  if (n == 0) return;
-  // Unused lanes repeat lane 0: the same work, no branch in the loop.
-  std::array<const std::byte*, kKvHashLanes> p{};
-  std::size_t common = ranges[0].size();
-  for (std::size_t l = 0; l < kKvHashLanes; ++l) {
-    const std::span<const std::byte> r = ranges[l < n ? l : 0];
-    p[l] = r.data();
-    common = std::min(common, r.size());
-  }
-  std::uint64_t h0 = kBasis, h1 = kBasis, h2 = kBasis, h3 = kBasis;
-  for (std::size_t i = 0; i < common; ++i) {
-    h0 = (h0 ^ static_cast<std::uint64_t>(p[0][i])) * kPrime;
-    h1 = (h1 ^ static_cast<std::uint64_t>(p[1][i])) * kPrime;
-    h2 = (h2 ^ static_cast<std::uint64_t>(p[2][i])) * kPrime;
-    h3 = (h3 ^ static_cast<std::uint64_t>(p[3][i])) * kPrime;
-  }
-  const std::array<std::uint64_t, kKvHashLanes> lanes{h0, h1, h2, h3};
-  for (std::size_t l = 0; l < n; ++l) {
-    std::uint64_t h = lanes[l];
-    for (std::size_t i = common; i < ranges[l].size(); ++i) {
-      h = (h ^ static_cast<std::uint64_t>(p[l][i])) * kPrime;
-    }
-    out[l] = h;
-  }
 }
 
 inline std::shared_ptr<std::vector<std::byte>> kv_encode(

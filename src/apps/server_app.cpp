@@ -173,15 +173,6 @@ std::shared_ptr<std::vector<std::byte>> ServerApp::apply_kv(
   NLC_CHECK_MSG(p != nullptr && kv_.npages > 0,
                 "KV request against an app without a KV region");
   std::vector<KvOp> ops = kv_decode(payload);
-  // Found GETs with the cell handle each read. They are hashed
-  // kKvHashLanes at a time once every op has run: a later SET to a held
-  // page clones it (copy-on-write), so each GET hashes the bytes it read.
-  struct HeldGet {
-    KvOp* op = nullptr;
-    kern::PagePayload cell;
-  };
-  std::vector<HeldGet> held;
-  held.reserve(ops.size());
   for (KvOp& op : ops) {
     kern::PageNum page = kv_.start + op.key % kv_.npages;
     if (op.op == KvOpType::kSet) {
@@ -195,19 +186,13 @@ std::shared_ptr<std::vector<std::byte>> ServerApp::apply_kv(
       std::memcpy(&op.len, cell->data() + kCellLen, 2);
       std::memcpy(&op.seed, cell->data() + kCellSeed, 8);
       NLC_CHECK(kCellValue + op.len <= kPageSize);
-      held.push_back({&op, std::move(cell)});
+      // Checked where it is read, so each GET sees the bytes its page holds
+      // when it runs: the stored seed comes back only over its own value.
+      op.reply_seed =
+          kv_value_matches(op.seed, cell->data() + kCellValue, op.len)
+              ? op.seed
+              : ~op.seed;
     }
-  }
-  for (std::size_t at = 0; at < held.size(); at += kKvHashLanes) {
-    const std::size_t n = std::min(kKvHashLanes, held.size() - at);
-    std::array<std::span<const std::byte>, kKvHashLanes> values{};
-    std::array<std::uint64_t, kKvHashLanes> hashes{};
-    for (std::size_t l = 0; l < n; ++l) {
-      const HeldGet& g = held[at + l];
-      values[l] = {g.cell->data() + kCellValue, g.op->len};
-    }
-    kv_content_hash_lanes({values.data(), n}, {hashes.data(), n});
-    for (std::size_t l = 0; l < n; ++l) held[at + l].op->reply_seed = hashes[l];
   }
   return kv_encode(ops);
 }

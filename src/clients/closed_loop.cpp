@@ -1,10 +1,6 @@
 #include "clients/closed_loop.hpp"
 
-#include <algorithm>
-#include <array>
 #include <deque>
-#include <optional>
-#include <span>
 
 #include "util/assert.hpp"
 
@@ -17,7 +13,10 @@ ClosedLoopClient::ClosedLoopClient(sim::Simulation& s, sim::DomainPtr domain,
                                    net::TcpStack& tcp, ClientConfig cfg,
                                    std::uint64_t seed)
     : sim_(&s), domain_(std::move(domain)), tcp_(&tcp), cfg_(cfg),
-      rng_(seed), connected_(std::make_unique<sim::WaitGroup>(s)) {}
+      rng_(seed), connected_(std::make_unique<sim::WaitGroup>(s)) {
+  NLC_CHECK_MSG(!cfg_.kv_mode || cfg_.keys_per_connection > 0,
+                "KV validation needs at least one key per connection");
+}
 
 void ClosedLoopClient::start() {
   connected_->add(cfg_.connections);
@@ -61,7 +60,11 @@ void ClosedLoopClient::verify_reply(const net::Segment& reply,
       continue;
     }
     if (!want.found) continue;
-    if (got.reply_seed != want.reply_seed || got.len != want.len) {
+    // The server echoes the stored seed in reply_seed only when the stored
+    // bytes are that seed's value, so both seeds and the length must be
+    // the ones this connection last wrote.
+    if (got.seed != want.seed || got.reply_seed != want.seed ||
+        got.len != want.len) {
       ++kv_errors_;
     }
   }
@@ -78,50 +81,19 @@ sim::task<> ClosedLoopClient::connection(int index) {
   }
   connected_->done();
 
-  // Per-connection expectation map: key -> the last SET composed on this
-  // connection (disjoint key ranges per connection, and requests are
-  // processed in order, so compose-time expectations hold). The value's
-  // content hash is computed for the first request that GETs it, then
-  // reused by every later GET of the same value.
+  // Per-connection expectations: slot k holds the last SET composed on
+  // this connection for key key_base + k (disjoint key ranges per
+  // connection, and requests are processed in order, so compose-time
+  // expectations hold).
   struct Expected {
+    bool written = false;
     std::uint64_t seed = 0;
     std::uint16_t len = 0;
-    std::optional<std::uint64_t> hash;
   };
-  std::map<std::uint32_t, Expected> expect;
+  std::vector<Expected> expect(cfg_.kv_mode ? cfg_.keys_per_connection : 0);
   std::uint32_t key_base =
       static_cast<std::uint32_t>(index) * cfg_.keys_per_connection;
   std::deque<Pending> outstanding;
-  // Found GETs of the request being composed whose value has no hash yet
-  // (indices into its expected replies), and kKvHashLanes value buffers.
-  std::vector<std::size_t> unhashed;
-  std::vector<std::byte> lane_values(apps::kKvHashLanes * cfg_.value_len);
-
-  // Fills in the hashes the composed request still owes, kKvHashLanes
-  // values in lockstep, and caches each in its key's expectation entry
-  // unless a later SET in the request has replaced the value there.
-  auto hash_unhashed = [&](std::vector<KvOp>& want) {
-    for (std::size_t at = 0; at < unhashed.size();
-         at += apps::kKvHashLanes) {
-      const std::size_t n =
-          std::min(apps::kKvHashLanes, unhashed.size() - at);
-      std::array<std::span<const std::byte>, apps::kKvHashLanes> values{};
-      std::array<std::uint64_t, apps::kKvHashLanes> hashes{};
-      for (std::size_t l = 0; l < n; ++l) {
-        const KvOp& w = want[unhashed[at + l]];
-        std::byte* buf = lane_values.data() + l * cfg_.value_len;
-        apps::kv_fill_value(w.seed, buf, w.len);
-        values[l] = {buf, w.len};
-      }
-      apps::kv_content_hash_lanes({values.data(), n}, {hashes.data(), n});
-      for (std::size_t l = 0; l < n; ++l) {
-        KvOp& w = want[unhashed[at + l]];
-        w.reply_seed = hashes[l];
-        Expected& e = expect.at(w.key);
-        if (e.seed == w.seed && e.len == w.len) e.hash = w.reply_seed;
-      }
-    }
-  };
 
   auto compose_and_send = [&] {
     Pending p;
@@ -131,41 +103,31 @@ sim::task<> ClosedLoopClient::connection(int index) {
     std::uint64_t req_len = cfg_.request_bytes;
     if (cfg_.kv_mode) {
       std::vector<KvOp> ops;
-      unhashed.clear();
+      ops.reserve(static_cast<std::size_t>(cfg_.kv_ops_per_request));
+      p.expected.reserve(ops.capacity());
       for (int i = 0; i < cfg_.kv_ops_per_request; ++i) {
+        const auto slot = static_cast<std::uint32_t>(
+            rng.uniform(0, cfg_.keys_per_connection - 1));
+        Expected& e = expect[slot];
         KvOp op;
-        op.key = key_base + static_cast<std::uint32_t>(rng.uniform(
-                                0, cfg_.keys_per_connection - 1));
+        op.key = key_base + slot;
         if (rng.chance(cfg_.set_fraction)) {
           op.op = KvOpType::kSet;
           op.seed = rng.next();
           op.len = cfg_.value_len;
-          expect[op.key] = Expected{op.seed, op.len, std::nullopt};
+          e = Expected{true, op.seed, op.len};
         } else {
           op.op = KvOpType::kGet;
         }
         ops.push_back(op);
         KvOp snap = op;
         if (op.op == KvOpType::kGet) {
-          auto it = expect.find(op.key);
-          if (it != expect.end()) {
-            const Expected& e = it->second;
-            snap.found = true;
-            snap.seed = e.seed;
-            snap.len = e.len;
-            // The content hash the reply carries.
-            if (e.hash) {
-              snap.reply_seed = *e.hash;
-            } else {
-              unhashed.push_back(p.expected.size());
-            }
-          } else {
-            snap.found = false;
-          }
+          snap.found = e.written;
+          snap.seed = e.seed;
+          snap.len = e.len;
         }
         p.expected.push_back(snap);
       }
-      hash_unhashed(p.expected);
       payload = apps::kv_encode(ops);
       req_len = payload->size();
     }

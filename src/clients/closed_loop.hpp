@@ -2,15 +2,15 @@
 // each (the YCSB/hiredis batch clients and the SIEGE web clients of §VI).
 //
 // In KV-validation mode each connection owns a disjoint key range and
-// attaches real operation payloads; GET replies carry a content hash of
-// the server's stored bytes, which the client checks against the value it
-// previously wrote — across failovers. Because requests alternate with
-// responses and NiLiCon releases output only after the backing state
-// committed, the client's expectation map is always consistent with any
-// state the service can resume from (DESIGN.md §5.4).
+// attaches real operation payloads. The server checks each found GET's
+// stored bytes against the cell's seed in place and echoes that seed only
+// when they match; the client checks the echo against the seed and length
+// it last wrote to the key, across failovers. Because requests alternate
+// with responses and NiLiCon releases output only after the backing state
+// committed, the client's per-key expectations are always consistent with
+// any state the service can resume from (DESIGN.md §5.4).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -74,8 +74,8 @@ class ClosedLoopClient {
   struct Pending {
     std::uint64_t tag;
     Time sent_at;
-    /// kv mode: the expected reply per op; a found GET carries its value's
-    /// content hash in reply_seed.
+    /// kv mode: the expected reply per op. A found GET expects the seed
+    /// and length of the key's last SET, echoed in seed and reply_seed.
     std::vector<apps::KvOp> expected;
   };
   sim::task<> connection(int index);

@@ -137,12 +137,17 @@ RunResult run_experiment(const RunConfig& cfg) {
   cc.kv_mode = cfg.kv_validation;
   if (cc.kv_mode && cfg.spec.kv_pages > 0) {
     // Key ranges must be disjoint per connection AND map to distinct pages
-    // (one page per key): clamp the per-connection keyspace.
-    std::uint64_t per_conn =
-        cfg.spec.kv_pages / static_cast<std::uint64_t>(cc.connections);
+    // (one page per key): clamp the per-connection keyspace. Two
+    // connections sharing a page would overwrite each other's values.
+    const auto connections = static_cast<std::uint64_t>(cc.connections);
+    NLC_CHECK_MSG(connections <= cfg.spec.kv_pages,
+                  "KV validation with " + std::to_string(connections) +
+                      " client connections needs a KV page each, but the "
+                      "store has " +
+                      std::to_string(cfg.spec.kv_pages));
     cc.keys_per_connection = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(cc.keys_per_connection,
-                                std::max<std::uint64_t>(per_conn, 1)));
+                                cfg.spec.kv_pages / connections));
   }
   clients::ClosedLoopClient client(cl.sim, cl.client_domain, cl.client_tcp,
                                    cc, cfg.seed ^ 0xC11E);

@@ -2,7 +2,7 @@
 
 #include <array>
 #include <optional>
-#include <span>
+#include <utility>
 
 #include "apps/batch_app.hpp"
 #include "apps/catalog.hpp"
@@ -65,32 +65,28 @@ TEST(KvCodecTest, WordWiseValueBytesMatchPerByteDefinition) {
 }
 
 TEST(KvCodecTest, ContentHashOfValueIsPinned) {
-  // GET replies carry this hash and the client checks it; a change to
-  // value generation or to the hash moves it.
+  // The replay log fingerprints each consumed request payload with this
+  // hash (DESIGN.md §14), so a change to it moves every logged input.
   auto v = kv_value_bytes(0x5EED, 900);
   EXPECT_EQ(kv_content_hash(v.data(), v.size()), 0xfbc5a24748976fecull);
 }
 
-TEST(KvCodecTest, HashLanesMatchSerialHashInEveryLane) {
-  // Mixed lengths in one call: lanes shorter than, equal to and longer
-  // than their neighbours, so every lane both shares the lockstep prefix
-  // and finishes a tail alone.
-  const std::vector<std::uint16_t> lens = {0, 1, 7, 8, 9, 900, 4080};
-  std::vector<std::vector<std::byte>> values;
-  for (std::size_t i = 0; i < lens.size(); ++i) {
-    values.push_back(kv_value_bytes(0x1A4E + i, lens[i]));
-  }
-  for (std::size_t n = 1; n <= kKvHashLanes; ++n) {
-    for (std::size_t first = 0; first < values.size(); ++first) {
-      std::vector<std::span<const std::byte>> ranges;
-      for (std::size_t l = 0; l < n; ++l) {
-        ranges.emplace_back(values[(first + l) % values.size()]);
-      }
-      std::vector<std::uint64_t> out(n);
-      kv_content_hash_lanes(ranges, out);
-      for (std::size_t l = 0; l < n; ++l) {
-        EXPECT_EQ(out[l], kv_content_hash(ranges[l].data(), ranges[l].size()))
-            << n << " lanes, lane " << l << " of length " << ranges[l].size();
+TEST(KvCodecTest, ValueMatchesOnlyItsOwnFill) {
+  // Empty; a tail alone (1, 7); one word without and with a tail (8, 9);
+  // many words with a tail (900) and without (4080, a full cell).
+  for (std::uint16_t len : {0, 1, 7, 8, 9, 900, 4080}) {
+    for (std::uint64_t seed : {0x0ull, 0x5EEDull, ~0ull}) {
+      std::vector<std::byte> v = kv_value_bytes(seed, len);
+      EXPECT_TRUE(kv_value_matches(seed, v.data(), len))
+          << "seed " << seed << " len " << len;
+      // An empty value has no bytes to disagree with any seed.
+      EXPECT_EQ(kv_value_matches(seed + 1, v.data(), len), len == 0)
+          << "seed " << seed << " len " << len;
+      for (std::uint32_t at = 0; at < len; ++at) {
+        v[at] ^= std::byte{1} << (at % 8);
+        ASSERT_FALSE(kv_value_matches(seed, v.data(), len))
+            << "seed " << seed << " len " << len << " flipped byte " << at;
+        v[at] ^= std::byte{1} << (at % 8);
       }
     }
   }
@@ -177,45 +173,53 @@ TEST(ServerAppTest, KvSetGetRoundTrip) {
 }
 
 TEST(ServerAppTest, KvGetDetectsCorruptedStoredBytes) {
-  // The GET reply hashes the bytes really stored in the page, so a value
-  // byte changed behind the server's back must fail the client's check.
-  AppSpec spec = netecho_spec();
-  spec.kv_pages = 128;
-  ServerRig rig(spec);
-  clients::ClientConfig cc;
-  cc.local_ip = kClientIp;
-  cc.server_ip = kServiceIp;
-  cc.port = spec.port;
-  cc.connections = 1;
-  cc.kv_mode = true;
-  cc.kv_ops_per_request = 8;
-  cc.keys_per_connection = 64;
-  clients::ClosedLoopClient client(rig.cl.sim, rig.cl.client_domain,
-                                   rig.cl.client_tcp, cc, 6);
-  client.start();
-  rig.cl.sim.run_until(500_ms);
-  ASSERT_EQ(client.kv_errors(), 0u);
+  // The server checks the bytes really stored in the page and echoes the
+  // header's seed and length, so one bit changed behind the server's back
+  // in every stored record must fail the client's check: in a value byte,
+  // in the header's seed, or in its length (900 becomes 896).
+  const std::array<std::pair<std::uint32_t, std::byte>, 3> flips = {{
+      {16 + 100, std::byte{0x01}},  // a value byte
+      {2, std::byte{0x01}},         // the header's seed
+      {0, std::byte{0x04}},         // the header's length
+  }};
+  for (const auto& [at, mask] : flips) {
+    AppSpec spec = netecho_spec();
+    spec.kv_pages = 128;
+    ServerRig rig(spec);
+    clients::ClientConfig cc;
+    cc.local_ip = kClientIp;
+    cc.server_ip = kServiceIp;
+    cc.port = spec.port;
+    cc.connections = 1;
+    cc.kv_mode = true;
+    cc.kv_ops_per_request = 8;
+    cc.keys_per_connection = 64;
+    clients::ClosedLoopClient client(rig.cl.sim, rig.cl.client_domain,
+                                     rig.cl.client_tcp, cc, 6);
+    client.start();
+    rig.cl.sim.run_until(500_ms);
+    ASSERT_EQ(client.kv_errors(), 0u);
 
-  // Flip one value byte in every stored record (occupied flag at byte 10,
-  // value from byte 16).
-  std::uint64_t flipped = 0;
-  for (kern::Process* p :
-       rig.cl.primary_kernel->container_processes(rig.cid)) {
-    for (const kern::Vma& v : p->mm().vmas()) {
-      if (v.backing_file != kKvLabel) continue;
-      for (kern::PageNum page = v.start; page < v.end(); ++page) {
-        if (p->mm().read(page, 10, 1)[0] != std::byte{1}) continue;
-        auto b = p->mm().read(page, 16 + 100, 1);
-        b[0] ^= std::byte{0x01};
-        p->mm().write(page, 16 + 100, b);
-        ++flipped;
+    // Flip the bit in every stored record (occupied flag at byte 10).
+    std::uint64_t flipped = 0;
+    for (kern::Process* p :
+         rig.cl.primary_kernel->container_processes(rig.cid)) {
+      for (const kern::Vma& v : p->mm().vmas()) {
+        if (v.backing_file != kKvLabel) continue;
+        for (kern::PageNum page = v.start; page < v.end(); ++page) {
+          if (p->mm().read(page, 10, 1)[0] != std::byte{1}) continue;
+          auto b = p->mm().read(page, at, 1);
+          b[0] ^= mask;
+          p->mm().write(page, at, b);
+          ++flipped;
+        }
       }
     }
+    ASSERT_GT(flipped, 0u);
+    rig.cl.sim.run_until(1_s);
+    client.stop();
+    EXPECT_GT(client.kv_errors(), 0u) << "flipped cell byte " << at;
   }
-  ASSERT_GT(flipped, 0u);
-  rig.cl.sim.run_until(1_s);
-  client.stop();
-  EXPECT_GT(client.kv_errors(), 0u);
 }
 
 /// The server's KV store: the address space holding it and its pages.
@@ -259,15 +263,16 @@ std::vector<KvOp> kv_request(ServerRig& rig, const std::vector<KvOp>& ops) {
 
 KvOp kv_get(std::uint32_t key) { return {KvOpType::kGet, key, 0, 0, false, 0}; }
 
-std::uint64_t value_hash(std::uint64_t seed, std::uint16_t len) {
-  auto v = kv_value_bytes(seed, len);
-  return kv_content_hash(v.data(), v.size());
+/// The client's check of a found GET: the stored seed echoed in both
+/// fields, over the length last written.
+bool get_passes(const KvOp& reply, std::uint64_t seed, std::uint16_t len) {
+  return reply.found && reply.seed == seed && reply.reply_seed == seed &&
+         reply.len == len;
 }
 
 TEST(ServerAppTest, KvGetSetGetInOneRequestSeesEachVersion) {
-  // GETs are hashed after the request's last op, but each GET still
-  // answers with the bytes its page held when it ran: the SET clones the
-  // page that the earlier GET's handle still holds (copy-on-write).
+  // Each GET is checked when it runs, so the GET before the SET echoes the
+  // old value's seed and the GET after it the new one's.
   AppSpec spec = netecho_spec();
   spec.kv_pages = 128;
   ServerRig rig(spec);
@@ -283,45 +288,64 @@ TEST(ServerAppTest, KvGetSetGetInOneRequestSeesEachVersion) {
       kv_get(0), kv_get(3), kv_get(4), kv_get(5), kv_get(6)};
   const std::vector<KvOp> reply = kv_request(rig, ops);
   ASSERT_EQ(reply.size(), ops.size());
-  EXPECT_EQ(reply[2].reply_seed, value_hash(100, 900));  // before the SET
-  EXPECT_EQ(reply[4].reply_seed, value_hash(new_seed, 900));  // after it
+  EXPECT_TRUE(get_passes(reply[2], 100, 900));  // before the SET
+  EXPECT_TRUE(get_passes(reply[4], new_seed, 900));  // after it
   for (std::size_t i : {0, 1, 5, 6, 7, 8}) {
-    EXPECT_TRUE(reply[i].found) << "op " << i;
-    EXPECT_EQ(reply[i].reply_seed, value_hash(100 + ops[i].key, 900))
-        << "op " << i;
+    EXPECT_TRUE(get_passes(reply[i], 100 + ops[i].key, 900)) << "op " << i;
   }
 }
 
-TEST(ServerAppTest, KvGetDetectsCorruptionAtEveryLanePosition) {
-  // Four GETs are hashed together; a byte flipped in any one of their
-  // records fails exactly that GET. The lengths differ, so some flipped
-  // bytes fall in the shared lockstep prefix and some in a lane's tail.
+TEST(ServerAppTest, KvGetDetectsCorruptionAtEveryCellPosition) {
+  // One byte flipped per run, in one of four records of different lengths:
+  // in the value's first word, a middle word, the last full word or the
+  // tail, or in the header's seed or length. Each flip fails exactly the
+  // GET of its own record, and a found GET's reply_seed is always the
+  // stored seed or its complement.
   AppSpec spec = netecho_spec();
   spec.kv_pages = 128;
   ServerRig rig(spec);
   KvStore kv = kv_store(rig);
   ASSERT_NE(kv.mm, nullptr);
-  const std::array<std::uint16_t, kKvHashLanes> lens = {900, 8, 4080, 33};
+  const std::array<std::uint16_t, 4> lens = {900, 8, 4080, 33};
   const std::vector<KvOp> ops = {kv_get(0), kv_get(1), kv_get(2), kv_get(3)};
-  for (std::uint32_t bad = 0; bad < kKvHashLanes; ++bad) {
-    for (std::uint32_t key = 0; key < kKvHashLanes; ++key) {
-      kv_write_cell(*kv.mm, kv.page(key), 200 + key, lens[key]);
-    }
-    // Flip the last value byte (values start at byte 16 of the cell).
-    const std::uint32_t at = 16 + lens[bad] - 1u;
-    auto b = kv.mm->read(kv.page(bad), at, 1);
-    b[0] ^= std::byte{0x01};
-    kv.mm->write(kv.page(bad), at, b);
+  constexpr std::uint32_t kValue = 16;  // cell header: len@0, seed@2
+  std::uint32_t runs = 0;
+  for (std::uint32_t bad = 0; bad < lens.size(); ++bad) {
+    const std::uint32_t len = lens[bad];
+    const std::uint32_t words = len / 8;
+    // (cell offset, bit mask) of each flip.
+    std::vector<std::pair<std::uint32_t, std::uint8_t>> flips = {
+        {kValue + 0, 0x01},                    // first word
+        {kValue + (words / 2) * 8 + 3, 0x10},  // a middle word
+        {kValue + (words - 1) * 8 + 7, 0x80},  // last full word
+        {2 + 5, 0x04},                         // header seed
+        // Header length: clearing its lowest set bit keeps it in range.
+        {0, static_cast<std::uint8_t>(len & (~len + 1u) & 0xFF)},
+    };
+    if (len % 8 != 0) flips.push_back({kValue + len - 1, 0x02});  // tail
+    for (const auto& [at, mask] : flips) {
+      ASSERT_NE(mask, 0u);
+      for (std::uint32_t key = 0; key < lens.size(); ++key) {
+        kv_write_cell(*kv.mm, kv.page(key), 200 + key, lens[key]);
+      }
+      auto b = kv.mm->read(kv.page(bad), at, 1);
+      b[0] ^= std::byte{mask};
+      kv.mm->write(kv.page(bad), at, b);
 
-    const std::vector<KvOp> reply = kv_request(rig, ops);
-    ASSERT_EQ(reply.size(), ops.size());
-    for (std::uint32_t key = 0; key < kKvHashLanes; ++key) {
-      ASSERT_TRUE(reply[key].found);
-      EXPECT_EQ(reply[key].reply_seed == value_hash(200 + key, lens[key]),
-                key != bad)
-          << "corrupted op " << bad << ", checked op " << key;
+      const std::vector<KvOp> reply = kv_request(rig, ops);
+      ASSERT_EQ(reply.size(), ops.size());
+      for (std::uint32_t key = 0; key < lens.size(); ++key) {
+        ASSERT_TRUE(reply[key].found);
+        EXPECT_TRUE(reply[key].reply_seed == reply[key].seed ||
+                    reply[key].reply_seed == ~reply[key].seed);
+        EXPECT_EQ(get_passes(reply[key], 200 + key, lens[key]), key != bad)
+            << "record " << bad << " flipped at cell byte " << at
+            << ", checked op " << key;
+      }
+      ++runs;
     }
   }
+  EXPECT_EQ(runs, 4u * 5u + 2u);  // 900 and 33 have a tail
 }
 
 TEST(ServerAppTest, DirtyPagesTrackedUnderLoad) {

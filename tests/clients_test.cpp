@@ -4,6 +4,7 @@
 #include "apps/server_app.hpp"
 #include "clients/closed_loop.hpp"
 #include "core/cluster.hpp"
+#include "util/assert.hpp"
 
 namespace nlc::clients {
 namespace {
@@ -106,7 +107,7 @@ TEST(ClosedLoopClientTest, KvModeDetectsServerWithoutStore) {
 
 TEST(ClosedLoopClientTest, KvModeWithFewKeysValidatesRepeatedValues) {
   // Four keys and 16 ops per request: most requests GET one value twice
-  // and re-SET a key between two of its GETs, so the expected hashes must
+  // and re-SET a key between two of its GETs, so the expected seeds must
   // follow each value through the request, not just each key.
   apps::AppSpec spec = apps::netecho_spec();
   spec.kv_pages = 128;
@@ -124,6 +125,18 @@ TEST(ClosedLoopClientTest, KvModeWithFewKeysValidatesRepeatedValues) {
   EXPECT_EQ(client.kv_errors(), 0u);
   EXPECT_EQ(client.protocol_errors(), 0u);
   EXPECT_EQ(client.broken_connections(), 0u);
+}
+
+TEST(ClosedLoopClientTest, KvModeRejectsEmptyKeyRange) {
+  // Expectations are indexed by a key's offset in its connection's range,
+  // so a validating client needs at least one key per connection.
+  Rig rig(apps::netecho_spec());
+  ClientConfig cc = rig.base();
+  cc.kv_mode = true;
+  cc.keys_per_connection = 0;
+  EXPECT_THROW(ClosedLoopClient(rig.cl.sim, rig.cl.client_domain,
+                                rig.cl.client_tcp, cc, 8),
+               InvariantError);
 }
 
 TEST(ClosedLoopClientTest, ThinkTimeThrottles) {

@@ -2,6 +2,7 @@
 
 #include "apps/catalog.hpp"
 #include "harness/experiment.hpp"
+#include "util/assert.hpp"
 
 namespace nlc::harness {
 namespace {
@@ -86,6 +87,15 @@ TEST(HarnessTest, FaultInjectionRecoversWithValidation) {
   EXPECT_EQ(r.broken_connections, 0u);
   EXPECT_GT(r.interruption, nlc::milliseconds(200));  // detection+restore
   EXPECT_LT(r.interruption, nlc::seconds(2));
+}
+
+TEST(HarnessTest, KvValidationRejectsMoreConnectionsThanKvPages) {
+  // One page per key and disjoint key ranges: a connection past the last
+  // page would share keys with another and report false errors.
+  RunConfig cfg = base_config(Mode::kStock);
+  cfg.kv_validation = true;
+  cfg.client_connections = 257;  // fast_spec() has 256 KV pages
+  EXPECT_THROW(run_experiment(cfg), InvariantError);
 }
 
 TEST(HarnessTest, FaultInjectionWithDiskStress) {

@@ -64,7 +64,9 @@ const cli::Usage kUsage{
     "                     (default primary; others need --replicas > 1)\n"
     "  --audit L          attach the invariant auditor: off|commit|\n"
     "                     continuous (default off; violations exit 1)\n"
-    "  --kv               validating KV payloads\n"
+    "  --kv               validating KV payloads (at most one client\n"
+    "                     connection per KV page; 512 pages on a\n"
+    "                     workload without a store)\n"
     "  --diskstress       run the disk/memory consistency microbenchmark\n"
     "  --trace FILE       record a flight-recorder trace and write it as\n"
     "                     Chrome trace-event JSON (open in Perfetto:\n"
@@ -186,6 +188,18 @@ int main(int argc, char** argv) {
 
   if (cfg.kv_validation && cfg.spec.kv_pages == 0) {
     cfg.spec.kv_pages = 512;  // give non-KV workloads a store to validate
+  }
+  if (cfg.kv_validation) {
+    // Each validating connection owns a disjoint key range, one page per
+    // key, so it needs at least one KV page of its own.
+    const int clients =
+        cfg.client_connections.value_or(cfg.spec.saturation_clients);
+    if (static_cast<std::uint64_t>(clients) > cfg.spec.kv_pages) {
+      kUsage.fail("--kv with " + std::to_string(clients) +
+                  " client connections needs a KV page each, but the " +
+                  cfg.spec.name + " store has " +
+                  std::to_string(cfg.spec.kv_pages));
+    }
   }
   harness::RunResult r;
   try {
