@@ -573,6 +573,36 @@ TEST(TraceStreamPinTest, RecordedStreamsMatchPinnedDigests) {
   EXPECT_EQ(q.digest, 6761571850685701566ull);
 }
 
+TEST(TraceStreamPinTest, QuorumSegmentAndChainStreamsMatchPinnedDigests) {
+  // Two N = 3 / K = 2 runs the three pins above leave out: replay commit
+  // over a star with a primary crash (per-replica log acks, the K-of-N
+  // segment release, promotion and re-silver), and an epoch-mode chain
+  // (acks of forwarded state reach the quorum out of step).
+  harness::RunConfig segments = traced_config(true, 0);
+  segments.measure = nlc::milliseconds(400);
+  segments.nilicon.commit_mode = core::CommitMode::kReplay;
+  segments.inject_fault = true;
+  segments.nilicon.replicas = 3;
+  segments.nilicon.quorum_k = 2;
+  segments.nilicon.topology = topo::Topology::kStar;
+
+  harness::RunConfig chain = traced_config(true, 0);
+  chain.measure = nlc::seconds(1);
+  chain.nilicon.replicas = 3;
+  chain.nilicon.quorum_k = 2;
+  chain.nilicon.topology = topo::Topology::kChain;
+
+  const PinnedStream s = pinned_stream(segments);
+  const PinnedStream c = pinned_stream(chain);
+  EXPECT_TRUE(s.recovered);
+  EXPECT_EQ(s.promotions, 1u);
+  EXPECT_EQ(c.promotions, 0u);
+  EXPECT_EQ(s.events, 18118u);
+  EXPECT_EQ(s.digest, 11565209309435203294ull);
+  EXPECT_EQ(c.events, 2857u);
+  EXPECT_EQ(c.digest, 3290753130840667501ull);
+}
+
 TEST(TraceOracleTest, HarnessReportsTraceOrderChecks) {
   harness::RunConfig cfg = traced_config(true, 1);
   cfg.nilicon.audit_level = core::AuditLevel::kCommitPoints;
