@@ -110,14 +110,13 @@ class DrbdBackup {
         pending_.push_back(std::move(*w));
       } else {
         last_barrier_ = std::get<Barrier>(m).epoch;
-        any_barrier_ = true;
-        epochs_.push_back(EpochWrites{last_barrier_, std::move(pending_)});
+        epochs_.push_back(EpochWrites{*last_barrier_, std::move(pending_)});
         pending_.clear();
         if (obs_) {
           obs_.instant(trace::Track::kDrbd, trace::Stage::kDrbdBuffer,
                        sim_->now(), epochs_.back().writes.size());
           obs_.instant(trace::Track::kDrbd, trace::Stage::kDrbdBarrier,
-                       sim_->now(), last_barrier_);
+                       sim_->now(), *last_barrier_);
           emit_buffered();
         }
         barrier_arrived_.set();
@@ -128,11 +127,10 @@ class DrbdBackup {
   /// Awaits arrival of the barrier for `epoch` (all of that epoch's writes
   /// are then buffered).
   sim::task<> wait_barrier(std::uint64_t epoch) {
-    // last_barrier_ == 0 also covers "no barrier yet" (epochs are 0-based):
-    // without the flag, epoch 0 would be acknowledged before its disk
-    // writes were buffered here, and a crash right after the epoch-0 commit
-    // would lose them.
-    while (!any_barrier_ || last_barrier_ < epoch) {
+    // Empty until the first barrier (epochs are 0-based): epoch 0 must not
+    // be acknowledged before its disk writes are buffered here, or a crash
+    // right after the epoch-0 commit would lose them.
+    while (!last_barrier_ || *last_barrier_ < epoch) {
       barrier_arrived_.reset();
       co_await barrier_arrived_.wait();
     }
@@ -173,7 +171,7 @@ class DrbdBackup {
 
   Disk& local_disk() { return *local_; }
   std::uint64_t committed_epoch() const { return committed_epoch_; }
-  std::uint64_t last_barrier() const { return last_barrier_; }
+  std::optional<std::uint64_t> last_barrier() const { return last_barrier_; }
   std::uint64_t buffered_writes() const {
     std::uint64_t n = pending_.size();
     for (const auto& e : epochs_) n += e.writes.size();
@@ -200,8 +198,7 @@ class DrbdBackup {
   sim::Event barrier_arrived_;
   std::vector<DiskWrite> pending_;
   std::deque<EpochWrites> epochs_;
-  std::uint64_t last_barrier_ = 0;
-  bool any_barrier_ = false;
+  std::optional<std::uint64_t> last_barrier_;
   std::uint64_t committed_epoch_ = 0;
   std::uint64_t writes_committed_ = 0;
 };

@@ -89,10 +89,9 @@ sim::task<> BackupAgent::state_loop() {
     // The acked cursor is this replica's catch-up position — the promotion
     // arbiter's election key (DESIGN.md §16).
     acked_epoch_ = msg.epoch;
-    any_ack_sent_ = true;
     ack_out_->send(AckMsg{msg.epoch}, 64);
     obs_.instant(Track::kBackup, Stage::kAckSent, sim.now(), msg.epoch,
-                 {.aux = drbd_->last_barrier()});
+                 {.aux = drbd_->last_barrier().value_or(0)});
 
     // Once recovery has started, no new commit may begin: the restore is
     // (or will be) built from the currently-committed image, and folding

@@ -81,9 +81,8 @@ class BackupAgent {
   void promote();
   /// Last epoch this replica acknowledged (its catch-up cursor — the
   /// election key; ahead of committed_epoch() while a commit is in
-  /// flight).
-  std::uint64_t acked_epoch() const { return acked_epoch_; }
-  bool any_ack_sent() const { return any_ack_sent_; }
+  /// flight). Empty until the first ack.
+  std::optional<std::uint64_t> acked_epoch() const { return acked_epoch_; }
   std::uint64_t committed_nd_entries() const { return committed_nd_entries_; }
   /// Re-silvering (DESIGN.md §16): replace this survivor's committed
   /// stores with copies of the promoted winner's. The page store is
@@ -114,8 +113,6 @@ class BackupAgent {
   bool recovered() const { return recovered_; }
   const RecoveryMetrics& recovery_metrics() const { return recovery_; }
   const criu::PageStore& page_store() const { return *pages_; }
-  /// Replay commit mode: the accepted event-log prefix (tests/auditing).
-  const replay::ReplayEngine& replay_engine() const { return replay_; }
 
  private:
   sim::task<> state_loop();
@@ -142,8 +139,7 @@ class BackupAgent {
   StateChannel* downstream_state_ = nullptr;
   LogChannel* downstream_log_ = nullptr;
   PromotionArbiter* arbiter_ = nullptr;
-  std::uint64_t acked_epoch_ = 0;
-  bool any_ack_sent_ = false;
+  std::optional<std::uint64_t> acked_epoch_;
 
   std::unique_ptr<criu::PageStore> pages_;
   /// Non-null iff pages_ is a RadixPageStore: lets the commit fold use

@@ -1,7 +1,5 @@
 #include "core/primary_agent.hpp"
 
-#include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -43,18 +41,15 @@ PrimaryAgent::PrimaryAgent(Options opts, kern::Kernel& kernel,
   metrics_->page_shards_used = delta_.shards();
   metrics_->simd_tier_used = delta_.simd_tier();
   replicas_.push_back(Replica{&state_out, &ack_in, &hb_out, &log_out,
-                              &log_ack_in, /*direct=*/true, 0, false});
-  quorum_k_ = opts_.resolved_quorum();
+                              &log_ack_in, /*direct=*/true});
 }
 
 void PrimaryAgent::add_replica(StateChannel& state_out, AckChannel& ack_in,
                                HeartbeatChannel& hb_out, LogChannel& log_out,
                                LogAckChannel& log_ack_in, bool direct) {
   NLC_CHECK_MSG(!started_, "add_replica after start");
-  NLC_CHECK_MSG(replicas_.size() < kMaxReplicas, "too many replicas");
   replicas_.push_back(
-      Replica{&state_out, &ack_in, &hb_out, &log_out, &log_ack_in, direct,
-              0, false});
+      Replica{&state_out, &ack_in, &hb_out, &log_out, &log_ack_in, direct});
 }
 
 PrimaryAgent::~PrimaryAgent() {
@@ -104,8 +99,10 @@ net::PlugQdisc& PrimaryAgent::plug() {
 sim::task<> PrimaryAgent::start() {
   sim::Simulation& sim = kernel_->simulation();
   started_ = true;
-  NLC_CHECK_MSG(quorum_k_ <= static_cast<int>(replicas_.size()),
-                "quorum K exceeds the registered replica count");
+  epoch_gate_ = CommitGate(replicas_.size(), opts_.resolved_quorum());
+  seg_gate_ = CommitGate(replicas_.size(), opts_.resolved_quorum());
+  for (const Replica& rp : replicas_) ndirect_ += rp.direct ? 1 : 0;
+  NLC_CHECK(ndirect_ >= 1);
   if (replicas_.size() > 1) {
     metrics_->replica_ack_lag.assign(replicas_.size(), Samples{});
   }
@@ -172,10 +169,7 @@ sim::task<> PrimaryAgent::epoch_loop() {
 }
 
 sim::task<> PrimaryAgent::wait_acked(std::uint64_t epoch) {
-  // acked_epoch_ == 0 also covers "no ack yet" (epochs are 0-based), so the
-  // flag, not the counter, decides whether epoch 0 was acknowledged —
-  // otherwise epoch 0's buffered output would be released un-acked.
-  while (!any_acked_ || acked_epoch_ < epoch) {
+  while (!epoch_gate_.quorate(epoch)) {
     ack_event_->reset();
     co_await ack_event_->wait();
   }
@@ -202,6 +196,21 @@ Time PrimaryAgent::send_side_cost(const EpochStateMsg& msg, bool staged) const {
   return t;
 }
 
+template <typename Msg, typename Chan>
+void PrimaryAgent::send_direct(Msg msg, std::uint64_t bytes,
+                               Chan* Replica::*out) {
+  metrics_->wire_bytes_fanout += bytes * static_cast<std::uint64_t>(ndirect_);
+  int left = ndirect_;
+  for (Replica& rp : replicas_) {
+    if (!rp.direct) continue;
+    if (--left == 0) {
+      (rp.*out)->send(std::move(msg), bytes);
+      return;
+    }
+    (rp.*out)->send(Msg{msg}, bytes);
+  }
+}
+
 sim::task<> PrimaryAgent::ship_state(EpochStateMsg msg, bool staged,
                                      Time precopy) {
   sim::Simulation& sim = kernel_->simulation();
@@ -210,14 +219,11 @@ sim::task<> PrimaryAgent::ship_state(EpochStateMsg msg, bool staged,
   // socket write from the one dumper thread — the per-MB send cost repeats
   // per destination, while the COW copy-out and the delta encode happen
   // once regardless of fan-out.
-  int ndirect = 0;
-  for (const Replica& rp : replicas_) ndirect += rp.direct ? 1 : 0;
-  NLC_CHECK(ndirect >= 1);
   const Time per_dest = send_side_cost(msg, staged);
   const Time encode_once = static_cast<Time>(msg.compressed_pages) *
                            ckpt_.costs().delta_compress_per_page;
   Time cost = precopy + per_dest +
-              static_cast<Time>(ndirect - 1) * (per_dest - encode_once);
+              static_cast<Time>(ndirect_ - 1) * (per_dest - encode_once);
   // One dumper/sender thread: staged ships of consecutive epochs queue
   // behind each other rather than overlapping. Besides modeling the real
   // backpressure, this keeps EpochStateMsg arrivals in epoch order — a
@@ -231,18 +237,8 @@ sim::task<> PrimaryAgent::ship_state(EpochStateMsg msg, bool staged,
   if (EpochRec* rec = find_rec(epoch)) rec->ship_b = sim.now();
   obs_.span_begin(Track::kPrimaryShip, Stage::kShip, sim.now(), epoch);
   co_await sim.sleep_for(ship_busy_until_ - sim.now());
-  std::uint64_t bytes = msg.wire_bytes;
-  metrics_->wire_bytes_fanout += bytes * static_cast<std::uint64_t>(ndirect);
-  StateChannel* last_out = nullptr;
-  for (Replica& rp : replicas_) {
-    if (rp.direct) last_out = rp.state_out;
-  }
-  for (Replica& rp : replicas_) {
-    if (!rp.direct || rp.state_out == last_out) continue;
-    EpochStateMsg copy = msg;
-    rp.state_out->send(std::move(copy), bytes);
-  }
-  last_out->send(std::move(msg), bytes);
+  const std::uint64_t bytes = msg.wire_bytes;
+  send_direct(std::move(msg), bytes, &Replica::state_out);
   if (EpochRec* rec = find_rec(epoch)) rec->ship_e = sim.now();
   obs_.span_end(Track::kPrimaryShip, Stage::kShip, sim.now(), epoch);
 }
@@ -340,15 +336,10 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
     // shipping path below.
     obs_.span_begin(Track::kPrimary, Stage::kEncode, sim.now(), epoch);
     const std::uint64_t encode_t0 = util::wall_now_ns();
-    criu::EpochDeltaStats ds = delta_.encode_epoch(hr.image, ppool);
+    const criu::EpochDeltaStats ds = delta_.encode_epoch(hr.image, ppool);
     metrics_->shard_stage_ns.encode += util::wall_now_ns() - encode_t0;
     obs_.span_end(Track::kPrimary, Stage::kEncode, sim.now(), epoch);
     msg.compressed_pages = ds.content_pages;
-    // Per-epoch log-stream bytes (replay mode): everything the log
-    // channel shipped since the previous checkpoint. Kept out of the page
-    // stream's wire/compression accounting.
-    ds.log_bytes = metrics_->log_bytes_shipped - log_bytes_at_last_epoch_;
-    log_bytes_at_last_epoch_ = metrics_->log_bytes_shipped;
     if (!initial && ds.content_pages > 0) {
       metrics_->compression_ratio.add(ds.ratio());
       metrics_->wire_bytes_saved += ds.raw_bytes - ds.wire_bytes;
@@ -370,8 +361,8 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
   rec.wire_bytes = bytes;
   rec.nd_entries_delta = nd_log_.entries_total() - nd_entries_mark_;
   nd_entries_mark_ = nd_log_.entries_total();
-  rec.log_bytes_delta = metrics_->log_bytes_shipped - log_bytes_ctl_mark_;
-  log_bytes_ctl_mark_ = metrics_->log_bytes_shipped;
+  rec.log_bytes_delta = metrics_->log_bytes_shipped - log_bytes_at_last_epoch_;
+  log_bytes_at_last_epoch_ = metrics_->log_bytes_shipped;
   // Fires before the image moves onto the replication wire.
   obs_.instant(Track::kPrimary, Stage::kStateReady, sim.now(), epoch,
                {.aux = initial ? 1u : 0u, .state = &msg});
@@ -443,43 +434,8 @@ sim::task<> PrimaryAgent::ack_loop(std::size_t replica) {
   }
 }
 
-std::uint64_t PrimaryAgent::quorum_epoch(bool* any) const {
-  std::array<std::uint64_t, kMaxReplicas> cur{};
-  std::size_t n = 0;
-  for (const Replica& rp : replicas_) {
-    if (rp.any_acked) cur[n++] = rp.acked_epoch;
-  }
-  if (n < static_cast<std::size_t>(quorum_k_)) {
-    *any = false;
-    return 0;
-  }
-  std::sort(cur.begin(), cur.begin() + static_cast<std::ptrdiff_t>(n),
-            std::greater<>());
-  *any = true;
-  return cur[static_cast<std::size_t>(quorum_k_) - 1];
-}
-
-void PrimaryAgent::sample_quorum_metrics(std::uint64_t q, Time now) {
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const Replica& rp = replicas_[i];
-    const std::uint64_t cursor = rp.any_acked ? rp.acked_epoch : 0;
-    if (i < metrics_->replica_ack_lag.size()) {
-      metrics_->replica_ack_lag[i].add(
-          static_cast<double>(cursor >= q ? 0 : q - cursor));
-    }
-  }
-  if (EpochRec* rec = find_rec(q);
-      rec != nullptr && rec->first_ack_at >= 0) {
-    metrics_->quorum_wait_ms.add(to_millis(now - rec->first_ack_at));
-  }
-}
-
 void PrimaryAgent::apply_replica_ack(std::size_t r, std::uint64_t epoch) {
-  Replica& rep = replicas_[r];
-  NLC_CHECK_MSG(!rep.any_acked || epoch >= rep.acked_epoch,
-                "acks must be monotone");
-  rep.acked_epoch = epoch;
-  rep.any_acked = true;
+  const CommitGate::Advance adv = epoch_gate_.ack(r, epoch);
   const Time now = kernel_->simulation().now();
   const bool multi = replicas_.size() > 1;
   // Recorded only with replicas > 1: a two-node trace carries no
@@ -492,26 +448,27 @@ void PrimaryAgent::apply_replica_ack(std::size_t r, std::uint64_t epoch) {
       rec->first_ack_at = now;
     }
   }
-  // Quorum gate: the released cursor is the K-th largest per-replica
-  // cursor. At N = 1 every ack IS a quorum advance (K = 1), reproducing
-  // the two-node engine's behaviour exactly.
-  bool qany = false;
-  const std::uint64_t q = quorum_epoch(&qany);
-  if (!qany) return;
-  const bool advanced = !multi || !any_acked_ || q > acked_epoch_;
-  if (!advanced) return;
-  const std::uint64_t prev = acked_epoch_;
-  const bool had = any_acked_;
-  acked_epoch_ = q;
-  any_acked_ = true;
+  if (adv.empty()) return;
+  const std::uint64_t q = adv.end - 1;
   obs_.instant(Track::kPrimary, Stage::kAckRecv, now, q);
   ack_event_->set();
-  if (multi) sample_quorum_metrics(q, now);
+  if (multi) {
+    // Per-replica ack lag behind the new quorum cursor, and the quorum
+    // wait: the K-th ack of epoch q minus its first.
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+      const std::uint64_t cursor = epoch_gate_.cursor(i).value_or(0);
+      metrics_->replica_ack_lag[i].add(
+          static_cast<double>(cursor >= q ? 0 : q - cursor));
+    }
+    if (EpochRec* rec = find_rec(q);
+        rec != nullptr && rec->first_ack_at >= 0) {
+      metrics_->quorum_wait_ms.add(to_millis(now - rec->first_ack_at));
+    }
+  }
   // Release every live epoch the quorum advance covers. A single advance
   // can commit several epochs at once when the K-th replica catches up in
   // one jump (chain topology under lag).
-  const std::uint64_t from = had ? prev + 1 : 0;
-  for (std::uint64_t e = from; e <= q; ++e) {
+  for (std::uint64_t e = adv.begin; e < adv.end; ++e) {
     EpochRec* rec = find_rec(e);
     if (rec != nullptr && rec->marker_inserted) release_epoch(*rec);
   }
@@ -562,26 +519,19 @@ void PrimaryAgent::feed_controller(const EpochRec& rec, Time now) {
 }
 
 void PrimaryAgent::release_epoch(EpochRec& rec) {
-  if (!rec.initial) {
-    feed_controller(rec, kernel_->simulation().now());
+  const Time now = kernel_->simulation().now();
+  if (!rec.initial) feed_controller(rec, now);
+  // In replay mode output already flows on log acks; the epoch ack only
+  // marks the asynchronous page-delta commit and retires the record.
+  if (!replay_mode()) {
+    obs_.instant(Track::kPrimary, Stage::kRelease, now, rec.epoch);
+    plug().release_to_marker(rec.marker);  // the plug emits kPlugRelease
+    // Post-release plug state for the controller's next observation: an
+    // empty plug here means this commit drained all outstanding output
+    // (the request-response regime the epoch-mode shrink gate looks for).
+    last_release_drained_ = plug().pending_bytes() == 0;
   }
-  if (replay_mode()) {
-    // Output already flows on log acks; the epoch ack only marks the
-    // asynchronous page-delta commit and retires the pipeline record.
-    metrics_->commit_latency_ms.add(
-        to_millis(kernel_->simulation().now() - rec.stop_begin));
-    erase_rec(rec.epoch);
-    return;
-  }
-  obs_.instant(Track::kPrimary, Stage::kRelease,
-               kernel_->simulation().now(), rec.epoch);
-  plug().release_to_marker(rec.marker);  // the plug emits kPlugRelease
-  // Post-release plug state for the controller's next observation: an
-  // empty plug here means this commit drained all outstanding output (the
-  // request-response regime the epoch-mode shrink gate looks for).
-  last_release_drained_ = plug().pending_bytes() == 0;
-  metrics_->commit_latency_ms.add(
-      to_millis(kernel_->simulation().now() - rec.stop_begin));
+  metrics_->commit_latency_ms.add(to_millis(now - rec.stop_begin));
   erase_rec(rec.epoch);
 }
 
@@ -612,7 +562,7 @@ sim::task<> PrimaryAgent::log_flush_loop() {
     LogSegmentMsg seg = nd_log_.cut_segment();
     const std::uint64_t seq = seg.seq;
     const std::uint64_t marker = plug().insert_marker();
-    seg_recs_.emplace(seq, SegRec{marker, sim.now()});
+    seg_recs_.push_back(SegRec{seq, marker, sim.now()});
     const std::uint64_t bytes = log_segment_wire_bytes(seg);
     const Time cost =
         log_costs_.flush_base +
@@ -624,24 +574,7 @@ sim::task<> PrimaryAgent::log_flush_loop() {
                     {.aux = marker, .segment = &seg});
     obs_.counter(Track::kPrimaryShip, Stage::kLogBytes, sim.now(), bytes);
     co_await sim.sleep_for(cost);
-    // Fan out to every directly-fed replica (star); chain replicas get the
-    // segment forwarded by their upstream BackupAgent.
-    LogChannel* last_out = nullptr;
-    int ndirect = 0;
-    for (Replica& rp : replicas_) {
-      if (rp.direct) {
-        last_out = rp.log_out;
-        ++ndirect;
-      }
-    }
-    metrics_->wire_bytes_fanout +=
-        bytes * static_cast<std::uint64_t>(ndirect);
-    for (Replica& rp : replicas_) {
-      if (!rp.direct || rp.log_out == last_out) continue;
-      LogSegmentMsg copy = seg;
-      rp.log_out->send(std::move(copy), bytes);
-    }
-    last_out->send(std::move(seg), bytes);
+    send_direct(std::move(seg), bytes, &Replica::log_out);
     obs_.span_end(Track::kPrimaryShip, Stage::kLogShip, sim.now(), seq);
   }
 }
@@ -649,26 +582,26 @@ sim::task<> PrimaryAgent::log_flush_loop() {
 sim::task<> PrimaryAgent::log_ack_loop(std::size_t replica) {
   while (running_) {
     LogAckMsg ack = co_await replicas_[replica].log_ack_in->recv();
-    // Each replica acks in seq order, so segments reach their K-th ack in
-    // seq order too: an ack at or below the last released seq is a late
-    // replica catching up on an already retired segment.
-    const bool late = last_released_seq_ && ack.seq <= *last_released_seq_;
-    auto it = late ? seg_recs_.end() : seg_recs_.find(ack.seq);
-    NLC_CHECK_MSG(late || it != seg_recs_.end(),
+    NLC_CHECK_MSG(ack.seq < nd_log_.segments_cut(),
                   "log ack for an unknown segment");
     const Time now = kernel_->simulation().now();
     obs_.instant(Track::kPrimary, Stage::kReplicaLogAck, now, ack.seq,
                  {.aux = replica});
-    if (late || ++it->second.acks < quorum_k_) continue;
-    // K-of-N log quorum: the K-th replica can replay to this segment's
-    // end, so everything buffered before its marker may leave. The record
-    // retires here, so a dead replica cannot pin it.
-    obs_.instant(Track::kPrimary, Stage::kLogAckRecv, now, ack.seq);
-    obs_.instant(Track::kPrimary, Stage::kLogRelease, now, ack.seq);
-    plug().release_to_marker(it->second.marker);  // emits kPlugRelease
-    metrics_->log_commit_latency_ms.add(to_millis(now - it->second.cut_at));
-    last_released_seq_ = ack.seq;
-    seg_recs_.erase(it);
+    // K-of-N log quorum. A replica acks a gapless prefix of segments (its
+    // ReplayEngine rejects every segment after a rejected one), so the
+    // K-th largest cursor passes a segment exactly at its K-th ack. The
+    // K-th replica can replay to the segment's end, so everything buffered
+    // before its marker may leave. The record retires here, so a dead
+    // replica cannot pin it.
+    const CommitGate::Advance adv = seg_gate_.ack(replica, ack.seq);
+    while (!seg_recs_.empty() && seg_recs_.front().seq < adv.end) {
+      const SegRec& seg = seg_recs_.front();
+      obs_.instant(Track::kPrimary, Stage::kLogAckRecv, now, seg.seq);
+      obs_.instant(Track::kPrimary, Stage::kLogRelease, now, seg.seq);
+      plug().release_to_marker(seg.marker);  // emits kPlugRelease
+      metrics_->log_commit_latency_ms.add(to_millis(now - seg.cut_at));
+      seg_recs_.pop_front();
+    }
   }
 }
 

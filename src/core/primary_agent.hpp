@@ -6,17 +6,19 @@
 // (CRIU engine + state cache); optionally ship it synchronously (no staging
 // buffer) or stage it and ship after resume; unblock input, insert the
 // output-commit marker, thaw. Buffered output of epoch k is released when
-// the backup acknowledges epoch k's state.
+// the backup acknowledges epoch k's state (K-of-N with replicas: a
+// CommitGate releases each epoch and log segment at its K-th ack).
 #pragma once
 
 #include <array>
+#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "blockdev/drbd.hpp"
+#include "core/commit_gate.hpp"
 #include "core/epoch_controller.hpp"
 #include "core/event_log.hpp"
 #include "core/metrics.hpp"
@@ -53,13 +55,6 @@ class PrimaryAgent {
                    HeartbeatChannel& hb_out, LogChannel& log_out,
                    LogAckChannel& log_ack_in, bool direct);
 
-  int replica_count() const { return static_cast<int>(replicas_.size()); }
-  int quorum() const { return quorum_k_; }
-  /// Replica `r`'s last acked epoch (the per-replica cursor).
-  std::uint64_t replica_acked_epoch(int r) const {
-    return replicas_[static_cast<std::size_t>(r)].acked_epoch;
-  }
-
   /// Spawns the epoch loop, ack receiver and heartbeat sender under the
   /// primary host's domain. Returns once the initial full synchronization
   /// has been acknowledged by the backup (the container is protected from
@@ -74,12 +69,13 @@ class PrimaryAgent {
   void set_stream(trace::Stream* s) { obs_.attach(s); }
 
   std::uint64_t current_epoch() const { return epoch_; }
-  std::uint64_t acked_epoch() const { return acked_epoch_; }
+  /// The quorum cursor: the newest epoch K replicas acked (empty until
+  /// the initial synchronization's ack).
+  std::optional<std::uint64_t> acked_epoch() const {
+    return epoch_gate_.quorum();
+  }
   /// Replay mode: log segments cut but not yet released by a K-of-N ack.
   std::size_t log_segments_in_flight() const { return seg_recs_.size(); }
-  /// The epoch-length controller (DESIGN.md §15); read-only for tests and
-  /// the run drivers' controller summary.
-  const epochctl::EpochController& controller() const { return controller_; }
 
  private:
   sim::task<> epoch_loop();
@@ -112,9 +108,6 @@ class PrimaryAgent {
   // ---- N-way replication (DESIGN.md §16) ----------------------------------
   /// One entry per backup replica. Replica 0 is the constructor's channel
   /// set (the paper's single backup); extras register via add_replica().
-  /// The per-replica cursors feed the quorum gate: acked_epoch_/any_acked_
-  /// below hold the *quorum* cursor (K-th largest), which at N = 1
-  /// degenerates to the lone backup's cursor — the legacy semantics.
   struct Replica {
     StateChannel* state_out;
     AckChannel* ack_in;
@@ -122,21 +115,24 @@ class PrimaryAgent {
     LogChannel* log_out;
     LogAckChannel* log_ack_in;
     bool direct = true;
-    std::uint64_t acked_epoch = 0;
-    bool any_acked = false;
   };
-  static constexpr std::size_t kMaxReplicas = 16;
   std::vector<Replica> replicas_;
-  int quorum_k_ = 1;
+  /// Replicas fed straight from this agent, counted once at start().
+  int ndirect_ = 0;
   bool started_ = false;
-  /// Applies replica `r`'s ack, recomputes the quorum cursor and releases
-  /// every epoch a quorum advance covers. The whole body runs in one
-  /// scheduler step (no co_await), like the old single-backup ack_loop.
+  /// K-of-N release over the per-replica ack cursors: epochs, and log
+  /// segments in replay mode. Sized at start(), once the replica set is
+  /// final; at N = 1 every ack of the lone backup is a quorum advance.
+  CommitGate epoch_gate_{1, 1};
+  CommitGate seg_gate_{1, 1};
+  /// Applies replica `r`'s ack and releases every epoch the quorum advance
+  /// covers. The whole body runs in one scheduler step (no co_await).
   void apply_replica_ack(std::size_t r, std::uint64_t epoch);
-  /// K-th largest per-replica cursor; *any = false until K replicas acked.
-  std::uint64_t quorum_epoch(bool* any) const;
-  /// Per-replica ack lag + quorum wait samples at a quorum advance (N > 1).
-  void sample_quorum_metrics(std::uint64_t q, Time now);
+  /// Sends `msg` to every directly-fed replica in replica order (star
+  /// fan-out; chain replicas get it forwarded by their upstream
+  /// BackupAgent): a copy to each but the last, which takes `msg` itself.
+  template <typename Msg, typename Chan>
+  void send_direct(Msg msg, std::uint64_t bytes, Chan* Replica::*out);
 
   criu::CheckpointEngine ckpt_;
   InfrequentStateCache cache_;
@@ -146,10 +142,7 @@ class PrimaryAgent {
 
   bool running_ = true;
   std::uint64_t epoch_ = 0;
-  std::uint64_t acked_epoch_ = 0;
-  /// Distinguishes "epoch 0 acked" from "no ack yet" (both leave
-  /// acked_epoch_ == 0).
-  bool any_acked_ = false;
+  /// Set at every epoch quorum advance; wait_acked() parks on it.
   std::unique_ptr<sim::Event> ack_event_;
   /// Per-epoch record (plug marker, stop-begin time); marker released on
   /// ack. The epoch pipeline bounds the un-acked window at 2 (epoch_loop
@@ -224,27 +217,20 @@ class PrimaryAgent {
   bool last_release_drained_ = false;
   /// Container CPU usage at the previous controller feed (capacity gate).
   Time cpu_mark_ = 0;
-  /// log_bytes_shipped at the previous checkpoint (controller feed; kept
-  /// separate from log_bytes_at_last_epoch_, which the delta-stats stamp
-  /// owns and only updates when compression is on).
-  std::uint64_t log_bytes_ctl_mark_ = 0;
   /// Wakes the flush loop when buffered output is waiting on a log ship.
   std::unique_ptr<sim::Event> log_flush_event_;
-  /// In-flight segments: seq -> (plug marker bounding its output, cut
-  /// time). Released and erased at the K-th replica's log ack, so the map
-  /// holds only segments cut but not yet quorum-acked, whatever happens to
-  /// the other N - K replicas.
+  /// In-flight segments in seq order: the plug marker bounding each one's
+  /// output and its cut time. Popped when seg_gate_ makes the segment
+  /// quorate, so the deque holds only segments cut but not yet
+  /// quorum-acked, whatever happens to the other N - K replicas.
   struct SegRec {
+    std::uint64_t seq = 0;
     std::uint64_t marker = 0;
     Time cut_at = 0;
-    int acks = 0;  // replica acks seen so far
   };
-  std::map<std::uint64_t, SegRec> seg_recs_;
-  /// Highest released segment; acks at or below it are late (the segment
-  /// is already retired).
-  std::optional<std::uint64_t> last_released_seq_;
-  /// log_bytes_shipped high-water at the previous checkpoint, for the
-  /// per-epoch log-stream stamp in EpochDeltaStats::log_bytes.
+  std::deque<SegRec> seg_recs_;
+  /// log_bytes_shipped at the previous checkpoint, for the controller's
+  /// per-epoch log-stream growth.
   std::uint64_t log_bytes_at_last_epoch_ = 0;
   /// The single dumper/sender thread's busy horizon: staged ships (and
   /// their deferred COW copy-outs) serialize behind it so EpochStateMsg

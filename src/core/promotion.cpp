@@ -1,5 +1,6 @@
 #include "core/promotion.hpp"
 
+#include <optional>
 #include <tuple>
 
 #include "core/backup_agent.hpp"
@@ -33,9 +34,10 @@ sim::task<> PromotionArbiter::close_election() {
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     const Entry& e = replicas_[i];
     if (!e.domain->alive()) continue;  // died with (or after) the primary
+    const std::optional<std::uint64_t> acked = e.agent->acked_epoch();
     candidates.push_back(PromotionCandidate{
-        static_cast<int>(i), e.agent->any_ack_sent(),
-        e.agent->acked_epoch(), e.agent->committed_nd_entries()});
+        static_cast<int>(i), acked.has_value(), acked.value_or(0),
+        e.agent->committed_nd_entries()});
   }
   NLC_CHECK_MSG(!candidates.empty(), "election with no surviving replica");
 

@@ -210,14 +210,6 @@ struct EpochDeltaStats {
   std::uint64_t raw_pages = 0;      // no reference / compression lost
   std::uint64_t raw_bytes = 0;      // page bytes before compression
   std::uint64_t wire_bytes = 0;     // page bytes after compression
-  /// Event-log stream bytes shipped alongside this epoch (replay commit
-  /// mode, DESIGN.md §14). The two streams are accounted separately: log
-  /// segments ride their own priority lane and are never folded into
-  /// `wire_bytes`, so the compression ratio stays a pure page-stream
-  /// property and bench_fig3_overhead can report both streams. Stamped by
-  /// the primary agent (the encoder never sees the log), zero under the
-  /// epoch commit mode.
-  std::uint64_t log_bytes = 0;
 
   double ratio() const {
     return raw_bytes == 0 ? 1.0

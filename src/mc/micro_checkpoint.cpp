@@ -51,7 +51,7 @@ sim::task<> McDriver::epoch_loop() {
 }
 
 sim::task<> McDriver::wait_acked(std::uint64_t epoch) {
-  while (acked_epoch_ < epoch) {
+  while (!gate_.quorate(epoch)) {
     ack_event_->reset();
     co_await ack_event_->wait();
   }
@@ -122,10 +122,11 @@ sim::task<> McDriver::checkpoint_once(bool initial) {
 sim::task<> McDriver::ack_loop() {
   while (true) {
     core::AckMsg ack = co_await ack_in_->recv();
-    acked_epoch_ = std::max(acked_epoch_, ack.epoch);
+    const core::CommitGate::Advance adv = gate_.ack(0, ack.epoch);
     ack_event_->set();
-    auto it = pending_markers_.find(ack.epoch);
-    if (it != pending_markers_.end()) {
+    for (std::uint64_t e = adv.begin; e < adv.end; ++e) {
+      auto it = pending_markers_.find(e);
+      if (it == pending_markers_.end()) continue;
       tcp_->plug(service_ip()).release_to_marker(it->second.first);
       metrics_->commit_latency_ms.add(
           to_millis(kernel_->simulation().now() - it->second.second));

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 
+#include "core/commit_gate.hpp"
 #include "core/epoch_controller.hpp"
 #include "core/metrics.hpp"
 #include "core/protocol.hpp"
@@ -82,7 +83,9 @@ class McDriver {
 
   bool running_ = true;
   std::uint64_t epoch_ = 0;
-  std::uint64_t acked_epoch_ = 0;
+  /// Output commit over the one backup's acks: epoch k's marker releases
+  /// at the ack of k, and "epoch 0 acked" stays distinct from "no ack yet".
+  core::CommitGate gate_{1, 1};
   std::unique_ptr<sim::Event> ack_event_;
   std::map<std::uint64_t, std::pair<std::uint64_t, Time>> pending_markers_;
   kern::Pid guest_kernel_pid_ = 0;

@@ -50,7 +50,8 @@ struct ProtectedService {
 
 TEST(ClusterTest, ProtectCompletesInitialSync) {
   ProtectedService svc;
-  EXPECT_GE(svc.cl.primary_agent->acked_epoch(), 0u);
+  EXPECT_EQ(svc.cl.primary_agent->acked_epoch(),
+            std::optional<std::uint64_t>{0});
   // An idle container has no resident pages (full dumps skip holes), so
   // dirty some memory and let an incremental epoch ship it.
   kern::Process* p =

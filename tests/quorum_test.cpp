@@ -1,5 +1,6 @@
-// N-way quorum replication (DESIGN.md §16): the QuorumCommitChecker's
-// K-of-N release discipline, the trace oracle's quorum and promotion
+// N-way quorum replication (DESIGN.md §16): the CommitGate every output
+// release runs through, the QuorumCommitChecker's K-of-N release
+// discipline, the trace oracle's quorum and promotion
 // rules, and the end-to-end behavior of a 3-replica cluster — backup-lag
 // tolerance, single-backup-crash absorption, double failure, correlated
 // rack failure, the promotion-picks-most-caught-up regression and the
@@ -15,6 +16,7 @@
 #include "check/trace_oracle.hpp"
 #include "clients/closed_loop.hpp"
 #include "core/cluster.hpp"
+#include "core/commit_gate.hpp"
 #include "harness/experiment.hpp"
 #include "util/assert.hpp"
 
@@ -25,6 +27,84 @@ using trace::Event;
 using trace::EventType;
 using trace::Stage;
 using trace::Track;
+
+// ---------------------------------------------------------- CommitGate ----
+
+using core::CommitGate;
+
+void expect_advance(CommitGate::Advance a, std::uint64_t begin,
+                    std::uint64_t end) {
+  EXPECT_EQ(a.begin, begin);
+  EXPECT_EQ(a.end, end);
+}
+
+TEST(CommitGateTest, EpochZeroReleasesOnlyAtKthAck) {
+  CommitGate g(3, 2);
+  EXPECT_FALSE(g.quorum().has_value());
+  EXPECT_FALSE(g.quorate(0));
+  EXPECT_TRUE(g.ack(2, 0).empty());
+  EXPECT_FALSE(g.quorate(0));
+  EXPECT_FALSE(g.quorum().has_value());
+  expect_advance(g.ack(0, 0), 0, 1);
+  EXPECT_EQ(g.quorum(), std::optional<std::uint64_t>{0});
+  EXPECT_TRUE(g.quorate(0));
+  EXPECT_FALSE(g.quorate(1));
+  // The third ack of 0 commits nothing new.
+  EXPECT_TRUE(g.ack(1, 0).empty());
+}
+
+TEST(CommitGateTest, DeadReplicaNeverHoldsReleaseBack) {
+  // N = 3 / K = 2: replica 2 acks 0..2 and dies. Replicas 0 and 1 ack one
+  // position each in turn; every position releases at its second ack,
+  // exactly as if all three were alive.
+  CommitGate g(3, 2);
+  for (std::uint64_t p = 0; p <= 2; ++p) EXPECT_TRUE(g.ack(2, p).empty());
+  expect_advance(g.ack(0, 0), 0, 1);
+  expect_advance(g.ack(0, 1), 1, 2);
+  expect_advance(g.ack(0, 2), 2, 3);
+  for (std::uint64_t p = 3; p < 20; ++p) {
+    EXPECT_TRUE(g.ack(0, p).empty()) << p;
+    expect_advance(g.ack(1, p), p, p + 1);
+  }
+  EXPECT_EQ(g.quorum(), std::optional<std::uint64_t>{19});
+  EXPECT_EQ(g.cursor(2), std::optional<std::uint64_t>{2});
+}
+
+TEST(CommitGateTest, CursorJumpReleasesEveryCoveredPosition) {
+  CommitGate g(3, 2);
+  EXPECT_TRUE(g.ack(0, 7).empty());
+  // Replica 1's first ack lands on 7: positions 0..7 all become quorate.
+  expect_advance(g.ack(1, 7), 0, 8);
+  EXPECT_TRUE(g.ack(2, 3).empty());
+  EXPECT_TRUE(g.ack(0, 11).empty());
+  // Replica 2 jumps from 3 to join replica 0 at 11: 8..11 become quorate.
+  expect_advance(g.ack(2, 11), 8, 12);
+  EXPECT_EQ(g.quorum(), std::optional<std::uint64_t>{11});
+}
+
+TEST(CommitGateTest, NonMonotoneAckTripsTheCheck) {
+  CommitGate g(3, 2);
+  g.ack(1, 5);
+  EXPECT_TRUE(g.ack(1, 5).empty());  // a repeat is not a regression
+  EXPECT_THROW(g.ack(1, 4), InvariantError);
+  EXPECT_THROW(CommitGate(2, 3), InvariantError);
+  EXPECT_THROW(CommitGate(2, 0), InvariantError);
+}
+
+TEST(CommitGateTest, SingleReplicaGateReleasesEachAckedPosition) {
+  // N = 1 / K = 1 is the two-node gate: every ack that moves the lone
+  // cursor releases exactly the positions it moved over.
+  CommitGate g(1, 1);
+  EXPECT_FALSE(g.quorate(0));
+  for (std::uint64_t e = 0; e < 5; ++e) {
+    expect_advance(g.ack(0, e), e, e + 1);
+    EXPECT_EQ(g.quorum(), std::optional<std::uint64_t>{e});
+    EXPECT_EQ(g.cursor(0), g.quorum());
+  }
+  expect_advance(g.ack(0, 9), 5, 10);
+  EXPECT_TRUE(g.quorate(9));
+  EXPECT_FALSE(g.quorate(10));
+}
 
 // ------------------------------------------------- QuorumCommitChecker ----
 
