@@ -68,6 +68,10 @@ RunResult run_experiment(const RunConfig& cfg) {
     ccfg.replicas = cfg.nilicon.replicas;
     ccfg.topology = cfg.nilicon.topology;
   }
+  // MC plumbing (only used in MC mode). Declared before cl: the cluster's
+  // destructor destroys the suspended coroutine frames, and the MC epoch
+  // loop may be parked on the driver's own ack event.
+  std::unique_ptr<mc::McDriver> mc_driver;
   Cluster cl(ccfg);
   Rng rng(cfg.seed);
 
@@ -113,8 +117,6 @@ RunResult run_experiment(const RunConfig& cfg) {
     diskstress->setup(cid);
   }
 
-  // MC plumbing (only used in MC mode).
-  std::unique_ptr<mc::McDriver> mc_driver;
   if (cfg.mode == Mode::kMc) {
     mc::McOptions mo;
     mo.guest_noise_pages = cfg.spec.mc_guest_noise_pages;
