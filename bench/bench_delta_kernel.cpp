@@ -10,14 +10,21 @@
 // unverified pass, so the gate cannot pass on a kernel that is fast but
 // wrong.
 //
+// It also times the KV value generator's word-loop variants (apps/kv.hpp)
+// in ns per fill and per check of one 900-byte value, each variant's bytes
+// and verdicts checked against the baseline first. Those rows have no gate.
+//
 // Writes BENCH_delta_kernel.json. The smoke/default run gates the best
 // fast tier at >= 3x the scalar reference on this corpus (skipped when the
 // build cannot run any vector tier and SWAR alone misses it on exotic
 // hardware is not expected — SWAR must hit the gate too).
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
+#include "apps/kv.hpp"
 #include "bench/common.hpp"
 #include "criu/delta.hpp"
 #include "kernel/address_space.hpp"
@@ -143,6 +150,80 @@ double measure_tier(const std::vector<Case>& corpus, util::SimdTier tier,
   return best;
 }
 
+/// Bytes in each value of the perfbench and nlc_run KV workloads.
+constexpr std::size_t kKvValueLen = 900;
+
+struct KvRow {
+  apps::KvIsa isa;
+  double fill_ns;
+  double check_ns;
+};
+
+/// Aborts the bench unless `isa` writes the baseline's bytes and accepts
+/// exactly its own values.
+void verify_kv_isa(apps::KvIsa isa) {
+  constexpr std::size_t kMaxLen = kPageSize - 16;
+  std::vector<std::byte> ref(kMaxLen);
+  std::vector<std::byte> got(kMaxLen);
+  for (std::uint64_t seed : {0ull, 0x5EEDull, ~0ull - 3}) {
+    for (std::size_t len : {0ul, 1ul, 7ul, 8ul, 63ul, 64ul, 65ul,
+                            kKvValueLen, kMaxLen}) {
+      apps::kv_fill_value(seed, ref.data(), len, apps::KvIsa::kBaseline);
+      apps::kv_fill_value(seed, got.data(), len, isa);
+      NLC_CHECK_MSG(std::memcmp(ref.data(), got.data(), len) == 0,
+                    "KV value variant diverges from the baseline");
+      NLC_CHECK_MSG(apps::kv_value_matches(seed, got.data(), len, isa) &&
+                        apps::kv_value_matches(seed + 1, got.data(), len,
+                                               isa) == (len == 0),
+                    "KV check variant diverges from the baseline");
+    }
+  }
+}
+
+/// Makes `p` escape and the memory it reaches current here, so the
+/// compiler can neither drop nor move the timed work that wrote it. The
+/// baseline is inlined into the timing loops, unlike the vector variants.
+inline void escape(const void* p) { asm volatile("" : : "g"(p) : "memory"); }
+
+/// Best-of ns per fill and per check of one kKvValueLen-byte value. Every
+/// check is of a value that matches, as on a healthy run; the loop has no
+/// early exit, so a mismatch would cost the same.
+KvRow measure_kv_isa(apps::KvIsa isa, int reps, std::uint64_t* sink) {
+  constexpr int kValues = 4000;
+  constexpr std::size_t kRing = 16;
+  std::array<std::vector<std::byte>, kRing> ring;
+  for (std::size_t j = 0; j < kRing; ++j) {
+    ring[j].resize(kKvValueLen);
+    apps::kv_fill_value(j, ring[j].data(), kKvValueLen, isa);
+    escape(ring[j].data());
+  }
+  std::vector<std::byte> out(kKvValueLen);
+  KvRow row{isa, 1e18, 1e18};
+  for (int r = 0; r < reps; ++r) {
+    std::uint64_t acc = 0;
+    const std::uint64_t t0 = util::wall_now_ns();
+    for (int v = 0; v < kValues; ++v) {
+      apps::kv_fill_value(static_cast<std::uint64_t>(v), out.data(),
+                          kKvValueLen, isa);
+      escape(out.data());
+    }
+    const std::uint64_t t1 = util::wall_now_ns();
+    for (int v = 0; v < kValues; ++v) {
+      const std::size_t j = static_cast<std::size_t>(v) % kRing;
+      acc += apps::kv_value_matches(j, ring[j].data(), kKvValueLen, isa);
+      escape(&acc);
+    }
+    const std::uint64_t t2 = util::wall_now_ns();
+    NLC_CHECK_MSG(acc == static_cast<std::uint64_t>(kValues),
+                  "KV check rejected its own value");
+    *sink += acc;
+    row.fill_ns = std::min(row.fill_ns, static_cast<double>(t1 - t0) / kValues);
+    row.check_ns =
+        std::min(row.check_ns, static_cast<double>(t2 - t1) / kValues);
+  }
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -192,16 +273,44 @@ int main(int argc, char** argv) {
     }
   }
   const double speedup = scalar_ns / best_fast_ns;
+  std::printf("%-10s | %6.2fx (checksum %llu)\n", "best fast", speedup,
+              static_cast<unsigned long long>(sink & 0xFFFF));
+
+  std::printf("\nKV value generator, %zu-byte value (kv_isa() = %s)\n",
+              kKvValueLen, apps::kv_isa_name(apps::kv_isa()));
+  std::vector<KvRow> kv_rows;
+  for (apps::KvIsa isa : {apps::KvIsa::kBaseline, apps::KvIsa::kAvx2,
+                          apps::KvIsa::kAvx512dq}) {
+    if (!apps::kv_isa_supported(isa)) {
+      std::printf("%-10s | not run: this build or CPU cannot run it\n",
+                  apps::kv_isa_name(isa));
+      continue;
+    }
+    verify_kv_isa(isa);
+    kv_rows.push_back(measure_kv_isa(isa, reps, &sink));
+    std::printf("%-10s | %8.1f ns/fill | %8.1f ns/check\n",
+                apps::kv_isa_name(isa), kv_rows.back().fill_ns,
+                kv_rows.back().check_ns);
+  }
+
   if (f != nullptr) {
     std::fprintf(f,
                  "\n  ],\n  \"best_fast_speedup\": %.2f,\n"
-                 "  \"vector_supported\": %s\n}\n",
-                 speedup, util::cpu_supports_vector() ? "true" : "false");
+                 "  \"vector_supported\": %s,\n"
+                 "  \"kv_value_bytes\": %zu,\n  \"kv_isas\": [\n",
+                 speedup, util::cpu_supports_vector() ? "true" : "false",
+                 kKvValueLen);
+    for (std::size_t i = 0; i < kv_rows.size(); ++i) {
+      std::fprintf(f,
+                   "%s    {\"isa\": \"%s\", \"ns_per_fill\": %.1f, "
+                   "\"ns_per_check\": %.1f}",
+                   i == 0 ? "" : ",\n", apps::kv_isa_name(kv_rows[i].isa),
+                   kv_rows[i].fill_ns, kv_rows[i].check_ns);
+    }
+    std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
     std::printf("\nwrote BENCH_delta_kernel.json\n");
   }
-  std::printf("%-10s | %6.2fx (checksum %llu)\n", "best fast", speedup,
-              static_cast<unsigned long long>(sink & 0xFFFF));
 
   // Acceptance gate (ISSUE 6): the fast tier must beat the byte-at-a-time
   // reference by >= 3x on the mixed corpus. Bit-identity was asserted above

@@ -46,14 +46,16 @@ void ClosedLoopClient::verify_reply(const net::Segment& reply,
     ++kv_errors_;
     return;
   }
-  std::vector<KvOp> replies = apps::kv_decode(*reply.payload);
-  if (replies.size() != p.expected.size()) {
+  const std::vector<std::byte>& ops = *reply.payload;
+  if (apps::kv_op_count(ops) != p.expected.size()) {
     ++kv_errors_;
     return;
   }
-  for (std::size_t i = 0; i < replies.size(); ++i) {
+  for (std::size_t i = 0; i < p.expected.size(); ++i) {
     const KvOp& want = p.expected[i];
-    const KvOp& got = replies[i];
+    // Read before the op kind is known, so a corrupt reply op of any kind
+    // fails the codec's check.
+    const KvOp got = apps::kv_read_op(ops, i);
     if (want.op != KvOpType::kGet) continue;
     if (got.found != want.found) {
       ++kv_errors_;

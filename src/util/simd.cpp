@@ -26,6 +26,16 @@ bool cpu_supports_vector() {
 #endif
 }
 
+bool cpu_supports_avx512dq() {
+#if NLC_SIMD_X86
+  static const bool ok = __builtin_cpu_supports("avx512f") != 0 &&
+                         __builtin_cpu_supports("avx512dq") != 0;
+  return ok;
+#else
+  return false;
+#endif
+}
+
 SimdTier best_simd_tier() {
   return cpu_supports_vector() ? SimdTier::kVector : SimdTier::kSwar64;
 }

@@ -44,6 +44,11 @@ const char* simd_tier_name(SimdTier t);
 /// True when the vector tier (AVX2) can run on this CPU.
 bool cpu_supports_vector();
 
+/// True when AVX-512F and AVX-512DQ code can run on this CPU. Only the KV
+/// value generator (apps/kv.hpp) has such a variant; NLC_SIMD does not
+/// select it.
+bool cpu_supports_avx512dq();
+
 /// Fastest tier this build + CPU supports (kVector or kSwar64).
 SimdTier best_simd_tier();
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdio>
+#include <cstring>
 #include <optional>
 #include <utility>
 
@@ -102,6 +105,83 @@ TEST(KvCodecTest, ContentHashDiscriminates) {
 TEST(KvCodecTest, CorruptPayloadRejected) {
   std::vector<std::byte> garbage(kKvOpWireSize + 1);
   EXPECT_THROW(kv_decode(garbage), InvariantError);
+  // Byte 0 carries the op kind, byte 1 the found flag.
+  const std::vector<KvOp> ops{{KvOpType::kSet, 1, 2, 3, false, 0},
+                              {KvOpType::kGet, 4, 5, 6, true, 7}};
+  for (std::uint8_t bad_op : {0, 3}) {
+    auto buf = *kv_encode(ops);
+    buf[kKvOpWireSize] = std::byte{bad_op};
+    EXPECT_THROW(kv_decode(buf), InvariantError) << "op byte " << +bad_op;
+  }
+  auto buf = *kv_encode(ops);
+  buf[kKvOpWireSize + 1] = std::byte{2};
+  EXPECT_THROW(kv_decode(buf), InvariantError) << "found byte 2";
+}
+
+TEST(KvCodecTest, EveryIsaWritesAndChecksTheSameBytes) {
+  std::vector<KvIsa> isas;
+  for (KvIsa isa : {KvIsa::kBaseline, KvIsa::kAvx2, KvIsa::kAvx512dq}) {
+    if (kv_isa_supported(isa)) {
+      isas.push_back(isa);
+    } else {
+      std::printf("[ SKIPPED  ] %s variant: this build or CPU cannot run it\n",
+                  kv_isa_name(isa));
+    }
+  }
+  ASSERT_EQ(isas.front(), KvIsa::kBaseline);
+  constexpr std::size_t kMaxLen = kPageSize - 16;  // a full cell's value
+  constexpr std::size_t kGuard = 64;
+  constexpr std::byte kCanary{0xA5};
+  // The last three seeds wrap the word counter inside the vector loop.
+  for (std::uint64_t seed :
+       {0ull, 7ull, 0x5EEDull, ~0ull, ~0ull - 3, ~0ull - 200}) {
+    std::vector<std::byte> ref(kMaxLen);
+    for (std::uint32_t i = 0; i < kMaxLen; ++i) {
+      ref[i] = kv_value_byte(seed, i);
+    }
+    std::vector<std::byte> buf(kMaxLen + kGuard);
+    for (KvIsa isa : isas) {
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        std::byte* end = buf.data() + len;
+        std::fill(buf.data(), end + kGuard, kCanary);
+        kv_fill_value(seed, buf.data(), len, isa);
+        ASSERT_EQ(std::memcmp(buf.data(), ref.data(), len), 0)
+            << kv_isa_name(isa) << " seed " << seed << " len " << len;
+        ASSERT_TRUE(std::all_of(end, end + kGuard,
+                                [&](std::byte b) { return b == kCanary; }))
+            << kv_isa_name(isa) << " wrote past len " << len;
+        ASSERT_TRUE(kv_value_matches(seed, buf.data(), len, isa))
+            << kv_isa_name(isa) << " seed " << seed << " len " << len;
+      }
+    }
+    // Two passes of the widest vector loop, then 0..7 whole words, then no
+    // tail or a 5-byte one; plus the same without a vector pass.
+    for (std::size_t vector_words : {0, 16}) {
+      for (std::size_t words = 0; words < 8; ++words) {
+        for (std::size_t tail : {0, 5}) {
+          const std::size_t len = 8 * (vector_words + words) + tail;
+          std::vector<std::byte> v(ref.data(), ref.data() + len);
+          std::vector<std::size_t> flips;
+          for (std::size_t w = 0; w < len / 8; ++w) {
+            flips.push_back(8 * w + w % 8);
+          }
+          for (std::size_t at = len / 8 * 8; at < len; ++at) {
+            flips.push_back(at);
+          }
+          for (std::size_t at : flips) {
+            const std::byte bit{static_cast<unsigned char>(1u << (at % 7))};
+            v[at] ^= bit;
+            for (KvIsa isa : isas) {
+              ASSERT_FALSE(kv_value_matches(seed, v.data(), len, isa))
+                  << kv_isa_name(isa) << " seed " << seed << " len " << len
+                  << " flipped byte " << at;
+            }
+            v[at] ^= bit;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ ServerApp ----
