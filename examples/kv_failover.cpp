@@ -34,11 +34,11 @@ int main() {
     a.set_dilation(s.dilation_nilicon);
   }(cluster, cont.id(), app, spec));
 
-  apps::AppEnv backup_env{&cluster.sim, cluster.backup_kernel.get(),
-                          &cluster.backup_tcp, core::kServiceIp, 12};
+  apps::AppEnv backup_env{&cluster.sim, &cluster.backup_kernel_of(0),
+                          &cluster.backup_tcp_of(0), core::kServiceIp, 12};
   auto restored = std::make_shared<std::unique_ptr<apps::ServerApp>>();
   cluster.sim.call_after(1_ms, [&, restored] {
-    cluster.backup_agent->set_on_restored(
+    cluster.backup(0).set_on_restored(
         [&, restored](const core::FailoverContext& ctx) {
           *restored = apps::ServerApp::attach_restored(backup_env, spec, ctx);
         });
@@ -77,9 +77,9 @@ int main() {
   std::printf("broken connections:    %llu  (must be 0)\n",
               static_cast<unsigned long long>(client.broken_connections()));
   std::printf("recovered on backup:   %s\n",
-              cluster.backup_agent->recovered() ? "yes" : "NO");
+              cluster.backup(0).recovered() ? "yes" : "NO");
   bool ok = client.kv_errors() == 0 && client.broken_connections() == 0 &&
-            cluster.backup_agent->recovered();
+            cluster.backup(0).recovered();
   std::printf("\n%s\n", ok ? "SUCCESS: service survived the crash with full"
                              " consistency."
                            : "FAILURE: inconsistency detected.");

@@ -56,7 +56,8 @@ int main() {
   for (const auto& rec : shipped.pages) store.store(rec);
 
   // Restore on the other host, like `criu restore`.
-  criu::RestoreEngine restore(*cluster.backup_kernel, cluster.backup_tcp);
+  criu::RestoreEngine restore(cluster.backup_kernel_of(0),
+                              cluster.backup_tcp_of(0));
   criu::RestoreTimeline tl;
   cluster.sim.spawn([](core::Cluster&, criu::RestoreEngine& eng,
                        const criu::CheckpointImage& img,
@@ -73,7 +74,7 @@ int main() {
               static_cast<unsigned long long>(tl.pages_restored));
 
   // The state made it.
-  kern::Process* q = cluster.backup_kernel->process(p.pid());
+  kern::Process* q = cluster.backup_kernel_of(0).process(p.pid());
   auto back = q->mm().read(vma.start + 17, 100, bytes.size());
   bool ok = back == bytes;
   std::printf("memory check on the destination host: %s\n",

@@ -42,11 +42,11 @@ int main() {
   }(cluster, cont.id(), app, spec));
 
   // On failover, re-attach the service on the backup host.
-  apps::AppEnv backup_env{&cluster.sim, cluster.backup_kernel.get(),
-                          &cluster.backup_tcp, core::kServiceIp, 2};
+  apps::AppEnv backup_env{&cluster.sim, &cluster.backup_kernel_of(0),
+                          &cluster.backup_tcp_of(0), core::kServiceIp, 2};
   auto restored = std::make_shared<std::unique_ptr<apps::ServerApp>>();
   cluster.sim.call_after(1_ms, [&, restored] {
-    cluster.backup_agent->set_on_restored(
+    cluster.backup(0).set_on_restored(
         [&, restored](const core::FailoverContext& ctx) {
           *restored = apps::ServerApp::attach_restored(backup_env, spec, ctx);
           std::printf("[%.3fs] service re-attached on the backup\n",
@@ -91,9 +91,9 @@ int main() {
               format_bytes(static_cast<std::uint64_t>(
                                cluster.metrics.state_bytes.mean()))
                   .c_str());
-  const auto& rm = cluster.backup_agent->recovery_metrics();
+  const auto& rm = cluster.backup(0).recovery_metrics();
   std::printf("recovered:             %s\n",
-              cluster.backup_agent->recovered() ? "yes" : "NO");
+              cluster.backup(0).recovered() ? "yes" : "NO");
   std::printf("detection latency:     %.0fms\n",
               to_millis(rm.detection_latency));
   std::printf("restore time:          %.0fms (+%.0fms ARP, +%.0fms misc)\n",

@@ -22,6 +22,7 @@
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
 #include "trace/stream.hpp"
+#include "util/assert.hpp"
 
 namespace nlc::blk {
 
@@ -40,11 +41,11 @@ using DrbdMessage = std::variant<DiskWrite, Barrier>;
 /// Primary-side DRBD: local write-through + async replication.
 class DrbdPrimary : public kern::BlockStore {
  public:
-  DrbdPrimary(Disk& local, net::Channel<DrbdMessage>& to_backup)
-      : local_(&local), channels_{&to_backup} {}
+  explicit DrbdPrimary(Disk& local) : local_(&local) {}
 
   void write_block(kern::InodeNum ino, std::uint64_t page,
                    std::span<const std::byte> data) override {
+    NLC_CHECK_MSG(!channels_.empty(), "DRBD write before any add_channel");
     local_->write_block(ino, page, data);
     const std::uint64_t wire = data.size() + kWriteHeaderBytes;
     DiskWrite w{ino, page, {data.begin(), data.end()}};
@@ -64,12 +65,14 @@ class DrbdPrimary : public kern::BlockStore {
 
   /// End-of-epoch barrier (sent by the primary agent at each pause).
   void send_barrier(std::uint64_t epoch) {
+    NLC_CHECK_MSG(!channels_.empty(), "DRBD barrier before any add_channel");
     for (net::Channel<DrbdMessage>* ch : channels_) {
       ch->send(DrbdMessage{Barrier{epoch}}, kBarrierBytes);
     }
   }
 
-  /// Adds a directly-fed replica's write channel (star topology, N > 1).
+  /// Adds a directly fed replica's write channel, in replica order: every
+  /// star replica, or a chain's head.
   void add_channel(net::Channel<DrbdMessage>& ch) {
     channels_.push_back(&ch);
   }

@@ -1,5 +1,6 @@
 #include "check/audit.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "kernel/kernel.hpp"
@@ -43,9 +44,9 @@ std::uint64_t restore_equivalence_walk(const criu::PageStore& store,
   return compared;
 }
 
-/// Replica `i`'s stream: replica 0 emits on the main one.
+/// The stream replica `i` emits on (the main one for replica 0).
 trace::Stream& replica_stream(core::Cluster& cluster, std::size_t i) {
-  return i == 0 ? cluster.stream : cluster.extra_backups[i - 1]->stream;
+  return *cluster.backups[i]->stream;
 }
 
 }  // namespace
@@ -108,8 +109,11 @@ InvariantAuditor::InvariantAuditor(core::Cluster& cluster,
   NLC_CHECK_MSG(level_ != core::AuditLevel::kOff,
                 "constructing an auditor with auditing off");
   NLC_CHECK_MSG(cluster.primary_agent != nullptr &&
-                    cluster.backup_agent != nullptr,
-                "auditor needs both agents (attach from on_agents_created)");
+                    std::ranges::all_of(cluster.backups,
+                                        [](const auto& r) {
+                                          return r->agent != nullptr;
+                                        }),
+                "auditor needs every agent (attach from on_agents_created)");
   const kern::Container* cont = cluster.primary_kernel->container(cid);
   NLC_CHECK_MSG(cont != nullptr, "auditing an unknown container");
   plug_ = &cluster.primary_tcp.plug(

@@ -1,10 +1,11 @@
 // Cluster: the paper's testbed in one object (§VI).
 //
-// Three hosts — client, primary, backup — with 1 GbE links from the client
-// to each server host and a dedicated 10 GbE replication link between the
-// servers. Owns the kernels, disks, DRBD pair, TCP stacks and the
-// replication channels; protect() instantiates the NiLiCon agent pair for a
-// container.
+// A client host, the primary and N backup replicas (N = 1 is the paper's
+// testbed: client, primary, backup). 1 GbE links run from the client to
+// each server host, and the primary feeds the backups over a dedicated
+// 10 GbE replication NIC. The Cluster owns the kernels, disks, DRBD ends,
+// TCP stacks and replication channels, each backup's in one BackupReplica
+// record; protect() instantiates the NiLiCon agents for a container.
 //
 // This is the main entry point of the library: build a Cluster, create a
 // container + workload on the primary kernel, call protect(), run the
@@ -76,86 +77,80 @@ class Cluster {
 
   sim::DomainPtr client_domain;
   sim::DomainPtr primary_domain;
-  sim::DomainPtr backup_domain;
 
   net::Network network;
   net::HostId client_host;
   net::HostId primary_host;
-  net::HostId backup_host;
 
   net::TcpStack client_tcp;
   net::TcpStack primary_tcp;
-  net::TcpStack backup_tcp;
 
   blk::Disk primary_disk;
-  blk::Disk backup_disk;
-  std::unique_ptr<net::Channel<blk::DrbdMessage>> drbd_channel;
+  /// Writes through to primary_disk and ships each write to every
+  /// directly fed replica's DRBD channel.
   std::unique_ptr<blk::DrbdPrimary> drbd_primary;
-  std::unique_ptr<blk::DrbdBackup> drbd_backup;
-
   std::unique_ptr<kern::Kernel> primary_kernel;
-  std::unique_ptr<kern::Kernel> backup_kernel;
 
+  /// Management network: every replica's heartbeat channel rides it.
   std::unique_ptr<net::Link> control_link;
-  std::unique_ptr<StateChannel> state_channel;
-  std::unique_ptr<AckChannel> ack_channel;
-  std::unique_ptr<HeartbeatChannel> heartbeat_channel;
   /// Event-log side channel (commit_mode = kReplay, DESIGN.md §14): a
   /// strict-priority traffic class on the replication NIC, modeled as its
   /// own lane so the tiny log segments never serialize behind a multi-MB
   /// page delta — otherwise log-ack latency (and hence client-visible
   /// p99) would grow with the epoch length, defeating the commit mode.
   std::unique_ptr<net::Link> log_priority_link;
-  std::unique_ptr<LogChannel> log_channel;
-  std::unique_ptr<LogAckChannel> log_ack_channel;
 
   ReplicationMetrics metrics;
   std::unique_ptr<PrimaryAgent> primary_agent;
-  std::unique_ptr<BackupAgent> backup_agent;
 
-  // ---- N-way replication (DESIGN.md §16) ----------------------------------
+  // ---- Backup replicas (DESIGN.md §16) ------------------------------------
   /// The construction-time config (replicas, topology, tree shape).
   ClusterConfig config;
   /// Placement bookkeeping: host 0 = primary, host 1 + i = backup replica
   /// i. The client sits outside the replicated fault hierarchy.
   topo::FaultDomainTree fault_domains;
-  /// Everything one extra backup replica owns (replica i lives at index
-  /// i - 1; replica 0 is the flat two-host member set above, untouched so
-  /// replicas = 1 stays byte-identical to the seed engine).
+  /// Everything one backup replica owns. The constructor builds every
+  /// replica the same way; replica 0 is the paper's single backup.
   struct BackupReplica {
     sim::DomainPtr domain;
     net::HostId host = -1;
+    /// The replica that store-and-forwards state and DRBD writes to this
+    /// one (chain), or -1 when the primary feeds it directly (every star
+    /// replica and a chain's head).
+    int upstream = -1;
     std::unique_ptr<net::TcpStack> tcp;
     std::unique_ptr<blk::Disk> disk;
     std::unique_ptr<net::Channel<blk::DrbdMessage>> drbd_channel;
     std::unique_ptr<blk::DrbdBackup> drbd;
     std::unique_ptr<kern::Kernel> kernel;
-    /// Chain only: the hop link feeding this replica (state + DRBD);
-    /// star replicas ride the primary's shared replication NIC instead.
+    /// Forwarded replicas only: the hop link from the upstream replica
+    /// (state + DRBD) and the hop's event-log priority lane. A directly
+    /// fed replica rides the primary's replication NIC and log lane.
     std::unique_ptr<net::Link> hop_link;
-    /// Chain only: the hop's event-log priority lane; star replicas share
-    /// the primary NIC's log lane.
     std::unique_ptr<net::Link> log_link;
     std::unique_ptr<StateChannel> state_channel;
     std::unique_ptr<AckChannel> ack_channel;
     std::unique_ptr<HeartbeatChannel> heartbeat_channel;
     std::unique_ptr<LogChannel> log_channel;
     std::unique_ptr<LogAckChannel> log_ack_channel;
+    /// Created by protect().
     std::unique_ptr<BackupAgent> agent;
-    /// This replica's protocol event stream (agent + DRBD). Its only
-    /// subscriber is the replica's check::ReplicaAudit: the recorder keeps
-    /// to replica 0, whose spans would otherwise interleave with these on
-    /// the shared backup track.
-    trace::Stream stream;
+    /// The protocol event stream this replica's agent, DRBD and TCP stack
+    /// emit on: the cluster's main `stream` for replica 0, whose spans the
+    /// recorder keeps on the backup track, and `own_stream` for every
+    /// other replica, whose only subscriber is its check::ReplicaAudit.
+    trace::Stream* stream = nullptr;
+    trace::Stream own_stream;
   };
-  std::vector<std::unique_ptr<BackupReplica>> extra_backups;
+  /// Indexed by replica.
+  std::vector<std::unique_ptr<BackupReplica>> backups;
   /// Election + re-silvering coordinator; created by protect() iff
   /// replicas > 1.
   std::unique_ptr<PromotionArbiter> arbiter;
 
-  /// The protocol event stream (DESIGN.md §11) of the primary agent and
-  /// its egress plug, backup replica 0 (agent, DRBD), both server TCP
-  /// stacks and the arbiter. protect() subscribes the recorder when
+  /// The protocol event stream (DESIGN.md §11) of the primary agent, its
+  /// TCP stack and egress plug, the arbiter and backup replica 0 (agent,
+  /// DRBD, TCP stack). protect() subscribes the recorder when
   /// tracing; the invariant auditor subscribes from on_agents_created.
   trace::Stream stream;
 
@@ -164,8 +159,8 @@ class Cluster {
   /// harness can hand the trace to exporters after the Cluster is gone.
   std::shared_ptr<trace::Recorder> tracer;
 
-  /// Invoked by protect() right after the agent pair is constructed and
-  /// before either agent runs: the harness uses this to subscribe the
+  /// Invoked by protect() right after the agents are constructed and
+  /// before any of them runs: the harness uses this to subscribe the
   /// invariant auditor (src/check) while every observed component exists
   /// but no epoch has started, so the audit mirrors see the protocol from
   /// its very first event. protect() then attaches each stream that has a
@@ -178,7 +173,7 @@ class Cluster {
                                             net::IpAddr service_ip
                                             = kServiceIp);
 
-  /// Builds the agent pair for `cid` and runs the initial synchronization.
+  /// Builds the agents for `cid` and runs the initial synchronization.
   /// Awaitable; afterwards the container is protected.
   sim::task<> protect(kern::ContainerId cid, const Options& opts);
 
@@ -191,10 +186,10 @@ class Cluster {
   // ---- N-way replication (DESIGN.md §16) ----------------------------------
   int replica_count() const { return config.replicas; }
   /// Backup replica `i`'s agent / kernel / TCP stack / failure domain.
-  BackupAgent& backup(int i);
-  kern::Kernel& backup_kernel_of(int i);
-  net::TcpStack& backup_tcp_of(int i);
-  sim::DomainPtr backup_domain_of(int i);
+  BackupAgent& backup(int i) { return *replica(i).agent; }
+  kern::Kernel& backup_kernel_of(int i) { return *replica(i).kernel; }
+  net::TcpStack& backup_tcp_of(int i) { return *replica(i).tcp; }
+  sim::DomainPtr backup_domain_of(int i) { return replica(i).domain; }
   /// Fail-stop crash of backup replica `i`.
   void fail_backup(int i);
   /// Correlated failure: fail-stop every replicated host placed in `rack`
@@ -208,9 +203,15 @@ class Cluster {
   /// escaped, so the backup's takeover is still consistent.
   void unplug_primary();
 
+  /// The primary's replication NIC: its link to replica 0, which every
+  /// directly fed replica's state and DRBD channels share.
   net::Link& replication_link();
 
  private:
+  BackupReplica& replica(int i) {
+    return *backups.at(static_cast<std::size_t>(i));
+  }
+
   /// The cluster's own emissions (fault injection) on `stream`.
   trace::Observer obs_;
 };

@@ -27,9 +27,7 @@ constexpr Time kLogCutMaxDelay = nlc::microseconds(250);
 
 PrimaryAgent::PrimaryAgent(Options opts, kern::Kernel& kernel,
                            net::TcpStack& tcp, kern::ContainerId cid,
-                           blk::DrbdPrimary& drbd, StateChannel& state_out,
-                           AckChannel& ack_in, HeartbeatChannel& hb_out,
-                           LogChannel& log_out, LogAckChannel& log_ack_in,
+                           blk::DrbdPrimary& drbd,
                            ReplicationMetrics& metrics)
     : opts_(opts), kernel_(&kernel), tcp_(&tcp), cid_(cid), drbd_(&drbd),
       metrics_(&metrics), ckpt_(kernel, tcp), cache_(kernel, cid),
@@ -40,8 +38,6 @@ PrimaryAgent::PrimaryAgent(Options opts, kern::Kernel& kernel,
       log_flush_event_(std::make_unique<sim::Event>(kernel.simulation())) {
   metrics_->page_shards_used = delta_.shards();
   metrics_->simd_tier_used = delta_.simd_tier();
-  replicas_.push_back(Replica{&state_out, &ack_in, &hb_out, &log_out,
-                              &log_ack_in, /*direct=*/true});
 }
 
 void PrimaryAgent::add_replica(StateChannel& state_out, AckChannel& ack_in,
@@ -99,6 +95,7 @@ net::PlugQdisc& PrimaryAgent::plug() {
 sim::task<> PrimaryAgent::start() {
   sim::Simulation& sim = kernel_->simulation();
   started_ = true;
+  NLC_CHECK_MSG(!replicas_.empty(), "start before any add_replica");
   epoch_gate_ = CommitGate(replicas_.size(), opts_.resolved_quorum());
   seg_gate_ = CommitGate(replicas_.size(), opts_.resolved_quorum());
   for (const Replica& rp : replicas_) ndirect_ += rp.direct ? 1 : 0;

@@ -39,18 +39,16 @@ class PrimaryAgent {
  public:
   PrimaryAgent(Options opts, kern::Kernel& kernel, net::TcpStack& tcp,
                kern::ContainerId cid, blk::DrbdPrimary& drbd,
-               StateChannel& state_out, AckChannel& ack_in,
-               HeartbeatChannel& hb_out, LogChannel& log_out,
-               LogAckChannel& log_ack_in, ReplicationMetrics& metrics);
+               ReplicationMetrics& metrics);
   /// Clears the callbacks installed into the plug and the container
   /// (both outlive the agent in the Cluster).
   ~PrimaryAgent();
 
-  /// Registers one more backup replica (index = registration order; the
-  /// constructor's channels are replica 0). `direct` = fed straight from
-  /// this agent (star: every replica; chain: only the head — downstream
-  /// replicas get their state forwarded by their upstream BackupAgent but
-  /// still ack directly here). Must be called before start().
+  /// Registers one backup replica (index = registration order). `direct`
+  /// = fed straight from this agent (star: every replica; chain: only the
+  /// head — downstream replicas get their state forwarded by their
+  /// upstream BackupAgent but still ack directly here). Every replica
+  /// registers before start().
   void add_replica(StateChannel& state_out, AckChannel& ack_in,
                    HeartbeatChannel& hb_out, LogChannel& log_out,
                    LogAckChannel& log_ack_in, bool direct);
@@ -106,8 +104,8 @@ class PrimaryAgent {
   trace::Observer obs_;
 
   // ---- N-way replication (DESIGN.md §16) ----------------------------------
-  /// One entry per backup replica. Replica 0 is the constructor's channel
-  /// set (the paper's single backup); extras register via add_replica().
+  /// One entry per backup replica, in add_replica() order; replica 0 is
+  /// the paper's single backup.
   struct Replica {
     StateChannel* state_out;
     AckChannel* ack_in;

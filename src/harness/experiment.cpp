@@ -121,10 +121,12 @@ RunResult run_experiment(const RunConfig& cfg) {
     mc::McOptions mo;
     mo.guest_noise_pages = cfg.spec.mc_guest_noise_pages;
     mo.seed = cfg.seed;
+    // MC runs at N = 1 over the backup's NiLiCon state and ack channels.
+    const Cluster::BackupReplica& backup = *cl.backups.front();
     mc_driver = std::make_unique<mc::McDriver>(
-        mo, *cl.primary_kernel, cl.primary_tcp, cid, *cl.state_channel,
-        *cl.ack_channel, cl.metrics);
-    cl.sim.spawn(cl.backup_domain, mc_driver->backup_responder());
+        mo, *cl.primary_kernel, cl.primary_tcp, cid, *backup.state_channel,
+        *backup.ack_channel, cl.metrics);
+    cl.sim.spawn(backup.domain, mc_driver->backup_responder());
   }
 
   // Client population.
@@ -164,11 +166,6 @@ RunResult run_experiment(const RunConfig& cfg) {
     std::uint64_t completed_at_fault = 0;
   };
   auto win = std::make_shared<Window>();
-
-  // Post-failover application reattachment.
-  if (cl.backup_agent == nullptr && cfg.mode == Mode::kNiLiCon) {
-    // created inside protect(); hook installed right after.
-  }
 
   // Fault dispatch: which host(s) die at the injection point.
   auto do_fault = [&cl, &cfg] {
@@ -287,8 +284,8 @@ RunResult run_experiment(const RunConfig& cfg) {
     }
     if (cl.primary_agent) cl.primary_agent->stop();
     if (mc_driver) mc_driver->stop();
-    if (cl.backup_agent) {
-      for (int i = 0; i < cl.replica_count(); ++i) cl.backup(i).disarm();
+    for (auto& r : cl.backups) {
+      if (r->agent) r->agent->disarm();
     }
     cl.sim.stop();
   };
@@ -333,12 +330,11 @@ RunResult run_experiment(const RunConfig& cfg) {
   // end-of-run kernel (and the recovery metrics) are the winner's.
   core::BackupAgent* survivor = nullptr;
   int survivor_index = 0;
-  if (cl.backup_agent != nullptr) {
-    for (int i = 0; i < cl.replica_count(); ++i) {
-      if (cl.backup(i).recovered()) {
-        survivor = &cl.backup(i);
-        survivor_index = i;
-      }
+  for (std::size_t i = 0; i < cl.backups.size(); ++i) {
+    core::BackupAgent* agent = cl.backups[i]->agent.get();
+    if (agent != nullptr && agent->recovered()) {
+      survivor = agent;
+      survivor_index = static_cast<int>(i);
     }
   }
   kern::Kernel* end_kernel = (cfg.inject_fault && survivor != nullptr)
@@ -370,9 +366,10 @@ RunResult run_experiment(const RunConfig& cfg) {
     if (survivor != nullptr) {
       res.recovered = true;
       res.recovery = survivor->recovery_metrics();
-    } else if (cl.backup_agent) {
+    } else if (const core::BackupAgent* head =
+                   cl.backups.front()->agent.get()) {
       res.recovered = false;
-      res.recovery = cl.backup_agent->recovery_metrics();
+      res.recovery = head->recovery_metrics();
     }
     res.requests_after_fault = client.completed() - win->completed_at_fault;
     if (diskstress) res.diskstress_errors = diskstress->errors();

@@ -8,8 +8,9 @@
 //
 //   * the flight recorder (trace::Recorder), whose rings keep a 40-byte
 //     record of every emission except the auditor-only stages;
-//   * the invariant auditor (check::InvariantAuditor) on the primary /
-//     replica-0 stream, and one check::ReplicaAudit per extra replica.
+//   * one check::ReplicaAudit per backup replica, on the stream that
+//     replica emits on, and the invariant auditor (check::InvariantAuditor)
+//     on the main stream (primary, arbiter and replica 0).
 //
 // An emission is the Event the rings record plus a Detail only in-process
 // subscribers see. Per stage, the Detail carries:

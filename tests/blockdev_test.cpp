@@ -44,10 +44,13 @@ struct DrbdRig {
   net::Link link{s, net::kTenGigabit, 20_us};
   net::Channel<DrbdMessage> chan{s, link, backup_dom};
   Disk primary_disk, backup_disk;
-  DrbdPrimary primary{primary_disk, chan};
+  DrbdPrimary primary{primary_disk};
   DrbdBackup backup{s, backup_disk, chan};
 
-  DrbdRig() { s.spawn(backup_dom, backup.run()); }
+  DrbdRig() {
+    primary.add_channel(chan);
+    s.spawn(backup_dom, backup.run());
+  }
   ~DrbdRig() { s.shutdown(); }
 };
 
@@ -74,6 +77,16 @@ TEST(DrbdTest, PrimaryAppliesLocallyImmediately) {
   auto back = r.primary.read_block(3, 7);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ((*back)[0], static_cast<std::byte>('z'));
+}
+
+TEST(DrbdTest, WriteOrBarrierWithoutReplicaChannelTripsTheCheck) {
+  // A primary with no replica channel would replicate to nobody: the write
+  // must fail before it lands on the local disk.
+  Disk local;
+  DrbdPrimary primary{local};
+  EXPECT_THROW(primary.write_block(1, 0, block_of('a')), InvariantError);
+  EXPECT_THROW(primary.send_barrier(0), InvariantError);
+  EXPECT_FALSE(local.read_block(1, 0).has_value());
 }
 
 TEST(DrbdTest, DiscardUncommittedProtectsBackupDisk) {

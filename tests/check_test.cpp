@@ -501,7 +501,7 @@ TEST(AuditedClusterTest, DetectsFrozenPayloadMutation) {
   // Reach behind the COW discipline and scribble on a payload the backup's
   // page store holds — the bug class the freeze audit exists to catch
   // (every legal mutation path clones shared payloads first).
-  auto pages = svc.cl.backup_agent->page_store().all_pages();
+  auto pages = svc.cl.backup(0).page_store().all_pages();
   const criu::PageRecord* victim = nullptr;
   for (const criu::PageRecord* rec : pages) {
     if (rec->has_content()) {

@@ -58,8 +58,8 @@ TEST(ClusterTest, ProtectCompletesInitialSync) {
       svc.cl.primary_kernel->container_processes(svc.cid).front();
   p->mm().touch_range(p->mm().vmas().front().start, 16);
   svc.cl.sim.run_until(svc.cl.sim.now() + 200_ms);
-  EXPECT_GE(svc.cl.backup_agent->committed_epoch(), 1u);
-  EXPECT_GE(svc.cl.backup_agent->page_store().page_count(), 16u);
+  EXPECT_GE(svc.cl.backup(0).committed_epoch(), 1u);
+  EXPECT_GE(svc.cl.backup(0).page_store().page_count(), 16u);
 }
 
 TEST(ClusterTest, EpochsAdvanceAndMetricsAccumulate) {
@@ -78,7 +78,7 @@ TEST(ClusterTest, BackupCommitsTrackPrimaryEpochs) {
   ProtectedService svc;
   svc.cl.sim.run_until(svc.cl.sim.now() + 1_s);
   auto primary_epoch = svc.cl.primary_agent->current_epoch();
-  auto committed = svc.cl.backup_agent->committed_epoch();
+  auto committed = svc.cl.backup(0).committed_epoch();
   EXPECT_GE(committed + 3, primary_epoch);  // at most a couple in flight
 }
 
@@ -141,8 +141,8 @@ TEST(ClusterTest, HeartbeatDetectionLatency) {
   Time kill_time = svc.cl.sim.now();
   svc.cl.fail_primary();
   svc.cl.sim.run_until(kill_time + 3_s);
-  ASSERT_TRUE(svc.cl.backup_agent->recovered());
-  const RecoveryMetrics& rm = svc.cl.backup_agent->recovery_metrics();
+  ASSERT_TRUE(svc.cl.backup(0).recovered());
+  const RecoveryMetrics& rm = svc.cl.backup(0).recovery_metrics();
   // Detection: 3 missed 30ms beats => ~60-150ms after the crash.
   Time detect_after = rm.detection_started - kill_time;
   EXPECT_GE(detect_after, 60_ms);
@@ -154,13 +154,13 @@ TEST(ClusterTest, RecoveryRestoresContainerOnBackup) {
   svc.cl.sim.run_until(svc.cl.sim.now() + 500_ms);
   svc.cl.fail_primary();
   svc.cl.sim.run_until(svc.cl.sim.now() + 3_s);
-  ASSERT_TRUE(svc.cl.backup_agent->recovered());
-  kern::Container* restored = svc.cl.backup_kernel->container(svc.cid);
+  ASSERT_TRUE(svc.cl.backup(0).recovered());
+  kern::Container* restored = svc.cl.backup_kernel_of(0).container(svc.cid);
   ASSERT_NE(restored, nullptr);
-  EXPECT_FALSE(svc.cl.backup_kernel->container_processes(svc.cid).empty());
+  EXPECT_FALSE(svc.cl.backup_kernel_of(0).container_processes(svc.cid).empty());
   // Service address now answered by the backup host.
-  EXPECT_EQ(svc.cl.network.ip_host(kServiceIp), svc.cl.backup_host);
-  const RecoveryMetrics& rm = svc.cl.backup_agent->recovery_metrics();
+  EXPECT_EQ(svc.cl.network.ip_host(kServiceIp), svc.cl.backups[0]->host);
+  const RecoveryMetrics& rm = svc.cl.backup(0).recovery_metrics();
   EXPECT_GT(rm.restore_time, 100_ms);   // Table II scale
   EXPECT_LT(rm.restore_time, 600_ms);
   EXPECT_EQ(rm.arp_time, 28_ms);
@@ -179,12 +179,12 @@ TEST(ClusterTest, RecoveryWithoutCommittedSyncThrows) {
 TEST(ClusterTest, UncommittedEpochDiscardedOnFailover) {
   ProtectedService svc;
   svc.cl.sim.run_until(svc.cl.sim.now() + 500_ms);
-  auto committed_before = svc.cl.backup_agent->committed_epoch();
+  auto committed_before = svc.cl.backup(0).committed_epoch();
   svc.cl.fail_primary();
   svc.cl.sim.run_until(svc.cl.sim.now() + 3_s);
-  ASSERT_TRUE(svc.cl.backup_agent->recovered());
+  ASSERT_TRUE(svc.cl.backup(0).recovered());
   // Restored from a committed epoch at or after what we saw.
-  EXPECT_GE(svc.cl.backup_agent->recovery_metrics().committed_epoch,
+  EXPECT_GE(svc.cl.backup(0).recovery_metrics().committed_epoch,
             committed_before);
 }
 
@@ -193,10 +193,10 @@ TEST(ClusterTest, UncommittedEpochDiscardedOnFailover) {
 TEST(ClusterTest, FailoverPreservesAcknowledgedWrites) {
   apps::AppSpec spec = tiny_spec();
   ProtectedService svc(spec);
-  apps::AppEnv backup_env{&svc.cl.sim, svc.cl.backup_kernel.get(),
-                          &svc.cl.backup_tcp, kServiceIp, 8};
+  apps::AppEnv backup_env{&svc.cl.sim, &svc.cl.backup_kernel_of(0),
+                          &svc.cl.backup_tcp_of(0), kServiceIp, 8};
   auto holder = std::make_shared<std::unique_ptr<apps::ServerApp>>();
-  svc.cl.backup_agent->set_on_restored(
+  svc.cl.backup(0).set_on_restored(
       [&, holder](const core::FailoverContext& ctx) {
         *holder = apps::ServerApp::attach_restored(backup_env, spec, ctx);
       });
@@ -221,7 +221,7 @@ TEST(ClusterTest, FailoverPreservesAcknowledgedWrites) {
   client.stop();
   svc.cl.sim.run_until(svc.cl.sim.now() + 1_s);
 
-  EXPECT_TRUE(svc.cl.backup_agent->recovered());
+  EXPECT_TRUE(svc.cl.backup(0).recovered());
   EXPECT_GT(client.completed(), before_fault);  // service resumed
   EXPECT_EQ(client.kv_errors(), 0u);            // no lost acknowledged write
   EXPECT_EQ(client.broken_connections(), 0u);   // no RST (§III)
@@ -239,8 +239,9 @@ TEST(ClusterTest, DrbdBufferedWritesCommittedWithEpochs) {
   svc.cl.primary_kernel->fs().sync_all();
   svc.cl.sim.run_until(svc.cl.sim.now() + 200_ms);
   // Writes replicated and committed with the epoch stream.
-  EXPECT_GT(svc.cl.drbd_backup->writes_committed(), 0u);
-  EXPECT_TRUE(svc.cl.primary_disk.same_content(svc.cl.backup_disk));
+  const Cluster::BackupReplica& backup = *svc.cl.backups[0];
+  EXPECT_GT(backup.drbd->writes_committed(), 0u);
+  EXPECT_TRUE(svc.cl.primary_disk.same_content(*backup.disk));
 }
 
 TEST(OptionsTest, Table1RowsAreCumulative) {

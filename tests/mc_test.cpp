@@ -28,11 +28,12 @@ struct McRig {
     app->setup(cid);
     McOptions mo;
     mo.guest_noise_pages = guest_noise;
+    const Cluster::BackupReplica& backup = *cl.backups[0];
     driver = std::make_unique<McDriver>(mo, *cl.primary_kernel,
                                         cl.primary_tcp, cid,
-                                        *cl.state_channel, *cl.ack_channel,
-                                        cl.metrics);
-    cl.sim.spawn(cl.backup_domain, driver->backup_responder());
+                                        *backup.state_channel,
+                                        *backup.ack_channel, cl.metrics);
+    cl.sim.spawn(backup.domain, driver->backup_responder());
     cl.sim.spawn([](McRig& r) -> task<> {
       co_await r.driver->start();
     }(*this));

@@ -434,6 +434,56 @@ TEST(QuorumEndToEndTest, DeadReplicaDoesNotPinLogSegments) {
   EXPECT_LE(peak, 4u);
 }
 
+/// N = 3 / K = 2: a file written and synced on the primary before
+/// protect() sits ahead of epoch 0's DRBD barrier, so every replica's disk
+/// must hold it once the initial synchronization has committed, whether
+/// the primary feeds each replica (star) or only the head (chain).
+void expect_pre_protect_write_on_every_replica(topo::Topology topology) {
+  core::ClusterConfig ccfg;
+  ccfg.replicas = 3;
+  ccfg.topology = topology;
+  core::Cluster cl(ccfg);
+  apps::AppSpec spec = fast_spec();
+  kern::ContainerId cid = cl.create_service_container(spec.name).id();
+  apps::ServerApp app({&cl.sim, cl.primary_kernel.get(), &cl.primary_tcp,
+                       core::kServiceIp, 7},
+                      spec);
+  app.setup(cid);
+  kern::Filesystem& fs = cl.primary_kernel->fs();
+  const kern::InodeNum ino = fs.create("/data/before-protect");
+  fs.write(ino, 0, std::vector<std::byte>(8192, std::byte{0x5A}), 1);
+  fs.sync_all();
+
+  core::Options opts;
+  opts.replicas = 3;
+  opts.quorum_k = 2;
+  opts.topology = topology;
+  bool ready = false;
+  cl.sim.spawn([](core::Cluster& c, kern::ContainerId id, core::Options o,
+                  bool& r) -> sim::task<> {
+    co_await c.protect(id, o);
+    r = true;
+  }(cl, cid, opts, ready));
+  while (!ready && cl.sim.step()) {
+  }
+  ASSERT_TRUE(ready);
+  cl.sim.run_until(cl.sim.now() + nlc::milliseconds(300));
+  for (int i = 0; i < cl.replica_count(); ++i) {
+    const core::Cluster::BackupReplica& r =
+        *cl.backups[static_cast<std::size_t>(i)];
+    EXPECT_GT(r.drbd->writes_committed(), 0u) << "replica " << i;
+    EXPECT_TRUE(cl.primary_disk.same_content(*r.disk)) << "replica " << i;
+  }
+}
+
+TEST(QuorumEndToEndTest, PreProtectWriteReachesEveryStarReplica) {
+  expect_pre_protect_write_on_every_replica(topo::Topology::kStar);
+}
+
+TEST(QuorumEndToEndTest, PreProtectWriteReachesEveryChainReplica) {
+  expect_pre_protect_write_on_every_replica(topo::Topology::kChain);
+}
+
 // ------------------------------------------------ N = 1 degenerate case ----
 
 TEST(QuorumEndToEndTest, SingleReplicaMatchesSeedEngineExactly) {
