@@ -12,9 +12,9 @@
 //      epoch (30 ms) — wall-clock ratios of two full runs cannot resolve a
 //      cost this small above CI noise, the arithmetic can.
 //   2. Enabled record cost, ns/event through an observer, its stream and
-//      the recorder subscriber into a ring sized to never overflow.
+//      the recorder subscriber into a log sized to never overflow.
 //      The 5% gate is analytic too: events actually recorded by a traced
-//      run x ns/event, plus the one-time ring allocation, against that
+//      run x ns/event, plus the one-time log reservation, against that
 //      run's wall time. (A wall-clock ratio of two full runs cannot gate
 //      this either — run-to-run drift on a busy single-core CI box is
 //      +/-15%, while the true recording cost is <0.1%; measured here, the
@@ -40,7 +40,7 @@ namespace {
 
 using namespace nlc;
 
-// Protocol points per epoch of a two-node epoch run that the rings skip:
+// Protocol points per epoch of a two-node epoch run that the recorder skips:
 // state ready, marker inserted and the per-replica ack (primary agent), the
 // plug's marker and commit done (backup agent). The plug's per-packet
 // enqueue is skipped too; it is counted from each release's packet count.
@@ -62,7 +62,7 @@ double disabled_branch_ns(long long iters) {
   return static_cast<double>(t1 - t0) / static_cast<double>(iters);
 }
 
-/// ns per *recorded* event, emitted the way the components emit it (ring
+/// ns per *recorded* event, emitted the way the components emit it (log
 /// large enough that nothing drops).
 double record_ns(long long iters) {
   trace::Recorder rec(static_cast<std::size_t>(iters));
@@ -87,7 +87,7 @@ struct EpochPoints {
 };
 
 /// Protocol points per epoch of a drained two-node epoch run: what the
-/// rings recorded plus what they skip. An epoch is the stretch of the
+/// recorder kept plus what it skips. An epoch is the stretch of the
 /// stream up to and including one release of the primary's plug; that
 /// release's arg is the packets buffered for it, one skipped enqueue each.
 EpochPoints epoch_points(const std::vector<trace::Event>& events) {
@@ -116,12 +116,17 @@ EpochPoints epoch_points(const std::vector<trace::Event>& events) {
   return p;
 }
 
-/// ns to construct a full-size recorder: the one-time ring allocation a
-/// traced run pays before the first event (~2.6 MB zeroed per thread).
+/// ns to construct a full-size recorder and record one event: the one-time
+/// log reservation a traced run pays (65,536 events of 40 B, ~2.6 MB,
+/// reserved once per run, not zeroed).
 double ring_alloc_ns() {
   const std::uint64_t t0 = util::wall_now_ns();
   trace::Recorder rec;
-  rec.instant(trace::Track::kPrimary, trace::Stage::kResume, 0, 0);
+  trace::Stream stream;
+  stream.subscribe(&rec);
+  trace::Observer obs;
+  obs.attach(&stream);
+  obs.instant(trace::Track::kPrimary, trace::Stage::kResume, 0, 0);
   const std::uint64_t t1 = util::wall_now_ns();
   NLC_CHECK(rec.recorded() == 1);
   return static_cast<double>(t1 - t0);
@@ -185,9 +190,9 @@ int main(int argc, char** argv) {
 
   std::printf("%-44s | %10.2f ns/site\n", "detached point (null-check branch)",
               best_branch);
-  std::printf("%-44s | %10.2f ns/event\n", "enabled record (ring write)",
+  std::printf("%-44s | %10.2f ns/event\n", "enabled record (log append)",
               best_record);
-  std::printf("%-44s | %10.0f ns one-time\n", "ring allocation (per thread)",
+  std::printf("%-44s | %10.0f ns one-time\n", "log reservation (per run)",
               best_alloc);
 
   // End-to-end, alternating off/on so slow drift hits both arms equally.
@@ -215,7 +220,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(on.result.trace->dropped()));
   // A dropped event would shorten the per-epoch point count below.
   NLC_CHECK_MSG(on.result.trace->dropped() == 0,
-                "the traced run overflowed its ring");
+                "the traced run overflowed its recorder");
   const EpochPoints points = epoch_points(on.result.trace->drain());
   const double disabled_frac = points.busiest * best_branch / kEpochNs;
   std::printf("%-44s | %10.0f (%llu packets; mean %.1f)\n",
@@ -225,7 +230,7 @@ int main(int argc, char** argv) {
   std::printf("%-44s | %10.5f%% of a 30ms epoch\n",
               "disabled overhead bound", disabled_frac * 100.0);
   // Analytic enabled-overhead bound: what the traced run actually paid for
-  // recording — events x ns/event plus the one-time ring allocation —
+  // recording — events x ns/event plus the one-time log reservation —
   // against that run's wall time.
   double enabled_frac = (recorded * best_record + best_alloc) /
                         (on.best_seconds * 1e9);

@@ -179,7 +179,7 @@ void InvariantAuditor::final_audit() {
 
 void InvariantAuditor::on_event(const trace::Event& e,
                                 const trace::Detail& d) {
-  // The ordering rules see exactly what the rings keep, so a replay of a
+  // The ordering rules see exactly what the recorder keeps, so a replay of a
   // drained trace re-runs the same checks.
   if (trace::ring_keeps(e, d)) rules_.observe(e);
   const bool continuous = level_ == core::AuditLevel::kContinuous;

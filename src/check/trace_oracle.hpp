@@ -23,7 +23,7 @@
 //     overwritten with full state before a winner has been elected).
 //
 // One rule object holds them. The live InvariantAuditor feeds it every
-// emission the rings record, as it happens; audit_trace_ordering() replays
+// emission the recorder keeps, as it happens; audit_trace_ordering() replays
 // the same object over a drained (or hand-forged) stream. Event order is
 // emission order — Recorder seq numbers in a drained stream — so a correct
 // run always passes, and a reordered stream raises the same InvariantError

@@ -158,9 +158,9 @@ sim::task<> Cluster::protect(kern::ContainerId cid, const Options& opts) {
     }
   }
   // The recorder subscribes first, so an event that trips the auditor is
-  // already in the rings when the violation throws.
+  // already recorded when the violation throws.
   if (opts.trace_level != TraceLevel::kOff) {
-    if (tracer == nullptr) tracer = std::make_shared<trace::Recorder>();
+    tracer = std::make_shared<trace::Recorder>();
     stream.subscribe(tracer.get());
   }
   if (on_agents_created) on_agents_created();

@@ -20,8 +20,8 @@ constexpr double kShrinkStep = 0.8;
 constexpr double kGrowStep = 1.25;
 constexpr double kReplayShrinkStep = 0.75;
 constexpr double kReplayGrowStep = 2.0;
-// Freeze/dump overhead band (pause-side segment work over pause-to-pause
-// wall). Below the band the commit cadence — not the dump — bounds client
+// Freeze/dump overhead band (pause-side work over pause-to-pause wall).
+// Below the band the commit cadence — not the dump — bounds client
 // latency, so shrink; above it the dump overhead eats the execute phase,
 // so grow. Equilibrium: pause work between ~35% and ~50% of one epoch.
 constexpr double kOverheadShrink = 0.35;
@@ -75,13 +75,6 @@ EpochController::EpochController(const Options& opts, LogCostModel log_costs)
   }
 }
 
-EpochController EpochController::fixed(Time len) {
-  Options o;
-  o.epoch_length = len;
-  o.epoch_policy = EpochPolicy::kFixed;
-  return EpochController(o);
-}
-
 Time EpochController::clamp_quantize(double ns) const {
   Time t = static_cast<Time>(std::llround(ns / static_cast<double>(quantum_)))
            * quantum_;
@@ -99,7 +92,6 @@ void EpochController::apply(Time next, std::uint64_t epoch) {
 
 void EpochController::observe(const EpochObservation& o) {
   ++observations_;
-  const auto& s = o.path.stage_ns;
   ewma(stop_ewma_, static_cast<double>(o.stop));
   // First steady epoch follows the initial full sync, whose wall time is
   // no epoch's: callers pass epoch_wall = 0 there and the fallback
@@ -108,12 +100,7 @@ void EpochController::observe(const EpochObservation& o) {
                           ? static_cast<double>(o.epoch_wall)
                           : static_cast<double>(len_ + o.stop);
   ewma(wall_ewma_, wall);
-  ewma(pause_side_ewma_,
-       static_cast<double>(s[trace::kPsFreeze] + s[trace::kPsHarvest] +
-                           s[trace::kPsEncode]));
-  ewma(ship_side_ewma_,
-       static_cast<double>(s[trace::kPsTail] + s[trace::kPsShip] +
-                           s[trace::kPsAckWait]));
+  ewma(pause_side_ewma_, static_cast<double>(o.pause_work));
   ewma(entry_rate_ewma_, static_cast<double>(o.log_entries) / wall);
   ewma(byte_rate_ewma_, static_cast<double>(o.log_bytes) / wall);
   ewma(drain_ewma_, o.output_packets > 0 && o.plug_drained ? 1.0 : 0.0);
@@ -154,10 +141,10 @@ void EpochController::decide(const EpochObservation& o) {
   }
 
   if (!replay_) {
-    // Epoch mode: freeze/dump overhead fraction from the segment feed.
-    // The numerator is the pause-side work (freeze + harvest + encode) —
-    // in sync-ship configurations the raw stop also contains ship and
-    // ack-wait, which are commit-cadence costs, not dump overhead.
+    // Epoch mode: freeze/dump overhead fraction. The numerator is the
+    // pause-side work (pause begin → harvest end) — in sync-ship
+    // configurations the raw stop also contains ship and ack-wait, which
+    // are commit-cadence costs, not dump overhead.
     const double overhead = pause_side_ewma_ / wall;
     if (overhead > kOverheadGrow) {
       step(kGrowStep);

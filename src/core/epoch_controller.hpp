@@ -1,17 +1,14 @@
 // Adaptive epoch-length controller (DESIGN.md §15).
 //
 // Closes the loop the flight recorder opened: the primary agent feeds one
-// EpochObservation per committed epoch — the same six critical-path
-// segments trace::CriticalPath attributes post-hoc, plus stop time,
-// pause-to-pause wall time, dirty-set size and log-stream rates — and the
-// controller retunes the next execute-phase length instead of running the
-// paper's fixed 30 ms.
+// EpochObservation per committed epoch — pause-side work, stop time,
+// pause-to-pause wall time, released output, container busy time and
+// log-stream growth — and the controller retunes the next execute-phase
+// length instead of running the paper's fixed 30 ms.
 //
 // Two policies (Options::epoch_policy):
-//   kFixed    — epoch_length() always returns Options::epoch_length; the
-//               controller is a pass-through pacer (the mc driver and the
-//               fixed rows of the benches run through it too, so there is
-//               exactly one pacing abstraction).
+//   kFixed    — epoch_length() always returns Options::epoch_length, the
+//               paper's cadence; observations never move it.
 //   kAdaptive — epoch commit mode: minimize p99 response time subject to
 //               the stop-time budget. Client latency tracks the epoch
 //               length (output is held until the next commit), so the
@@ -42,7 +39,6 @@
 
 #include "core/event_log.hpp"
 #include "core/options.hpp"
-#include "trace/critical_path.hpp"
 #include "util/time.hpp"
 
 namespace nlc::core::epochctl {
@@ -51,16 +47,16 @@ namespace nlc::core::epochctl {
 /// time or simulated counters stamped by the primary agent.
 struct EpochObservation {
   std::uint64_t epoch = 0;
-  /// The six-segment commit-path decomposition (same vocabulary and math
-  /// as trace::CriticalPath, assembled online from the agent's stamps).
-  trace::SegmentSample path;
+  /// Pause begin to harvest end: the freeze, input block, barrier and
+  /// harvest of this epoch's checkpoint (the freeze + harvest + encode
+  /// segments of trace::CriticalPath; encode takes no simulated time). The
+  /// numerator of the overhead fraction.
+  Time pause_work = 0;
   /// Container stop time of this epoch's checkpoint.
   Time stop = 0;
   /// Pause-begin to pause-begin wall time (execute + stop + pipeline
   /// stalls); the denominator of the overhead fraction.
   Time epoch_wall = 0;
-  std::uint64_t dirty_pages = 0;
-  std::uint64_t wire_bytes = 0;
   /// Client output packets released since the previous observation, and
   /// whether that release left the plug empty. Together they form the
   /// epoch-mode shrink gate: a release that emits output AND drains the
@@ -86,10 +82,6 @@ class EpochController {
  public:
   explicit EpochController(const Options& opts, LogCostModel log_costs = {});
 
-  /// A pass-through pacer at `len` (kFixed policy); the mc driver's pacing
-  /// abstraction.
-  static EpochController fixed(Time len);
-
   /// The execute-phase length the next epoch should run.
   Time epoch_length() const { return len_; }
   bool adaptive() const { return adaptive_; }
@@ -99,7 +91,6 @@ class EpochController {
   /// must arrive in epoch order (the ack pipeline guarantees it).
   void observe(const EpochObservation& o);
 
-  std::uint64_t observations() const { return observations_; }
   std::uint64_t grow_steps() const { return grow_steps_; }
   std::uint64_t shrink_steps() const { return shrink_steps_; }
   /// Epoch of the last length change; 0 = never adapted. The convergence
@@ -130,8 +121,7 @@ class EpochController {
   // is bit-identical on every shard/job configuration.
   double stop_ewma_ = -1.0;
   double wall_ewma_ = -1.0;
-  double pause_side_ewma_ = -1.0;  // freeze + harvest + encode, ns
-  double ship_side_ewma_ = -1.0;   // tail + ship + ack-wait, ns
+  double pause_side_ewma_ = -1.0;  // pause_work, ns
   double entry_rate_ewma_ = -1.0;  // log entries per simulated ns
   double byte_rate_ewma_ = -1.0;   // log wire bytes per simulated ns
   double drain_ewma_ = -1.0;  // fraction of epochs with a full output drain

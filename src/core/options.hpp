@@ -27,7 +27,7 @@ enum class AuditLevel : std::uint8_t { kOff, kCommitPoints, kContinuous };
 ///          point is a single null-pointer test (bench_trace_overhead
 ///          gates this at <= 1%).
 ///  kFull — record every epoch- and failover-pipeline event into the
-///          per-thread rings. Tracing is an observer only: all simulated
+///          run's recorder. Tracing is an observer only: all simulated
 ///          observables stay byte-identical with tracing on or off.
 enum class TraceLevel : std::uint8_t { kOff, kFull };
 

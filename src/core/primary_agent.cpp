@@ -228,15 +228,11 @@ sim::task<> PrimaryAgent::ship_state(EpochStateMsg msg, bool staged,
   // later epoch's send overtake the earlier one on the channel.
   Time start = sim.now() > ship_busy_until_ ? sim.now() : ship_busy_until_;
   ship_busy_until_ = start + cost;
-  // Span includes the queue wait behind the previous epoch's ship — same
-  // convention as the trace span, so the controller and the post-hoc
-  // critical path attribute identically.
-  if (EpochRec* rec = find_rec(epoch)) rec->ship_b = sim.now();
+  // The span includes the queue wait behind the previous epoch's ship.
   obs_.span_begin(Track::kPrimaryShip, Stage::kShip, sim.now(), epoch);
   co_await sim.sleep_for(ship_busy_until_ - sim.now());
   const std::uint64_t bytes = msg.wire_bytes;
   send_direct(std::move(msg), bytes, &Replica::state_out);
-  if (EpochRec* rec = find_rec(epoch)) rec->ship_e = sim.now();
   obs_.span_end(Track::kPrimaryShip, Stage::kShip, sim.now(), epoch);
 }
 
@@ -300,7 +296,6 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
   ho.pool = ppool;
   const criu::InfrequentState* cached =
       opts_.cache_infrequent_state ? cache_.get() : nullptr;
-  rec.harvest_b = sim.now();
   obs_.span_begin(Track::kPrimary, Stage::kHarvest, sim.now(), epoch);
   const std::uint64_t harvest_t0 = util::wall_now_ns();
   criu::HarvestResult hr = ckpt_.harvest(cid_, epoch, cached, ho);
@@ -352,10 +347,8 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
   msg.nd_entries = nd_log_.entries_total();
   msg.nd_fp = nd_log_.chain_fp();
   msg.epoch_len = rec.len_used;
-  // Controller feed: dirty set, page wire bytes and the epoch's log-stream
-  // growth (entries recorded / bytes shipped since the last checkpoint).
-  rec.dirty = dirty;
-  rec.wire_bytes = bytes;
+  // Controller feed: the epoch's log-stream growth (entries recorded /
+  // bytes shipped since the last checkpoint).
   rec.nd_entries_delta = nd_log_.entries_total() - nd_entries_mark_;
   nd_entries_mark_ = nd_log_.entries_total();
   rec.log_bytes_delta = metrics_->log_bytes_shipped - log_bytes_at_last_epoch_;
@@ -471,30 +464,12 @@ void PrimaryAgent::apply_replica_ack(std::size_t r, std::uint64_t epoch) {
   }
 }
 
-void PrimaryAgent::feed_controller(const EpochRec& rec, Time now) {
-  // Same segment math as trace::CriticalPath, over the record's stamps
-  // (encode is zero-width in simulated time; its modeled cost rides the
-  // ship span). Unset stamps collapse to their predecessor, as in the
-  // post-hoc analyzer.
-  auto clamp0 = [](Time t) { return t < 0 ? Time{0} : t; };
-  const Time harvest_b = rec.harvest_b > 0 ? rec.harvest_b : rec.stop_begin;
-  const Time harvest_e = rec.harvest_e > 0 ? rec.harvest_e : harvest_b;
-  const Time ship_b = rec.ship_b > 0 ? rec.ship_b : harvest_e;
-  const Time ship_e = rec.ship_e > 0 ? rec.ship_e : ship_b;
+void PrimaryAgent::feed_controller(const EpochRec& rec) {
   epochctl::EpochObservation o;
   o.epoch = rec.epoch;
-  auto& s = o.path.stage_ns;
-  s[trace::kPsFreeze] = clamp0(harvest_b - rec.stop_begin);
-  s[trace::kPsHarvest] = clamp0(harvest_e - harvest_b);
-  s[trace::kPsEncode] = 0;
-  s[trace::kPsTail] = clamp0(ship_b - harvest_e);
-  s[trace::kPsShip] = clamp0(ship_e - ship_b);
-  s[trace::kPsAckWait] = clamp0(now - ship_e);
-  o.path.commit_latency = clamp0(now - rec.stop_begin);
-  o.stop = clamp0(rec.pause_end - rec.stop_begin);
+  o.pause_work = rec.harvest_e - rec.stop_begin;
+  o.stop = rec.pause_end - rec.stop_begin;
   o.epoch_wall = rec.epoch_wall;
-  o.dirty_pages = rec.dirty;
-  o.wire_bytes = rec.wire_bytes;
   o.log_entries = rec.nd_entries_delta;
   o.log_bytes = rec.log_bytes_delta;
   // Released-output presence since the previous observation (the epoch-mode
@@ -517,7 +492,7 @@ void PrimaryAgent::feed_controller(const EpochRec& rec, Time now) {
 
 void PrimaryAgent::release_epoch(EpochRec& rec) {
   const Time now = kernel_->simulation().now();
-  if (!rec.initial) feed_controller(rec, now);
+  if (!rec.initial) feed_controller(rec);
   // In replay mode output already flows on log acks; the epoch ack only
   // marks the asynchronous page-delta commit and retires the record.
   if (!replay_mode()) {

@@ -155,19 +155,12 @@ class PrimaryAgent {
     std::uint64_t marker = 0;
     bool marker_inserted = false;
     Time stop_begin = 0;
-    // Controller feed (DESIGN.md §15): absolute sim-time stamps of the
-    // commit-path stages — the same points trace::CriticalPath scrapes
-    // from the flight recorder, assembled online so adaptation needs no
-    // recorder attached.
+    // Controller feed (DESIGN.md §15), stamped online so adaptation needs
+    // no recorder attached.
     Time len_used = 0;    // execute-phase length this epoch ran
     Time epoch_wall = 0;  // previous steady pause begin → this pause begin
     Time pause_end = 0;
-    Time harvest_b = 0;
     Time harvest_e = 0;
-    Time ship_b = 0;
-    Time ship_e = 0;
-    std::uint64_t dirty = 0;
-    std::uint64_t wire_bytes = 0;
     std::uint64_t nd_entries_delta = 0;
     std::uint64_t log_bytes_delta = 0;
     /// First replica ack's arrival (-1 = none yet); with N > 1 the quorum
@@ -185,7 +178,7 @@ class PrimaryAgent {
   /// Builds the EpochObservation from the record's stamps and feeds the
   /// controller at the release point (acks are monotone, so observations
   /// arrive in epoch order).
-  void feed_controller(const EpochRec& rec, Time now);
+  void feed_controller(const EpochRec& rec);
   std::array<EpochRec, kEpochWindow> epoch_recs_;
 
   // ---- Replay commit mode (DESIGN.md §14) ---------------------------------
@@ -196,7 +189,7 @@ class PrimaryAgent {
 
   // ---- Adaptive epoch control (DESIGN.md §15) -----------------------------
   /// Declared after log_costs_: its replay-time estimates use the cost
-  /// model. A pass-through pacer under EpochPolicy::kFixed.
+  /// model. Holds Options::epoch_length under EpochPolicy::kFixed.
   epochctl::EpochController controller_;
   /// Length the epoch_loop chose for the execute phase now running; the
   /// next checkpoint stamps it into its record and EpochStateMsg.

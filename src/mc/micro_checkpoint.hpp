@@ -18,7 +18,6 @@
 #include <memory>
 
 #include "core/commit_gate.hpp"
-#include "core/epoch_controller.hpp"
 #include "core/metrics.hpp"
 #include "core/protocol.hpp"
 #include "kernel/kernel.hpp"
@@ -40,6 +39,7 @@ struct McCosts {
 };
 
 struct McOptions {
+  /// MC always runs this execute-phase length; no controller retunes it.
   Time epoch_length = nlc::milliseconds(30);
   std::uint64_t guest_noise_pages = 0;  // from AppSpec::mc_guest_noise_pages
   std::uint64_t seed = 1;
@@ -74,11 +74,6 @@ class McDriver {
   core::StateChannel* state_out_;
   core::AckChannel* ack_in_;
   core::ReplicationMetrics* metrics_;
-  /// Fixed-policy pacer: MC always runs the configured epoch length, but
-  /// pacing through the same controller abstraction as the NiLiCon agents
-  /// keeps one epoch-cadence seam across drivers (DESIGN.md §15) and
-  /// stamps epoch_len_ms for the comparison benches.
-  core::epochctl::EpochController pacer_;
   Rng rng_;
 
   bool running_ = true;

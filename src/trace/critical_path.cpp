@@ -29,12 +29,12 @@ struct SegTimes {
 
 Time clamp0(Time t) { return t < 0 ? 0 : t; }
 
-}  // namespace
-
 int dominant_stage(const std::array<Time, kPsStageCount>& stage_ns) {
   return static_cast<int>(
       std::max_element(stage_ns.begin(), stage_ns.end()) - stage_ns.begin());
 }
+
+}  // namespace
 
 CriticalPath::CriticalPath(const std::vector<Event>& events) {
   std::map<std::uint64_t, EpochTimes> times;

@@ -35,26 +35,11 @@ enum PathStage : int {
   kPsStageCount,
 };
 
-/// One epoch's six-segment decomposition in simulated time. Shared
-/// vocabulary between the post-hoc CriticalPath analyzer (built from a
-/// drained trace) and the runtime feed into core::EpochController, which
-/// assembles the same sample online from the primary agent's epoch
-/// stamps — so "what the trace blames" and "what the controller saw" can
-/// never diverge.
-struct SegmentSample {
-  std::array<Time, kPsStageCount> stage_ns{};
-  Time commit_latency = 0;  // pause begin → release, simulated ns
-};
-
-/// PathStage index with the largest share of `stage_ns` (ties resolve to
-/// the earliest stage, matching std::max_element).
-int dominant_stage(const std::array<Time, kPsStageCount>& stage_ns);
-
 struct EpochAttribution {
   std::uint64_t epoch = 0;
   Time commit_latency = 0;  // pause begin → release, simulated ns
   std::array<Time, kPsStageCount> stage_ns{};
-  int dominant = kPsFreeze;  // PathStage index with the largest share
+  int dominant = kPsFreeze;  // largest-share PathStage, earliest on a tie
 };
 
 /// Replay commit mode (DESIGN.md §14): per-log-segment decomposition of

@@ -7,7 +7,7 @@
 //     appears, used to see where the host actually spent cycles.
 // Events never feed back into simulated behaviour: they are emitted once per
 // protocol point on a trace::Stream (stream.hpp), whose subscribers — the
-// flight recorder's rings and the src/check auditors — only observe.
+// flight recorder and the src/check auditors — only observe.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +95,7 @@ enum class Stage : std::uint16_t {
   kPromote,     // instant: arbiter elected a failover winner (arg = index)
   kResilver,    // span: full-state catch-up to a survivor (arg = index)
   // Auditor-only points (see auditor_only()): they reach the live checkers
-  // with their payload by reference and are never recorded in the rings.
+  // with their payload by reference and are never recorded.
   kStateReady,      // epoch state harvested, not yet shipped (arg = epoch)
   kMarkerInserted,  // agent's output-commit marker (arg = epoch)
   kCommitDone,      // backup fold finished, pages still attached (arg = epoch)
@@ -109,8 +109,8 @@ enum class Stage : std::uint16_t {
   kCount,
 };
 
-/// Stages only the in-process subscribers see; the rings skip them, so the
-/// recorded stream is the same with or without an auditor attached.
+/// Stages only the in-process subscribers see; the recorder skips them, so
+/// the recorded stream is the same with or without an auditor attached.
 inline bool auditor_only(Stage s) {
   switch (s) {
     case Stage::kStateReady:
@@ -129,10 +129,10 @@ inline bool auditor_only(Stage s) {
   }
 }
 
-/// Fixed-size binary event record. 40 bytes; written by exactly one thread
-/// into its own ring, ordered across threads by `seq`.
+/// Fixed-size binary event record. 40 bytes; appended to the recorder's
+/// log by the one thread that runs the trial.
 struct Event {
-  std::uint64_t seq;      // global order (relaxed fetch_add at record time)
+  std::uint64_t seq;      // emission order: the index in the recorder's log
   Time sim_ns;            // simulated timestamp
   std::uint64_t wall_ns;  // util::wall_now_ns() at record time
   std::uint64_t arg;      // stage-specific payload (epoch, count, value, ...)

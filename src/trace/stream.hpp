@@ -6,13 +6,13 @@
 // one predictable branch when nothing watches. Each point is emitted once,
 // to the Stream's fixed subscriber list:
 //
-//   * the flight recorder (trace::Recorder), whose rings keep a 40-byte
+//   * the flight recorder (trace::Recorder), whose log keeps a 40-byte
 //     record of every emission except the auditor-only stages;
 //   * one check::ReplicaAudit per backup replica, on the stream that
 //     replica emits on, and the invariant auditor (check::InvariantAuditor)
 //     on the main stream (primary, arbiter and replica 0).
 //
-// An emission is the Event the rings record plus a Detail only in-process
+// An emission is the Event the recorder keeps plus a Detail only in-process
 // subscribers see. Per stage, the Detail carries:
 //
 //   kStateReady      state = the epoch message, aux = 1 for the initial sync
@@ -52,11 +52,12 @@ struct Detail {
   const core::EpochStateMsg* state = nullptr;
   const core::LogSegmentMsg* segment = nullptr;
   const std::vector<core::PromotionCandidate>* candidates = nullptr;
-  /// False keeps a recordable stage off the rings for this one emission.
+  /// False keeps a recordable stage out of the recorder for this one
+  /// emission.
   bool ring = true;
 };
 
-/// Whether the rings record this emission.
+/// Whether the recorder keeps this emission.
 inline bool ring_keeps(const Event& e, const Detail& d) {
   return d.ring && !auditor_only(e.stage);
 }

@@ -44,7 +44,7 @@ EpochObservation obs(std::uint64_t epoch, Time len, double overhead,
   o.stop = stop;
   o.epoch_wall = len + stop;
   const double wall = static_cast<double>(o.epoch_wall);
-  o.path.stage_ns[trace::kPsFreeze] = static_cast<Time>(overhead * wall);
+  o.pause_work = static_cast<Time>(overhead * wall);
   o.output_packets = 1;
   o.plug_drained = drained;
   o.busy = static_cast<Time>(busy * wall);
@@ -72,9 +72,6 @@ TEST(EpochControllerTest, FixedPolicyIsAPassThroughPacer) {
   EXPECT_EQ(ctl.epoch_length(), o.epoch_length);
   EXPECT_EQ(ctl.grow_steps() + ctl.shrink_steps(), 0u);
   EXPECT_EQ(ctl.last_change_epoch(), 0u);
-
-  EpochController mc = EpochController::fixed(nlc::milliseconds(7));
-  EXPECT_EQ(mc.epoch_length(), nlc::milliseconds(7));
 }
 
 TEST(EpochControllerTest, EpochModeShrinksIntoIdleRequestResponseSlack) {
@@ -166,7 +163,7 @@ TEST(EpochControllerTest, PredictiveDutyGuardStopsTheShrinkWalk) {
     EpochObservation ob =
         obs(++epoch, ctl.epoch_length(), 0.0, nlc::milliseconds(2), true,
             0.1);
-    ob.path.stage_ns[trace::kPsFreeze] = nlc::milliseconds(3);
+    ob.pause_work = nlc::milliseconds(3);
     ctl.observe(ob);
   }
   EXPECT_GT(ctl.shrink_steps(), 0u);

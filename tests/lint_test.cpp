@@ -227,24 +227,32 @@ TEST(LintCli, WholeFixtureDirIsStable) {
       << r.output;
 }
 
-// src/topo (DESIGN.md §16) is inside the concurrency-owner rule's scope:
-// replication plans and fault-domain placement must stay pure
-// simulation-deterministic bookkeeping, so a raw primitive there is a
-// finding, while the owning modules (src/harness etc.) stay exempt.
+// src/topo (DESIGN.md §16) and src/trace (§11) are inside the
+// concurrency-owner rule's scope: replication plans and fault-domain
+// placement must stay pure simulation-deterministic bookkeeping, and the
+// recorder has one writer, so a raw primitive there is a finding, while
+// the owning modules (src/harness etc.) stay exempt.
 TEST(LintCli, TopoModuleIsInConcurrencyOwnerScope) {
   namespace fs = std::filesystem;
   fs::path tmp = fs::path(::testing::TempDir()) / "lint_topo_scope";
   fs::create_directories(tmp / "src/topo");
+  fs::create_directories(tmp / "src/trace");
   fs::create_directories(tmp / "src/harness");
   std::ofstream(tmp / "src/topo/probe.cpp") << "#include <mutex>\n"
                                                "std::mutex topo_m;\n";
+  std::ofstream(tmp / "src/trace/probe.cpp")
+      << "#include <atomic>\n"
+         "std::atomic<int> trace_n;\n";
   std::ofstream(tmp / "src/harness/probe.cpp") << "#include <mutex>\n"
                                                   "std::mutex harness_m;\n";
   LintRun r = run_lint("--json --root " + tmp.string());
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  ASSERT_EQ(r.findings.size(), 1u) << r.output;
+  ASSERT_EQ(r.findings.size(), 2u) << r.output;
   EXPECT_EQ(r.findings[0].first, "concurrency-owner");
+  EXPECT_EQ(r.findings[1].first, "concurrency-owner");
   EXPECT_NE(r.output.find("src/topo/probe.cpp"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("src/trace/probe.cpp"), std::string::npos)
       << r.output;
   fs::remove_all(tmp);
 }

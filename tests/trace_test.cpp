@@ -1,7 +1,7 @@
-// Flight-recorder subsystem tests (DESIGN.md §11): ring semantics, span
-// validation, exporter golden file, concurrent recording, the determinism
-// contract (tracing is observer-only), failover timeline content, the
-// critical-path analyzer and the trace ordering oracle.
+// Flight-recorder subsystem tests (DESIGN.md §11): recorder semantics, span
+// validation, exporter golden file, the determinism contract (tracing is
+// observer-only), failover timeline content, the critical-path analyzer
+// and the trace ordering oracle.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include "trace/export.hpp"
 #include "trace/recorder.hpp"
 #include "trace/stream.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc {
 namespace {
@@ -38,16 +37,30 @@ Event make_event(std::uint64_t seq, Time sim_ns, std::uint64_t arg,
 
 // -------------------------------------------------------------- Recorder ----
 
-TEST(RecorderTest, RecordsAndDrainsInOrder) {
+/// A recorder on its own stream, written through an Observer the way the
+/// components write it.
+struct RecorderRig {
+  explicit RecorderRig(std::size_t capacity = Recorder::kDefaultCapacity)
+      : rec(capacity) {
+    stream.subscribe(&rec);
+    obs.attach(&stream);
+  }
   Recorder rec;
-  rec.span_begin(Track::kPrimary, Stage::kPause, nlc::milliseconds(30), 0);
-  rec.instant(Track::kPrimary, Stage::kAckRecv, nlc::milliseconds(31), 0);
-  rec.counter(Track::kPrimary, Stage::kDirtyPages, nlc::milliseconds(31), 17);
-  rec.span_end(Track::kPrimary, Stage::kPause, nlc::milliseconds(32), 0);
-  std::vector<Event> ev = rec.drain();
+  trace::Stream stream;
+  trace::Observer obs;
+};
+
+TEST(RecorderTest, RecordsAndDrainsInOrder) {
+  RecorderRig r;
+  r.obs.span_begin(Track::kPrimary, Stage::kPause, nlc::milliseconds(30), 0);
+  r.obs.instant(Track::kPrimary, Stage::kAckRecv, nlc::milliseconds(31), 0);
+  r.obs.counter(Track::kPrimary, Stage::kDirtyPages, nlc::milliseconds(31),
+                17);
+  r.obs.span_end(Track::kPrimary, Stage::kPause, nlc::milliseconds(32), 0);
+  std::vector<Event> ev = r.rec.drain();
   ASSERT_EQ(ev.size(), 4u);
-  EXPECT_EQ(rec.recorded(), 4u);
-  EXPECT_EQ(rec.dropped(), 0u);
+  EXPECT_EQ(r.rec.recorded(), 4u);
+  EXPECT_EQ(r.rec.dropped(), 0u);
   for (std::size_t i = 0; i < ev.size(); ++i) {
     EXPECT_EQ(ev[i].seq, i);
   }
@@ -59,53 +72,19 @@ TEST(RecorderTest, RecordsAndDrainsInOrder) {
 }
 
 TEST(RecorderTest, OverflowDropsNewestAndCounts) {
-  Recorder rec(/*ring_capacity=*/8);
+  RecorderRig r(/*capacity=*/8);
   for (int i = 0; i < 20; ++i) {
-    rec.instant(Track::kPrimary, Stage::kResume, nlc::milliseconds(i),
-                static_cast<std::uint64_t>(i));
+    r.obs.instant(Track::kPrimary, Stage::kResume, nlc::milliseconds(i),
+                  static_cast<std::uint64_t>(i));
   }
-  EXPECT_EQ(rec.recorded(), 8u);
-  EXPECT_EQ(rec.dropped(), 12u);
-  std::vector<Event> ev = rec.drain();
+  EXPECT_EQ(r.rec.recorded(), 8u);
+  EXPECT_EQ(r.rec.dropped(), 12u);
+  std::vector<Event> ev = r.rec.drain();
   ASSERT_EQ(ev.size(), 8u);
   // Drop-newest: the surviving prefix is the *oldest* 8 events, intact.
   for (std::size_t i = 0; i < ev.size(); ++i) {
     EXPECT_EQ(ev[i].arg, i);
     EXPECT_EQ(ev[i].seq, i);
-  }
-}
-
-TEST(RecorderTest, ConcurrentRecordingKeepsPerThreadOrder) {
-  // Four tasks record in parallel through the WorkerPool (tsan covers this
-  // under `ctest -L sanitize`): no events lost, the drained stream is
-  // seq-sorted, and each task's events appear in its program order.
-  Recorder rec;
-  constexpr int kTasks = 4;
-  constexpr std::uint64_t kPerTask = 1000;
-  util::WorkerPool pool(kTasks - 1);
-  pool.run(kTasks, [&](std::size_t t) {
-    for (std::uint64_t j = 0; j < kPerTask; ++j) {
-      rec.instant(Track::kPrimary, Stage::kResume, static_cast<Time>(j),
-                  t * kPerTask + j);
-    }
-  });
-  EXPECT_EQ(rec.recorded(), kTasks * kPerTask);
-  EXPECT_EQ(rec.dropped(), 0u);
-  std::vector<Event> ev = rec.drain();
-  ASSERT_EQ(ev.size(), kTasks * kPerTask);
-  std::vector<std::uint64_t> last_arg(kTasks, 0);
-  std::vector<bool> seen(kTasks, false);
-  for (std::size_t i = 0; i < ev.size(); ++i) {
-    if (i > 0) {
-      EXPECT_LT(ev[i - 1].seq, ev[i].seq);
-    }
-    auto t = static_cast<std::size_t>(ev[i].arg / kPerTask);
-    ASSERT_LT(t, static_cast<std::size_t>(kTasks));
-    if (seen[t]) {
-      EXPECT_LT(last_arg[t], ev[i].arg);
-    }
-    last_arg[t] = ev[i].arg;
-    seen[t] = true;
   }
 }
 

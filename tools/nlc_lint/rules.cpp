@@ -578,11 +578,11 @@ void rule_replay_wallclock(RuleCtx& c) {
 
 void rule_concurrency_owner(RuleCtx& c) {
   // Exempt ONLY the concurrency-owning modules. Everything else — the
-  // simulation-deterministic core and explicitly src/topo (replication
-  // plans and fault-domain placement must stay pure bookkeeping, see
-  // DESIGN.md §16) — is in scope.
+  // simulation-deterministic core, src/topo (replication plans and
+  // fault-domain placement must stay pure bookkeeping, see DESIGN.md §16)
+  // and src/trace (the recorder has one writer, DESIGN.md §11) — is in
+  // scope.
   if (starts_with(c.f.path, "src/util/") ||
-      starts_with(c.f.path, "src/trace/") ||
       starts_with(c.f.path, "src/harness/")) {
     return;
   }
@@ -593,7 +593,7 @@ void rule_concurrency_owner(RuleCtx& c) {
     c.add("concurrency-owner", t[i + 2].line,
           "std::" + t[i + 2].text +
               " outside the concurrency-owning modules (src/util, "
-              "src/trace, src/harness) — fan-out goes through "
+              "src/harness) — fan-out goes through "
               "util::WorkerPool; new synchronization needs an owning seam");
   }
 }

@@ -158,11 +158,10 @@ int main(int argc, char** argv) {
       else if (l == "continuous")
         cfg.nilicon.audit_level = core::AuditLevel::kContinuous;
       else kUsage.fail("unknown audit level '" + l + "'");
-    } else if (arg == "--trace") {
-      trace_path = next();
-      cfg.nilicon.trace_level = core::TraceLevel::kFull;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_path = arg.substr(std::strlen("--trace="));
+    } else if (arg == "--trace" || arg.rfind("--trace=", 0) == 0) {
+      trace_path = arg == "--trace" ? next()
+                                    : arg.substr(std::strlen("--trace="));
+      if (trace_path.empty()) kUsage.fail("empty path for --trace");
       cfg.nilicon.trace_level = core::TraceLevel::kFull;
     } else if (arg == "--kv") {
       cfg.kv_validation = true;
@@ -180,6 +179,9 @@ int main(int argc, char** argv) {
     } else {
       kUsage.fail("unknown argument '" + arg + "'");
     }
+  }
+  if (!trace_path.empty() && cfg.mode != harness::Mode::kNiLiCon) {
+    kUsage.fail("--trace requires --mode nilicon (stock and mc trace nothing)");
   }
   if (cfg.nilicon.quorum_k > cfg.nilicon.replicas) {
     kUsage.fail("--quorum " + std::to_string(cfg.nilicon.quorum_k) +
@@ -328,16 +330,12 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    if (r.trace == nullptr) {
-      std::fprintf(stderr,
-                   "--trace requires --mode nilicon (no trace recorded)\n");
-      return 2;
-    }
+    NLC_CHECK(r.trace != nullptr);
     if (!trace::write_chrome_trace(trace_path, *r.trace)) {
       std::fprintf(stderr, "cannot write trace to %s\n", trace_path.c_str());
       return 2;
     }
-    std::vector<trace::Event> events = r.trace->drain();
+    const std::vector<trace::Event>& events = r.trace->drain();
     std::printf("trace: %zu events (%llu dropped) -> %s\n", events.size(),
                 static_cast<unsigned long long>(r.trace->dropped()),
                 trace_path.c_str());
