@@ -151,7 +151,7 @@ double measure_tier(const std::vector<Case>& corpus, util::SimdTier tier,
 }
 
 /// Bytes in each value of the perfbench and nlc_run KV workloads.
-constexpr std::size_t kKvValueLen = 900;
+constexpr std::size_t kKvValueLen = apps::kKvValueLen;
 
 struct KvRow {
   apps::KvIsa isa;

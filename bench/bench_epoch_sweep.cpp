@@ -26,6 +26,7 @@
 
 #include "apps/catalog.hpp"
 #include "bench/common.hpp"
+#include "core/epoch_controller.hpp"
 #include "harness/experiment.hpp"
 
 namespace {
@@ -136,7 +137,7 @@ int main(int argc, char** argv) {
   std::printf("---------------------------------------------------------------"
               "-----------------------------\n");
 
-  const double stop_budget_ms = to_millis(core::Options{}.stop_budget);
+  const double stop_budget_ms = to_millis(core::epochctl::kStopBudget);
   for (std::size_t i = 0; i < apps_rows.size(); ++i) {
     const auto& a = apps_rows[i];
     const auto& ef = rs[i * 5 + 0];  // epoch commit, fixed
@@ -221,13 +222,13 @@ int main(int argc, char** argv) {
         ok = false;
       }
       if (ra.metrics.log_retained_bytes_peak >
-          core::Options{}.log_retained_budget) {
+          core::epochctl::kLogRetainedBudget) {
         std::printf("GATE FAIL: %s retained log peak %llu > budget %llu\n",
                     a.name,
                     static_cast<unsigned long long>(
                         ra.metrics.log_retained_bytes_peak),
                     static_cast<unsigned long long>(
-                        core::Options{}.log_retained_budget));
+                        core::epochctl::kLogRetainedBudget));
         ok = false;
       }
     }
@@ -237,10 +238,10 @@ int main(int argc, char** argv) {
     if (!rx.fault_injected || !rx.recovered) {
       std::printf("GATE FAIL: %s fault row did not recover\n", a.name);
       ok = false;
-    } else if (rx.recovery.replay_time > 2 * core::Options{}.replay_budget) {
+    } else if (rx.recovery.replay_time > 2 * core::epochctl::kReplayBudget) {
       std::printf("GATE FAIL: %s failover replay %.1fms > 2x budget %.1fms\n",
                   a.name, to_millis(rx.recovery.replay_time),
-                  to_millis(core::Options{}.replay_budget));
+                  to_millis(core::epochctl::kReplayBudget));
       ok = false;
     }
   }

@@ -19,8 +19,17 @@ endforeach()
 add_library(nlc_header_check OBJECT EXCLUDE_FROM_ALL ${NLC_HEADER_CHECK_TUS})
 target_include_directories(nlc_header_check PRIVATE ${CMAKE_SOURCE_DIR}/src)
 
+# The test runs alone (RUN_SERIAL), so it compiles the TUs on every
+# logical core of the configuring host. A bare --parallel would hand make
+# an unlimited -j.
+cmake_host_system_information(RESULT NLC_HEADER_CHECK_JOBS
+                              QUERY NUMBER_OF_LOGICAL_CORES)
+if(NOT NLC_HEADER_CHECK_JOBS GREATER 0)
+  set(NLC_HEADER_CHECK_JOBS 1)
+endif()
 add_test(NAME header_selfcontained
          COMMAND ${CMAKE_COMMAND} --build ${CMAKE_BINARY_DIR}
-                 --target nlc_header_check)
+                 --target nlc_header_check
+                 --parallel ${NLC_HEADER_CHECK_JOBS})
 set_tests_properties(header_selfcontained PROPERTIES LABELS lint TIMEOUT 600
                      RUN_SERIAL TRUE)

@@ -46,6 +46,10 @@ struct KvOp {
 
 inline constexpr std::size_t kKvOpWireSize = 24;
 
+/// Bytes in every value the validation clients SET and the harness
+/// pre-uploads.
+inline constexpr std::uint16_t kKvValueLen = 900;
+
 /// Deterministic value byte at position i for a (seed, len) value.
 inline std::byte kv_value_byte(std::uint64_t seed, std::uint32_t i) {
   return static_cast<std::byte>(splitmix64(seed + i / 8) >> ((i % 8) * 8));

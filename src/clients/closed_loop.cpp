@@ -9,6 +9,14 @@ namespace nlc::clients {
 using apps::KvOp;
 using apps::KvOpType;
 
+namespace {
+
+/// KV-validation mode: the share of ops that are SETs (of
+/// apps::kKvValueLen bytes); the rest are GETs.
+constexpr double kSetFraction = 0.5;
+
+}  // namespace
+
 ClosedLoopClient::ClosedLoopClient(sim::Simulation& s, sim::DomainPtr domain,
                                    net::TcpStack& tcp, ClientConfig cfg,
                                    std::uint64_t seed)
@@ -113,10 +121,10 @@ sim::task<> ClosedLoopClient::connection(int index) {
         Expected& e = expect[slot];
         KvOp op;
         op.key = key_base + slot;
-        if (rng.chance(cfg_.set_fraction)) {
+        if (rng.chance(kSetFraction)) {
           op.op = KvOpType::kSet;
           op.seed = rng.next();
-          op.len = cfg_.value_len;
+          op.len = apps::kKvValueLen;
           e = Expected{true, op.seed, op.len};
         } else {
           op.op = KvOpType::kGet;
@@ -159,7 +167,6 @@ sim::task<> ClosedLoopClient::connection(int index) {
     trace_.emplace_back(p.sent_at, lat);
     ++completed_;
     verify_reply(*reply, p);
-    if (cfg_.think_time > 0) co_await sim_->sleep_for(cfg_.think_time);
   }
   // Drain whatever is still in flight so latency accounting stays sane.
   while (!outstanding.empty()) {

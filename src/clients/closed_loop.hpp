@@ -35,14 +35,11 @@ struct ClientConfig {
   /// batcher streams continuously).
   int pipeline = 1;
   std::uint64_t request_bytes = 200;
-  Time think_time = 0;
 
   // KV-validation mode.
   bool kv_mode = false;
   int kv_ops_per_request = 16;
   std::uint32_t keys_per_connection = 256;
-  double set_fraction = 0.5;
-  std::uint16_t value_len = 900;
 };
 
 class ClosedLoopClient {

@@ -24,12 +24,11 @@ Cluster::Cluster(ClusterConfig cfg)
       primary_host(network.add_host("primary", primary_domain)),
       client_tcp(sim, client_domain, network, client_host),
       primary_tcp(sim, primary_domain, network, primary_host),
-      config(cfg),
-      fault_domains(cfg.sites, cfg.racks_per_site) {
+      config(cfg) {
   NLC_CHECK_MSG(cfg.replicas >= 1 && cfg.replicas <= 16,
                 "replicas out of range");
-  network.add_link(client_host, primary_host, cfg.client_link_bps,
-                   cfg.client_link_latency);
+  network.add_link(client_host, primary_host, kClientLinkBps,
+                   kClientLinkLatency);
   client_tcp.add_address(kClientIp);
   primary_tcp.add_address(kPrimaryHostIp);
 
@@ -41,40 +40,36 @@ Cluster::Cluster(ClusterConfig cfg)
   // Priority lane (802.1p-style class) for the event log: shares the
   // physical 10 GbE but never queues behind page-delta serialization.
   log_priority_link = std::make_unique<net::Link>(
-      sim, cfg.replication_link_bps, cfg.replication_link_latency);
-  control_link = std::make_unique<net::Link>(sim, cfg.control_link_bps,
-                                             cfg.control_link_latency);
+      sim, kReplicationLinkBps, kReplicationLinkLatency);
+  control_link = std::make_unique<net::Link>(sim, kControlLinkBps,
+                                             kControlLinkLatency);
 
-  fault_domains.place_host();  // host 0: primary
-  for (const topo::ReplicaRoute& route :
-       topo::make_plan(cfg.topology)->routes(cfg.replicas)) {
+  for (int i = 0; i < cfg.replicas; ++i) {
     BackupReplica& r = *backups.emplace_back(std::make_unique<BackupReplica>());
-    const std::string name = replica_name(route.index);
-    fault_domains.place_host();  // host 1 + i: backup replica i
-    r.upstream = route.upstream;
+    const std::string name = replica_name(i);
+    r.upstream = topo::upstream_of(cfg.topology, i);
     r.domain = std::make_shared<sim::Domain>(name);
     r.host = network.add_host(name, r.domain);
-    network.add_link(client_host, r.host, cfg.client_link_bps,
-                     cfg.client_link_latency);
+    network.add_link(client_host, r.host, kClientLinkBps, kClientLinkLatency);
     // The primary's link to replica 0 is its replication NIC. Every other
     // replica's pair of links carries only acks (and, after a failover,
     // fabric traffic to the primary): star data contends on the one NIC
     // and chain data on the per-hop links below, so no replica gets a free
     // dedicated feed.
-    network.add_link(primary_host, r.host, cfg.replication_link_bps,
-                     cfg.replication_link_latency);
+    network.add_link(primary_host, r.host, kReplicationLinkBps,
+                     kReplicationLinkLatency);
     r.tcp = std::make_unique<net::TcpStack>(sim, r.domain, network, r.host);
-    r.tcp->add_address(kBackupHostIp + static_cast<net::IpAddr>(route.index));
+    r.tcp->add_address(kBackupHostIp + static_cast<net::IpAddr>(i));
     r.disk = std::make_unique<blk::Disk>();
     net::Link* feed = &replication_link();
     net::Link* log_feed = log_priority_link.get();
     if (r.upstream >= 0) {
       // Store-and-forward hop from the upstream replica, with its own log
       // priority lane mirroring the primary NIC's.
-      r.hop_link = std::make_unique<net::Link>(
-          sim, cfg.replication_link_bps, cfg.replication_link_latency);
-      r.log_link = std::make_unique<net::Link>(
-          sim, cfg.replication_link_bps, cfg.replication_link_latency);
+      r.hop_link = std::make_unique<net::Link>(sim, kReplicationLinkBps,
+                                               kReplicationLinkLatency);
+      r.log_link = std::make_unique<net::Link>(sim, kReplicationLinkBps,
+                                               kReplicationLinkLatency);
       feed = r.hop_link.get();
       log_feed = r.log_link.get();
     }
@@ -130,11 +125,7 @@ sim::task<> Cluster::protect(kern::ContainerId cid, const Options& opts) {
                 "Options::topology must match ClusterConfig::topology");
   primary_agent = std::make_unique<PrimaryAgent>(
       opts, *primary_kernel, primary_tcp, cid, *drbd_primary, metrics);
-  if (config.replicas > 1) {
-    arbiter = std::make_unique<PromotionArbiter>(sim);
-    arbiter->set_resilver_link(config.replication_link_bps,
-                               config.replication_link_latency);
-  }
+  if (config.replicas > 1) arbiter = std::make_unique<PromotionArbiter>(sim);
   // Every replica acks directly to the primary's quorum gate. The primary
   // sends state only to the directly fed ones; a forwarded replica gets it
   // from its upstream (chain, DESIGN.md §16).
@@ -191,8 +182,10 @@ void Cluster::fail_backup(int i) {
 }
 
 void Cluster::fail_rack(int rack) {
-  // Placement order: host 0 = primary, host 1 + i = backup replica i.
-  for (int h : fault_domains.hosts_in_rack(rack)) {
+  NLC_CHECK_MSG(rack >= 0 && rack < kRacks, "fail_rack: no such rack");
+  // Host 0 = primary, host 1 + i = backup replica i.
+  for (int h = 0; h <= config.replicas; ++h) {
+    if (rack_of(h) != rack) continue;
     if (h == 0) {
       fail_primary();
     } else {

@@ -26,7 +26,6 @@
 #include "net/network.hpp"
 #include "net/tcp.hpp"
 #include "sim/simulation.hpp"
-#include "topo/fault_domains.hpp"
 #include "topo/topology.hpp"
 #include "trace/recorder.hpp"
 #include "trace/stream.hpp"
@@ -39,30 +38,28 @@ inline constexpr net::IpAddr kPrimaryHostIp = 0x0A00'0002;
 inline constexpr net::IpAddr kBackupHostIp = 0x0A00'0003;
 inline constexpr net::IpAddr kServiceIp = 0x0A00'00FE;
 
-struct ClusterConfig {
-  double client_link_bps = 1e9;        // 1 GbE to the client host
-  Time client_link_latency = nlc::microseconds(100);
-  double replication_link_bps = 10e9;  // dedicated 10 GbE
-  Time replication_link_latency = nlc::microseconds(20);
-  /// Management network (the hosts' 1 GbE NICs) used for the failure
-  /// detector's heartbeats, so bulk state transfers cannot starve them —
-  /// on real hardware TCP fair-sharing provides the same isolation, which
-  /// a FIFO link model does not.
-  double control_link_bps = 1e9;
-  Time control_link_latency = nlc::microseconds(100);
+/// 1 GbE from the client host to each server host.
+inline constexpr double kClientLinkBps = 1e9;
+inline constexpr Time kClientLinkLatency = nlc::microseconds(100);
+/// Management network (the hosts' 1 GbE NICs) used for the failure
+/// detector's heartbeats, so bulk state transfers cannot starve them —
+/// on real hardware TCP fair-sharing provides the same isolation, which
+/// a FIFO link model does not.
+inline constexpr double kControlLinkBps = 1e9;
+inline constexpr Time kControlLinkLatency = nlc::microseconds(100);
 
+/// Racks the replicated hosts are spread across (DESIGN.md §16).
+inline constexpr int kRacks = 2;
+
+struct ClusterConfig {
   // ---- N-way replication (DESIGN.md §16) ----------------------------------
   /// Backup replica count. 1 reproduces the paper's two-host testbed
-  /// exactly; extras are appended as additional backup hosts placed across
-  /// the fault-domain tree. Must match Options::replicas at protect().
+  /// exactly; extras are appended as additional backup hosts, alternating
+  /// between the racks. Must match Options::replicas at protect().
   int replicas = 1;
   /// How replicated state flows: star (primary fans out over its shared
   /// replication NIC) or chain (per-hop links, store-and-forward).
   topo::Topology topology = topo::Topology::kStar;
-  /// Fault-domain tree shape the hosts are spread across (primary first,
-  /// then backups, with rack anti-affinity).
-  int sites = 1;
-  int racks_per_site = 2;
 };
 
 class Cluster {
@@ -104,11 +101,8 @@ class Cluster {
   std::unique_ptr<PrimaryAgent> primary_agent;
 
   // ---- Backup replicas (DESIGN.md §16) ------------------------------------
-  /// The construction-time config (replicas, topology, tree shape).
+  /// The construction-time config (replicas, topology).
   ClusterConfig config;
-  /// Placement bookkeeping: host 0 = primary, host 1 + i = backup replica
-  /// i. The client sits outside the replicated fault hierarchy.
-  topo::FaultDomainTree fault_domains;
   /// Everything one backup replica owns. The constructor builds every
   /// replica the same way; replica 0 is the paper's single backup.
   struct BackupReplica {
@@ -192,9 +186,13 @@ class Cluster {
   sim::DomainPtr backup_domain_of(int i) { return replica(i).domain; }
   /// Fail-stop crash of backup replica `i`.
   void fail_backup(int i);
-  /// Correlated failure: fail-stop every replicated host placed in `rack`
+  /// Rack of replicated host `host` (0 = the primary, 1 + i = backup
+  /// replica i; the client sits outside the racks). Hosts alternate
+  /// between the racks, so one rack holds at most ⌈(N+1)/2⌉ of them.
+  static int rack_of(int host) { return host % kRacks; }
+  /// Correlated failure: fail-stop every replicated host in `rack`
   /// (possibly the primary and backups together — the scenario the
-  /// anti-affinity placement exists to survive).
+  /// alternating placement exists to survive).
   void fail_rack(int rack);
 
   /// The paper's manual test: unplug every network cable of the primary

@@ -60,17 +60,12 @@ void ewma(double& acc, double sample) {
 EpochController::EpochController(const Options& opts, LogCostModel log_costs)
     : adaptive_(opts.epoch_policy == EpochPolicy::kAdaptive),
       replay_(opts.commit_mode == CommitMode::kReplay),
-      initial_len_(opts.epoch_length),
-      min_len_(opts.epoch_min),
-      max_len_(replay_ ? opts.replay_epoch_target : opts.epoch_max),
-      stop_budget_(opts.stop_budget),
-      replay_budget_(opts.replay_budget),
-      log_retained_budget_(opts.log_retained_budget),
+      max_len_(replay_ ? kReplayEpochTarget : kEpochMax),
       quantum_(replay_ ? nlc::milliseconds(10) : nlc::milliseconds(1)),
       log_costs_(log_costs),
       len_(opts.epoch_length) {
   if (adaptive_) {
-    if (len_ < min_len_) len_ = min_len_;
+    if (len_ < kEpochMin) len_ = kEpochMin;
     if (len_ > max_len_) len_ = max_len_;
   }
 }
@@ -78,7 +73,7 @@ EpochController::EpochController(const Options& opts, LogCostModel log_costs)
 Time EpochController::clamp_quantize(double ns) const {
   Time t = static_cast<Time>(std::llround(ns / static_cast<double>(quantum_)))
            * quantum_;
-  if (t < min_len_) t = min_len_;
+  if (t < kEpochMin) t = kEpochMin;
   if (t > max_len_) t = max_len_;
   return t;
 }
@@ -116,13 +111,13 @@ void EpochController::observe(const EpochObservation& o) {
 void EpochController::decide(const EpochObservation& o) {
   const double len = static_cast<double>(len_);
   const double wall = wall_ewma_ > 1.0 ? wall_ewma_ : 1.0;
-  const double budget = static_cast<double>(stop_budget_);
+  const double budget = static_cast<double>(kStopBudget);
 
   // Step helper: the quantized multiplicative move, forced to advance at
   // least one quantum so a small factor near the grid cannot stall.
   auto stepped = [&](double factor) {
     Time next = clamp_quantize(len * factor);
-    if (next == len_ && factor < 1.0 && len_ - quantum_ >= min_len_) {
+    if (next == len_ && factor < 1.0 && len_ - quantum_ >= kEpochMin) {
       next = len_ - quantum_;
     }
     if (next == len_ && factor > 1.0 && len_ + quantum_ <= max_len_) {
@@ -181,11 +176,11 @@ void EpochController::decide(const EpochObservation& o) {
       static_cast<double>(log_costs_.replay_base) +
       kBacklogEpochs * entry_rate_ewma_ * cand *
           static_cast<double>(log_costs_.replay_per_entry);
-  if (replay_est > static_cast<double>(replay_budget_)) return;
+  if (replay_est > static_cast<double>(kReplayBudget)) return;
   // Checkpoint-commit truncation leaves ≈ kBacklogEpochs of segments
   // retained at the backup; bound that memory at the candidate length.
   const double retained_est = kBacklogEpochs * byte_rate_ewma_ * cand;
-  if (retained_est > static_cast<double>(log_retained_budget_)) return;
+  if (retained_est > static_cast<double>(kLogRetainedBudget)) return;
   apply(clamp_quantize(cand), o.epoch);
 }
 

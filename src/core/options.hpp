@@ -47,8 +47,9 @@ enum class CommitMode : std::uint8_t { kEpoch, kReplay };
 ///              per-epoch critical-path segments. In epoch commit mode it
 ///              minimizes p99 response time subject to the stop-time budget;
 ///              in replay commit mode (where the latency sweep is flat) it
-///              stretches epochs toward replay_epoch_target to cut page wire
-///              bytes, bounded by the recovery-replay and log-memory budgets.
+///              stretches epochs toward epochctl::kReplayEpochTarget to cut
+///              page wire bytes, bounded by the recovery-replay and
+///              log-memory budgets.
 enum class EpochPolicy : std::uint8_t { kFixed, kAdaptive };
 
 /// Failure detection (§IV): the primary's heartbeat period, and how many
@@ -56,36 +57,21 @@ enum class EpochPolicy : std::uint8_t { kFixed, kAdaptive };
 inline constexpr Time kHeartbeatInterval = nlc::milliseconds(30);
 inline constexpr int kHeartbeatMissThreshold = 3;
 
+/// The dedicated 10 GbE replication link (§VI): the primary's replication
+/// NIC, every replica's ack return, each chain hop, the event-log lanes and
+/// the arbiter's re-silver transfers.
+inline constexpr double kReplicationLinkBps = 10e9;
+inline constexpr Time kReplicationLinkLatency = nlc::microseconds(20);
+
 struct Options {
   /// Execution-phase length per epoch (paper: 30 ms). With
   /// epoch_policy = kAdaptive this is only the starting point.
   Time epoch_length = nlc::milliseconds(30);
 
   // ---- Adaptive epoch control (DESIGN.md §15) ------------------------------
+  /// The controller's clamp range and budgets are epochctl constants
+  /// (core/epoch_controller.hpp).
   EpochPolicy epoch_policy = EpochPolicy::kFixed;
-  /// Clamp range for adapted lengths (epoch commit mode; replay mode may
-  /// grow past epoch_max up to replay_epoch_target).
-  Time epoch_min = nlc::milliseconds(5);
-  Time epoch_max = nlc::milliseconds(240);
-  /// Replay mode: the HyCoR-style long-epoch target (second-scale
-  /// checkpoints). 2 s is where the paper benchmarks' dirty-set saturation
-  /// pays off: every locality app re-dirties enough of its working set
-  /// that page wire bytes drop >= 3x vs the fixed 30 ms epochs.
-  Time replay_epoch_target = nlc::seconds(2);
-  /// Hard ceiling on the per-epoch container stop time; the controller
-  /// shrinks whenever the observed stop EWMA exceeds it. Calibrated just
-  /// above the paper's worst Table III stop (node: 38.2 ms at the default
-  /// 30 ms epochs) — a budget below what the fixed-epoch baseline already
-  /// incurs would misread the workload as over-length and shrink into
-  /// pure capacity loss (the stop is base-dominated there, so shrinking
-  /// cannot buy it back).
-  Time stop_budget = nlc::milliseconds(40);
-  /// Replay mode: bound on the estimated failover replay time implied by
-  /// the un-checkpointed log backlog (≤ 2 epochs of entries).
-  Time replay_budget = nlc::milliseconds(150);
-  /// Replay mode: bound on the estimated backup-retained log bytes
-  /// (checkpoint-commit truncation keeps ~2 epochs of segments alive).
-  std::uint64_t log_retained_budget = 16ull << 20;
 
   // ---- Table I optimizations (cumulative rows) ----------------------------
   /// §V-A: radix-tree page store on the backup, polling freezer instead of
@@ -125,8 +111,8 @@ struct Options {
 
   // ---- N-way replication (DESIGN.md §16) -----------------------------------
   /// Backup replica count. 1 reproduces the paper's two-node testbed
-  /// byte-identically; N > 1 places the backups across the cluster's
-  /// fault-domain tree and releases output on a K-of-N quorum.
+  /// byte-identically; N > 1 spreads the backups across the cluster's two
+  /// racks and releases output on a K-of-N quorum.
   int replicas = 1;
   /// Acks required before plugged output (and, in replay mode, the log
   /// segment) releases. 0 = auto: a majority, replicas / 2 + 1.

@@ -84,9 +84,9 @@ sim::task<> PromotionArbiter::resilver_survivors() {
     const std::uint64_t bytes =
         w.agent->page_store().page_count() * nlc::kPageSize;
     const Time xfer =
-        resilver_latency_ +
+        kReplicationLinkLatency +
         static_cast<Time>(static_cast<double>(bytes) * 8.0 /
-                          resilver_bps_ * 1e9);
+                          kReplicationLinkBps * 1e9);
     obs_.span_begin(trace::Track::kBackup, trace::Stage::kResilver,
                     sim_->now(), i);
     co_await sim_->sleep_for(xfer);

@@ -9,7 +9,7 @@
 // quorum may have released output for. After the winner's restore
 // completes, the survivors are re-silvered: each receives a full-state
 // copy of the winner's committed stores, metered on the shared
-// replication link.
+// replication link (kReplicationLinkBps, kReplicationLinkLatency).
 //
 // The sim has no real consensus protocol underneath this (the model is
 // fail-stop hosts on a reliable fabric, not partitions); the arbiter is
@@ -24,7 +24,6 @@
 
 #include "sim/simulation.hpp"
 #include "trace/stream.hpp"
-#include "util/time.hpp"
 
 namespace nlc::core {
 
@@ -47,13 +46,6 @@ class PromotionArbiter {
   /// Registers one replica (call in replica-index order, before start).
   void register_replica(BackupAgent& agent, sim::DomainPtr domain) {
     replicas_.push_back(Entry{&agent, std::move(domain)});
-  }
-
-  /// Parameters of the link the re-silver transfers are metered on (the
-  /// shared replication NIC).
-  void set_resilver_link(double bps, Time latency) {
-    resilver_bps_ = bps;
-    resilver_latency_ = latency;
   }
 
   /// Attaches (or clears) the protocol event stream (observer only). The
@@ -84,8 +76,6 @@ class PromotionArbiter {
   sim::Simulation* sim_;
   std::vector<Entry> replicas_;
   trace::Observer obs_;
-  double resilver_bps_ = 10e9;
-  Time resilver_latency_ = 0;
   bool closed_ = false;
   int winner_ = -1;
   std::uint64_t reports_ = 0;

@@ -41,7 +41,8 @@ void prefill_kv(Cluster& cl, apps::ServerApp& app, std::uint64_t pages,
       constexpr std::uint64_t kContentSlice = 128;
       for (std::uint64_t i = 0; i < n; ++i) {
         if (i < kContentSlice) {
-          apps::kv_write_cell(p->mm(), v.start + i, rng.next(), 900);
+          apps::kv_write_cell(p->mm(), v.start + i, rng.next(),
+                              apps::kKvValueLen);
         } else {
           p->mm().touch(v.start + i);
         }
@@ -60,6 +61,9 @@ struct ServerRunState {
 }  // namespace
 
 RunResult run_experiment(const RunConfig& cfg) {
+  NLC_CHECK_MSG(!cfg.inject_fault || fault_kind_fits(cfg),
+                std::string("fault kind ") + fault_kind_name(cfg.fault_kind) +
+                    " needs NiLiCon mode with more than one replica");
   RunResult res;
   // The cluster's replica set and wiring topology are construction-time
   // properties (protect() cross-checks them against the Options).
@@ -174,15 +178,15 @@ RunResult run_experiment(const RunConfig& cfg) {
         cl.fail_primary();
         break;
       case FaultKind::kBackup:
-        cl.fail_backup(cfg.fault_backup_index);
+        cl.fail_backup(kFaultBackupReplica);
         break;
       case FaultKind::kRack:
-        // Correlated loss of the primary's rack — the anti-affinity
-        // placement decides which backups (if any) go down with it.
-        cl.fail_rack(cl.fault_domains.rack_of(0));
+        // Correlated loss of the primary's rack, with every backup the
+        // alternating placement put beside it.
+        cl.fail_rack(Cluster::rack_of(0));
         break;
       case FaultKind::kDouble:
-        cl.fail_backup(cfg.fault_backup_index);
+        cl.fail_backup(kFaultBackupReplica);
         cl.sim.call_after(nlc::milliseconds(50), [&cl] { cl.fail_primary(); });
         break;
     }

@@ -33,16 +33,21 @@ inline const char* mode_name(Mode m) {
 }
 
 /// What fails when RunConfig::inject_fault is set (DESIGN.md §16). The
-/// non-primary kinds need mode == kNiLiCon with Options::replicas > 1.
+/// non-primary kinds need mode == kNiLiCon with Options::replicas > 1
+/// (fault_kind_fits); run_experiment rejects them otherwise.
 enum class FaultKind {
   kPrimary,     // fail-stop primary crash (the paper's §VII-A scenario)
   kBackup,      // fail-stop crash of one backup replica — no failover;
                 //   the quorum must absorb it with zero client-visible loss
-  kRack,        // correlated failure of the primary's whole rack (takes any
-                //   backup the anti-affinity placement co-located with it)
+  kRack,        // correlated failure of the primary's whole rack (takes
+                //   every backup the alternating placement put beside it)
   kDouble,      // one backup crashes, the primary follows 50 ms later —
                 //   the surviving replicas must still elect and recover
 };
+
+/// The backup replica kBackup and kDouble crash (0 is the first backup);
+/// both kinds need a second replica, so it always exists.
+inline constexpr int kFaultBackupReplica = 1;
 
 inline const char* fault_kind_name(FaultKind f) {
   switch (f) {
@@ -78,11 +83,16 @@ struct RunConfig {
   /// Which host(s) the injected fault takes (N-way runs can crash backups
   /// and whole racks, not just the primary).
   FaultKind fault_kind = FaultKind::kPrimary;
-  /// Replica index crashed by kBackup / kDouble (0 = the first backup).
-  int fault_backup_index = 1;
   /// Run a diskstress process alongside (first validation microbenchmark).
   bool with_diskstress = false;
 };
+
+/// Whether the cluster `cfg` builds has what cfg.fault_kind crashes: every
+/// kind but kPrimary needs a second NiLiCon replica.
+inline bool fault_kind_fits(const RunConfig& cfg) {
+  return cfg.fault_kind == FaultKind::kPrimary ||
+         (cfg.mode == Mode::kNiLiCon && cfg.nilicon.replicas > 1);
+}
 
 struct RunResult {
   // Interactive.

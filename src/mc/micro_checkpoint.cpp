@@ -41,7 +41,7 @@ sim::task<> McDriver::start() {
 sim::task<> McDriver::epoch_loop() {
   sim::Simulation& sim = kernel_->simulation();
   while (running_) {
-    co_await sim.sleep_for(opts_.epoch_length);
+    co_await sim.sleep_for(kMcEpochLength);
     if (!running_) break;
     NLC_CHECK(epoch_ >= 1);
     if (epoch_ >= 2) co_await wait_acked(epoch_ - 2);
@@ -101,7 +101,7 @@ sim::task<> McDriver::checkpoint_once(bool initial) {
     metrics_->stop_time_ms.add(to_millis(stop));
     metrics_->state_bytes.add(static_cast<double>(bytes));
     metrics_->dirty_pages.add(static_cast<double>(dirty));
-    metrics_->epoch_len_ms.add(to_millis(opts_.epoch_length));
+    metrics_->epoch_len_ms.add(to_millis(kMcEpochLength));
     ++metrics_->epochs_completed;
     metrics_->bytes_shipped += bytes;
   }

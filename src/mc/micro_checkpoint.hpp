@@ -38,9 +38,11 @@ struct McCosts {
   std::uint64_t device_state_bytes = 64 * 1024;
 };
 
+/// MC always runs this execute-phase length (the paper's 30 ms); no
+/// controller retunes it.
+inline constexpr Time kMcEpochLength = nlc::milliseconds(30);
+
 struct McOptions {
-  /// MC always runs this execute-phase length; no controller retunes it.
-  Time epoch_length = nlc::milliseconds(30);
   std::uint64_t guest_noise_pages = 0;  // from AppSpec::mc_guest_noise_pages
   std::uint64_t seed = 1;
 };

@@ -1,32 +1,6 @@
 #include "topo/topology.hpp"
 
-#include "util/assert.hpp"
-
 namespace nlc::topo {
-
-std::vector<ReplicaRoute> StarPlan::routes(int replicas) const {
-  NLC_CHECK_MSG(replicas >= 1, "star plan needs at least one replica");
-  std::vector<ReplicaRoute> out;
-  out.reserve(static_cast<std::size_t>(replicas));
-  for (int i = 0; i < replicas; ++i) out.push_back(ReplicaRoute{i, -1, -1});
-  return out;
-}
-
-std::vector<ReplicaRoute> ChainPlan::routes(int replicas) const {
-  NLC_CHECK_MSG(replicas >= 1, "chain plan needs at least one replica");
-  std::vector<ReplicaRoute> out;
-  out.reserve(static_cast<std::size_t>(replicas));
-  for (int i = 0; i < replicas; ++i) {
-    out.push_back(ReplicaRoute{i, i == 0 ? -1 : i - 1,
-                               i + 1 < replicas ? i + 1 : -1});
-  }
-  return out;
-}
-
-std::unique_ptr<ReplicationPlan> make_plan(Topology t) {
-  if (t == Topology::kChain) return std::make_unique<ChainPlan>();
-  return std::make_unique<StarPlan>();
-}
 
 const char* topology_name(Topology t) {
   return t == Topology::kChain ? "chain" : "star";

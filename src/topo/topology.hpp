@@ -1,7 +1,5 @@
-// Pluggable replication topologies (DESIGN.md §16).
-//
-// A `ReplicationPlan` decides how epoch state and the nd-event log flow
-// from the primary to the N backup replicas:
+// Replication topologies (DESIGN.md §16): how epoch state and the nd-event
+// log flow from the primary to the N backup replicas.
 //
 //   star  — the primary fans out to every replica over its single
 //           replication NIC (all streams contend on the same 10 GbE
@@ -11,52 +9,24 @@
 //           go directly back to the primary, so the quorum gate sees
 //           per-replica cursors either way.
 //
-// This header is intentionally dependency-light (enum + POD routes) so
+// This header is intentionally dependency-light (an enum and one rule) so
 // `core::Options` can carry a `Topology` knob without pulling in the
 // simulation.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace nlc::topo {
 
 enum class Topology : std::uint8_t { kStar, kChain };
 
-/// Per-replica routing decision. `upstream == -1` means the replica is fed
-/// directly by the primary; `downstream == -1` means it forwards to nobody.
-struct ReplicaRoute {
-  int index = 0;
-  int upstream = -1;
-  int downstream = -1;
-};
+/// The replica that feeds replica `i`, or -1 when the primary feeds it
+/// directly: every star replica and a chain's head.
+inline int upstream_of(Topology t, int i) {
+  return t == Topology::kChain && i > 0 ? i - 1 : -1;
+}
 
-class ReplicationPlan {
- public:
-  virtual ~ReplicationPlan() = default;
-  virtual Topology topology() const = 0;
-  virtual const char* name() const = 0;
-  /// Routes for replicas 0..replicas-1, in index order.
-  virtual std::vector<ReplicaRoute> routes(int replicas) const = 0;
-};
-
-class StarPlan final : public ReplicationPlan {
- public:
-  Topology topology() const override { return Topology::kStar; }
-  const char* name() const override { return "star"; }
-  std::vector<ReplicaRoute> routes(int replicas) const override;
-};
-
-class ChainPlan final : public ReplicationPlan {
- public:
-  Topology topology() const override { return Topology::kChain; }
-  const char* name() const override { return "chain"; }
-  std::vector<ReplicaRoute> routes(int replicas) const override;
-};
-
-std::unique_ptr<ReplicationPlan> make_plan(Topology t);
 const char* topology_name(Topology t);
 /// Parses "star" / "chain"; returns false (and leaves *out alone) on
 /// anything else.

@@ -23,6 +23,7 @@ namespace {
 using core::CommitMode;
 using core::EpochPolicy;
 using core::Options;
+namespace epochctl = core::epochctl;
 using core::epochctl::EpochController;
 using core::epochctl::EpochObservation;
 using harness::Mode;
@@ -87,7 +88,7 @@ TEST(EpochControllerTest, EpochModeShrinksIntoIdleRequestResponseSlack) {
   EXPECT_GT(ctl.shrink_steps(), 2u);
   EXPECT_EQ(ctl.grow_steps(), 0u);
   EXPECT_LT(ctl.epoch_length(), o.epoch_length);
-  EXPECT_GE(ctl.epoch_length(), o.epoch_min);
+  EXPECT_GE(ctl.epoch_length(), epochctl::kEpochMin);
   EXPECT_GT(ctl.last_change_epoch(), 0u);
   // Epoch-mode lengths land on the 1 ms quantum.
   EXPECT_EQ(ctl.epoch_length() % nlc::milliseconds(1), 0u);
@@ -100,11 +101,11 @@ TEST(EpochControllerTest, EpochModeGrowsOutOfDumpOverhead) {
   std::uint64_t epoch = 0;
   // Pause-side work above the 50% ceiling: every decision must be a grow
   // until the fraction would fall back into the band (it never does here —
-  // the fed overhead is constant — so the length rails at epoch_max).
+  // the fed overhead is constant — so the length rails at kEpochMax).
   feed(ctl, 60, 0.7, nlc::milliseconds(2), true, 0.1, &epoch);
   EXPECT_GT(ctl.grow_steps(), 2u);
   EXPECT_EQ(ctl.shrink_steps(), 0u);
-  EXPECT_EQ(ctl.epoch_length(), o.epoch_max);
+  EXPECT_EQ(ctl.epoch_length(), epochctl::kEpochMax);
 }
 
 TEST(EpochControllerTest, StopBudgetOverrunForcesShrinkInBothModes) {
@@ -117,7 +118,7 @@ TEST(EpochControllerTest, StopBudgetOverrunForcesShrinkInBothModes) {
     // Otherwise-growable conditions (high overhead in epoch mode; cold
     // log rates in replay mode) — but the stop EWMA is over budget, and
     // that constraint is hard in both modes.
-    feed(ctl, 20, 0.7, o.stop_budget * 2, true, 0.1, &epoch);
+    feed(ctl, 20, 0.7, epochctl::kStopBudget * 2, true, 0.1, &epoch);
     EXPECT_GT(ctl.shrink_steps(), 0u) << static_cast<int>(mode);
     EXPECT_EQ(ctl.grow_steps(), 0u) << static_cast<int>(mode);
     EXPECT_LT(ctl.epoch_length(), o.epoch_length) << static_cast<int>(mode);
@@ -158,7 +159,7 @@ TEST(EpochControllerTest, PredictiveDutyGuardStopsTheShrinkWalk) {
   // well under the shrink band — but the walk must stop before the
   // candidate length would push pause/(cand + pause) past the 35% floor:
   // cand > 3 ms * (1 - 0.35) / 0.35 ≈ 5.57 ms, i.e. the length can never
-  // go below 6 ms even though epoch_min is 5 ms.
+  // go below 6 ms even though kEpochMin is 5 ms.
   for (std::uint64_t i = 0; i < 60; ++i) {
     EpochObservation ob =
         obs(++epoch, ctl.epoch_length(), 0.0, nlc::milliseconds(2), true,
@@ -168,7 +169,7 @@ TEST(EpochControllerTest, PredictiveDutyGuardStopsTheShrinkWalk) {
   }
   EXPECT_GT(ctl.shrink_steps(), 0u);
   EXPECT_GE(ctl.epoch_length(), nlc::milliseconds(6));
-  EXPECT_GT(ctl.epoch_length(), o.epoch_min);
+  EXPECT_GT(ctl.epoch_length(), epochctl::kEpochMin);
 }
 
 /// Replay-mode observation: log rates ride along with the usual fields.
@@ -189,13 +190,13 @@ TEST(EpochControllerTest, ReplayModeStretchesToTheTarget) {
   EXPECT_TRUE(ctl.replay_mode());
   std::uint64_t epoch = 0;
   // Small stop, thin log: every budget holds at every candidate, so the
-  // geometric stretch must reach replay_epoch_target (doubling from 30 ms
+  // geometric stretch must reach kReplayEpochTarget (doubling from 30 ms
   // needs 7 grows; decisions are per-epoch after the 2-epoch warmup).
   for (std::uint64_t i = 0; i < 16; ++i) {
     ctl.observe(replay_obs(++epoch, ctl.epoch_length(), nlc::milliseconds(5),
                            100, 4096));
   }
-  EXPECT_EQ(ctl.epoch_length(), o.replay_epoch_target);
+  EXPECT_EQ(ctl.epoch_length(), epochctl::kReplayEpochTarget);
   EXPECT_GE(ctl.grow_steps(), 6u);
   EXPECT_EQ(ctl.shrink_steps(), 0u);
   // Replay-mode lengths land on the 10 ms quantum.
@@ -427,7 +428,7 @@ TEST(AdaptiveLogTruncationTest, CheckpointCommitBoundsRetainedLogAt1sEpochs) {
   // ~2 epochs retained out of ~8: well under half of everything shipped.
   EXPECT_LT(r.metrics.log_retained_bytes_peak,
             r.metrics.log_bytes_shipped / 2);
-  EXPECT_LE(r.metrics.log_retained_bytes_peak, Options{}.log_retained_budget);
+  EXPECT_LE(r.metrics.log_retained_bytes_peak, epochctl::kLogRetainedBudget);
 }
 
 }  // namespace

@@ -139,18 +139,6 @@ TEST(ClosedLoopClientTest, KvModeRejectsEmptyKeyRange) {
                InvariantError);
 }
 
-TEST(ClosedLoopClientTest, ThinkTimeThrottles) {
-  Rig rig(apps::netecho_spec());
-  ClientConfig cc = rig.base();
-  cc.think_time = 50_ms;
-  ClosedLoopClient client(rig.cl.sim, rig.cl.client_domain,
-                          rig.cl.client_tcp, cc, 5);
-  client.start();
-  rig.cl.sim.run_until(1_s);
-  client.stop();
-  EXPECT_LE(client.completed(), 22u);  // ~20 with 50ms think time
-}
-
 TEST(ClosedLoopClientTest, ConnectFailureCountsBroken) {
   Cluster cl;  // nobody listening on the service address
   cl.create_service_container("ghost");

@@ -98,6 +98,15 @@ TEST(HarnessTest, KvValidationRejectsMoreConnectionsThanKvPages) {
   EXPECT_THROW(run_experiment(cfg), InvariantError);
 }
 
+TEST(HarnessTest, BackupFaultNeedsASecondReplica) {
+  // kBackup crashes replica kFaultBackupReplica, which a two-node run does
+  // not have: the run is refused before a cluster exists.
+  RunConfig cfg = base_config(Mode::kNiLiCon);
+  cfg.inject_fault = true;
+  cfg.fault_kind = FaultKind::kBackup;
+  EXPECT_THROW(run_experiment(cfg), InvariantError);
+}
+
 TEST(HarnessTest, FaultInjectionWithDiskStress) {
   RunConfig cfg = base_config(Mode::kNiLiCon);
   cfg.measure = nlc::seconds(4);

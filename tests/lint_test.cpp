@@ -228,10 +228,10 @@ TEST(LintCli, WholeFixtureDirIsStable) {
 }
 
 // src/topo (DESIGN.md §16) and src/trace (§11) are inside the
-// concurrency-owner rule's scope: replication plans and fault-domain
-// placement must stay pure simulation-deterministic bookkeeping, and the
-// recorder has one writer, so a raw primitive there is a finding, while
-// the owning modules (src/harness etc.) stay exempt.
+// concurrency-owner rule's scope: the topology rule must stay a pure
+// simulation-deterministic function, and the recorder has one writer, so
+// a raw primitive there is a finding, while the owning modules
+// (src/harness etc.) stay exempt.
 TEST(LintCli, TopoModuleIsInConcurrencyOwnerScope) {
   namespace fs = std::filesystem;
   fs::path tmp = fs::path(::testing::TempDir()) / "lint_topo_scope";

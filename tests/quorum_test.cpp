@@ -3,12 +3,14 @@
 // discipline, the trace oracle's quorum and promotion
 // rules, and the end-to-end behavior of a 3-replica cluster — backup-lag
 // tolerance, single-backup-crash absorption, double failure, correlated
-// rack failure, the promotion-picks-most-caught-up regression and the
-// in-flight log segment bound after a backup crash. The final tests pin
-// the N = 1 degenerate case to the two-node seed engine.
+// rack failure, the rack placement and chain wiring, the
+// promotion-picks-most-caught-up regression and the in-flight log segment
+// bound after a backup crash. The final tests pin the N = 1 degenerate
+// case to the two-node seed engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "apps/catalog.hpp"
 #include "apps/server_app.hpp"
@@ -318,7 +320,6 @@ TEST(QuorumEndToEndTest, SingleBackupCrashIsAbsorbed) {
   cfg.measure = nlc::seconds(4);
   cfg.inject_fault = true;
   cfg.fault_kind = harness::FaultKind::kBackup;
-  cfg.fault_backup_index = 1;
   cfg.seed = 11;
   auto r = run_experiment(cfg);
   EXPECT_TRUE(r.fault_injected);
@@ -335,7 +336,6 @@ TEST(QuorumEndToEndTest, DoubleFailureStillRecovers) {
   cfg.measure = nlc::seconds(4);
   cfg.inject_fault = true;
   cfg.fault_kind = harness::FaultKind::kDouble;
-  cfg.fault_backup_index = 1;
   cfg.seed = 13;
   auto r = run_experiment(cfg);
   EXPECT_TRUE(r.fault_injected);
@@ -359,6 +359,49 @@ TEST(QuorumEndToEndTest, RackFailureSurvivedByAntiAffinity) {
   ASSERT_TRUE(r.recovered);
   EXPECT_EQ(r.kv_errors, 0u);
   EXPECT_GT(r.requests_after_fault, 0u);
+}
+
+/// Which of the primary and backups 0..replicas-1 are alive, in that
+/// order.
+std::vector<bool> alive_hosts(core::Cluster& cl) {
+  std::vector<bool> alive{cl.primary_domain->alive()};
+  for (int i = 0; i < cl.replica_count(); ++i) {
+    alive.push_back(cl.backup_domain_of(i)->alive());
+  }
+  return alive;
+}
+
+TEST(ClusterPlacementTest, RacksAlternateAndChainsFeedFromThePredecessor) {
+  // N = 4 star: the primary and backups 0..3 alternate between the two
+  // racks, so rack 0 holds the primary and backups 1 and 3, and rack 1
+  // holds backups 0 and 2.
+  core::ClusterConfig ccfg;
+  ccfg.replicas = 4;
+  {
+    core::Cluster cl(ccfg);
+    cl.fail_rack(0);
+    EXPECT_EQ(alive_hosts(cl),
+              (std::vector<bool>{false, true, false, true, false}));
+  }
+  {
+    core::Cluster cl(ccfg);
+    cl.fail_rack(1);
+    EXPECT_EQ(alive_hosts(cl),
+              (std::vector<bool>{true, false, true, false, true}));
+  }
+  // A chain replica is fed by its predecessor and the head by the
+  // primary; every star replica is fed by the primary.
+  ccfg.replicas = 3;
+  ccfg.topology = topo::Topology::kChain;
+  core::Cluster chain(ccfg);
+  ccfg.topology = topo::Topology::kStar;
+  core::Cluster star(ccfg);
+  std::vector<int> chain_up;
+  std::vector<int> star_up;
+  for (const auto& r : chain.backups) chain_up.push_back(r->upstream);
+  for (const auto& r : star.backups) star_up.push_back(r->upstream);
+  EXPECT_EQ(chain_up, (std::vector<int>{-1, 0, 1}));
+  EXPECT_EQ(star_up, (std::vector<int>{-1, -1, -1}));
 }
 
 TEST(QuorumEndToEndTest, PromotionPicksMostCaughtUpReplica) {

@@ -578,10 +578,9 @@ void rule_replay_wallclock(RuleCtx& c) {
 
 void rule_concurrency_owner(RuleCtx& c) {
   // Exempt ONLY the concurrency-owning modules. Everything else — the
-  // simulation-deterministic core, src/topo (replication plans and
-  // fault-domain placement must stay pure bookkeeping, see DESIGN.md §16)
-  // and src/trace (the recorder has one writer, DESIGN.md §11) — is in
-  // scope.
+  // simulation-deterministic core, src/topo (the topology rule must stay
+  // a pure function, see DESIGN.md §16) and src/trace (the recorder has
+  // one writer, DESIGN.md §11) — is in scope.
   if (starts_with(c.f.path, "src/util/") ||
       starts_with(c.f.path, "src/harness/")) {
     return;

@@ -60,8 +60,9 @@ const cli::Usage kUsage{
     "                     0..N (default 0 = majority of N)\n"
     "  --topology T       replication wiring: star|chain (default star)\n"
     "  --fault            inject a fail-stop fault mid-run\n"
-    "  --fault-kind F     what fails: primary|backup|rack|double\n"
-    "                     (default primary; others need --replicas > 1)\n"
+    "  --fault-kind F     what fails with --fault: primary|backup|rack|\n"
+    "                     double (default primary; the others need\n"
+    "                     --mode nilicon and --replicas 2 or more)\n"
     "  --audit L          attach the invariant auditor: off|commit|\n"
     "                     continuous (default off; violations exit 1)\n"
     "  --kv               validating KV payloads (at most one client\n"
@@ -82,6 +83,7 @@ int main(int argc, char** argv) {
   cfg.measure = nlc::seconds(6);
   cfg.batch_work = nlc::seconds(3);
   std::string trace_path;
+  bool fault_kind_given = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -150,6 +152,7 @@ int main(int argc, char** argv) {
       else if (f == "rack") cfg.fault_kind = harness::FaultKind::kRack;
       else if (f == "double") cfg.fault_kind = harness::FaultKind::kDouble;
       else kUsage.fail("unknown fault kind '" + f + "'");
+      fault_kind_given = true;
     } else if (arg == "--audit") {
       std::string l = next();
       if (l == "off") cfg.nilicon.audit_level = core::AuditLevel::kOff;
@@ -182,6 +185,14 @@ int main(int argc, char** argv) {
   }
   if (!trace_path.empty() && cfg.mode != harness::Mode::kNiLiCon) {
     kUsage.fail("--trace requires --mode nilicon (stock and mc trace nothing)");
+  }
+  if (fault_kind_given && !cfg.inject_fault) {
+    kUsage.fail("--fault-kind requires --fault");
+  }
+  if (!harness::fault_kind_fits(cfg)) {
+    kUsage.fail(std::string("--fault-kind ") +
+                harness::fault_kind_name(cfg.fault_kind) +
+                " requires --mode nilicon and --replicas 2 or more");
   }
   if (cfg.nilicon.quorum_k > cfg.nilicon.replicas) {
     kUsage.fail("--quorum " + std::to_string(cfg.nilicon.quorum_k) +
