@@ -1,12 +1,14 @@
 // Wall-clock microbenchmark of the dispatched delta scan kernels
 // (DESIGN.md §12).
 //
-// Measures delta_encode ns/page per SimdTier over a mixed-run corpus that
-// mirrors what the epoch pipeline actually feeds the encoder: unchanged
-// pages, fully-rewritten pages, sparse KV-style 900-byte updates, runs
-// whose boundaries land exactly on word/vector edges, and short tails.
-// Every measured encode is checked bit-identical against the scalar
-// reference (runs, raw flag, wire size) while the clock runs on a separate
+// Measures ns/page per SimdTier over a mixed-run corpus that mirrors what
+// the epoch pipeline actually feeds the codec: unchanged pages,
+// fully-rewritten pages, sparse KV-style 900-byte updates, runs whose
+// boundaries land exactly on word/vector edges, and short tails. The
+// scalar row times the byte-at-a-time reference encoder (delta_encode);
+// the others time the size kernel the codec runs (delta_wire_size). Every
+// size is checked equal to the reference's wire size, and the reference
+// delta's round trip checked, before the clock runs on a separate
 // unverified pass, so the gate cannot pass on a kernel that is fast but
 // wrong.
 //
@@ -108,28 +110,23 @@ std::vector<Case> build_corpus() {
   return corpus;
 }
 
-/// Verifies every corpus entry against the scalar reference at `tier`;
-/// aborts the bench on any mismatch.
+/// Verifies the size kernel at `tier` against the reference on every
+/// corpus entry; aborts the bench on any mismatch.
 void verify_tier(const std::vector<Case>& corpus, util::SimdTier tier) {
   for (const Case& c : corpus) {
     criu::PageDelta ref = criu::delta_encode(&c.prev, c.cur);
-    criu::PageDelta fast = criu::delta_encode_fast(&c.prev, c.cur, tier);
-    NLC_CHECK_MSG(fast.raw == ref.raw && fast.wire_size == ref.wire_size &&
-                      fast.runs.size() == ref.runs.size(),
-                  "fast kernel diverges from reference");
-    for (std::size_t i = 0; i < ref.runs.size(); ++i) {
-      NLC_CHECK_MSG(fast.runs[i].offset == ref.runs[i].offset &&
-                        fast.runs[i].bytes == ref.runs[i].bytes,
-                    "fast kernel run diverges from reference");
-    }
-    kern::PageBytes back = criu::delta_apply(&c.prev, fast, &c.cur);
+    NLC_CHECK_MSG(criu::delta_wire_size(&c.prev, c.cur, tier) ==
+                      ref.wire_size,
+                  "size kernel diverges from reference");
+    kern::PageBytes back = criu::delta_apply(&c.prev, ref, &c.cur);
     NLC_CHECK_MSG(back == c.cur, "delta round-trip failed");
   }
 }
 
-/// Best-of ns/page for one tier over `reps` full corpus sweeps. The
+/// Best-of ns/page for one tier over `reps` full corpus sweeps: the
+/// reference encoder when `reference`, else the size kernel. The
 /// accumulated wire size is returned through `sink` so the compiler cannot
-/// drop the encode.
+/// drop the work.
 double measure_tier(const std::vector<Case>& corpus, util::SimdTier tier,
                     int reps, bool reference, std::uint64_t* sink) {
   double best = 1e18;
@@ -137,10 +134,8 @@ double measure_tier(const std::vector<Case>& corpus, util::SimdTier tier,
     std::uint64_t acc = 0;
     const std::uint64_t t0 = util::wall_now_ns();
     for (const Case& c : corpus) {
-      criu::PageDelta d = reference
-                              ? criu::delta_encode(&c.prev, c.cur)
-                              : criu::delta_encode_fast(&c.prev, c.cur, tier);
-      acc += d.wire_size;
+      acc += reference ? criu::delta_encode(&c.prev, c.cur).wire_size
+                       : criu::delta_wire_size(&c.prev, c.cur, tier);
     }
     const std::uint64_t t1 = util::wall_now_ns();
     *sink += acc;

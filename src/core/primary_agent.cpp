@@ -294,7 +294,7 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
   ho.fs_cache_via_dnc = opts_.fs_cache_via_dnc;
   ho.shards = delta_.shards();
   ho.pool = ppool;
-  const criu::InfrequentState* cached =
+  const criu::InfrequentSnapshot cached =
       opts_.cache_infrequent_state ? cache_.get() : nullptr;
   obs_.span_begin(Track::kPrimary, Stage::kHarvest, sim.now(), epoch);
   const std::uint64_t harvest_t0 = util::wall_now_ns();

@@ -7,12 +7,19 @@
 // when a hook fires for the protected container the cache is invalidated
 // and the next checkpoint re-harvests.
 //
+// The cache holds one immutable snapshot (criu::InfrequentSnapshot). A
+// cached harvest puts that same pointer in its image, and the cache takes
+// each image's pointer back, so replaying the state costs the simulator
+// a refcount bump, not a copy of every namespace, mount and file name.
+// What the replay costs in the model (infrequent_cache_check) and on the
+// wire (InfrequentState::byte_size) is unchanged.
+//
 // Like the paper's research prototype, the hook set covers the common
 // mutation paths; the version counter double-checks staleness at use time,
 // so a missed hook degrades cost, never correctness.
 #pragma once
 
-#include <optional>
+#include <utility>
 
 #include "criu/checkpoint.hpp"
 #include "kernel/kernel.hpp"
@@ -26,22 +33,19 @@ class InfrequentStateCache {
     attach_hooks();
   }
 
-  /// The cached snapshot, or nullptr when invalid (checkpoint engine then
+  /// The cached snapshot, or null when invalid (checkpoint engine then
   /// harvests afresh).
-  const criu::InfrequentState* get() const {
-    if (!cached_.has_value()) return nullptr;
-    return &*cached_;
-  }
+  const criu::InfrequentSnapshot& get() const { return cached_; }
 
-  /// Installs a fresh harvest into the cache.
-  void update(criu::InfrequentState st) { cached_ = std::move(st); }
+  /// Installs a harvest's snapshot into the cache.
+  void update(criu::InfrequentSnapshot st) { cached_ = std::move(st); }
 
   void invalidate() {
     cached_.reset();
     ++invalidations_;
   }
 
-  bool valid() const { return cached_.has_value(); }
+  bool valid() const { return cached_ != nullptr; }
   std::uint64_t invalidations() const { return invalidations_; }
 
  private:
@@ -63,7 +67,7 @@ class InfrequentStateCache {
 
   kern::Kernel* kernel_;
   kern::ContainerId cid_;
-  std::optional<criu::InfrequentState> cached_;
+  criu::InfrequentSnapshot cached_;
   std::uint64_t invalidations_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "criu/checkpoint.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "criu/shard.hpp"
 #include "util/assert.hpp"
@@ -52,8 +53,8 @@ std::uint64_t fill_page_records(std::vector<PageRecord>& pages,
 
 }  // namespace
 
-InfrequentState CheckpointEngine::harvest_infrequent(kern::ContainerId cid,
-                                                     Time* cost_out) const {
+InfrequentSnapshot CheckpointEngine::harvest_infrequent(
+    kern::ContainerId cid, Time* cost_out) const {
   const kern::Container* c = kernel_->container(cid);
   NLC_CHECK_MSG(c != nullptr, "harvest of unknown container");
 
@@ -78,12 +79,12 @@ InfrequentState CheckpointEngine::harvest_infrequent(kern::ContainerId cid,
     t += static_cast<Time>(st.mmap_files.size()) * costs_.stat_per_mmap_file;
     *cost_out = t;
   }
-  return st;
+  return std::make_shared<const InfrequentState>(std::move(st));
 }
 
 HarvestResult CheckpointEngine::harvest(kern::ContainerId cid,
                                         std::uint64_t epoch,
-                                        const InfrequentState* cached,
+                                        const InfrequentSnapshot& cached,
                                         const HarvestOptions& opts) {
   kern::Container* c = kernel_->container(cid);
   NLC_CHECK_MSG(c != nullptr, "harvest of unknown container");
@@ -101,7 +102,7 @@ HarvestResult CheckpointEngine::harvest(kern::ContainerId cid,
 
   // ---- Infrequently-modified state (§V-B) --------------------------------
   if (cached != nullptr && cached->version == c->infrequent_state_version()) {
-    img.infrequent = *cached;
+    img.infrequent = cached;
     cost.infrequent = costs_.infrequent_cache_check;
   } else {
     Time t = 0;
@@ -182,60 +183,43 @@ HarvestResult CheckpointEngine::harvest(kern::ContainerId cid,
   // ---- Memory pages -------------------------------------------------------
   // Payloads are handed over as shared immutable handles (one refcount bump
   // per content page); copy-on-write in the address space keeps the image
-  // stable once the container thaws.
+  // stable once the container thaws. Both walks yield ascending page
+  // order (DESIGN.md §12), so the image needs no sort: the incremental one
+  // visits the set bits of each leaf's soft-dirty bitmap, the full dump
+  // every resident page — anon pages never written have no physical frame
+  // and CRIU does not dump holes (restored holes read as zeros either way).
   std::uint64_t scanned_pages = 0;
+  std::vector<std::pair<kern::PageNum, const kern::AddressSpace::PageState*>>
+      states;
   for (kern::Process* p : procs) {
     kern::AddressSpace& mm = p->mm();
     scanned_pages += mm.mapped_pages();
+    states.clear();
+    auto collect = [&](kern::PageNum pg,
+                       const kern::AddressSpace::PageState& st) {
+      states.emplace_back(pg, &st);
+    };
     if (opts.incremental) {
-      // The dirty list already carries (page, state*) pairs (DESIGN.md
-      // §12): sorting the contiguous vector restores deterministic image
-      // order, and the fill below is a linear scan with no page lookups.
-      std::vector<kern::AddressSpace::DirtyRef> dirty(
-          mm.dirty_pages().begin(), mm.dirty_pages().end());
-      std::sort(dirty.begin(), dirty.end(),
-                [](const kern::AddressSpace::DirtyRef& a,
-                   const kern::AddressSpace::DirtyRef& b) {
-                  return a.page < b.page;
-                });
-      r.content_pages += fill_page_records(
-          img.pages, img.pages.size(), dirty.size(), opts.shards, opts.pool,
-          [&](std::size_t i, PageRecord& rec) {
-            // Pull the page state a few entries ahead; the shared-handle
-            // copy below is the first (otherwise cold) touch.
-            if (i + kFillPrefetch < dirty.size()) {
-              util::prefetch_read(dirty[i + kFillPrefetch].state);
-            }
-            const kern::AddressSpace::DirtyRef& d = dirty[i];
-            rec.page = d.page;
-            rec.version = d.state->version;
-            rec.content = d.state->payload;
-            return rec.has_content();
-          });
+      states.reserve(mm.dirty_count());
+      mm.for_each_dirty(collect);
+      NLC_CHECK_MSG(states.size() == mm.dirty_count(),
+                    "soft-dirty walk missed a dirty page");
     } else {
-      // Full dump: only pages that were ever touched are present — anon
-      // pages never written have no physical frame and CRIU does not dump
-      // holes. Restored holes read as zeros either way. The page table's
-      // walk skips unallocated leaves whole and yields ascending page
-      // order, so the image needs no sort.
-      std::vector<std::pair<kern::PageNum, const kern::AddressSpace::PageState*>>
-          resident;
-      mm.for_each_resident(
-          [&](kern::PageNum pg, const kern::AddressSpace::PageState& st) {
-            resident.emplace_back(pg, &st);
-          });
-      r.content_pages += fill_page_records(
-          img.pages, img.pages.size(), resident.size(), opts.shards,
-          opts.pool, [&](std::size_t i, PageRecord& rec) {
-            if (i + kFillPrefetch < resident.size()) {
-              util::prefetch_read(resident[i + kFillPrefetch].second);
-            }
-            rec.page = resident[i].first;
-            rec.version = resident[i].second->version;
-            rec.content = resident[i].second->payload;
-            return rec.has_content();
-          });
+      mm.for_each_resident(collect);
     }
+    r.content_pages += fill_page_records(
+        img.pages, img.pages.size(), states.size(), opts.shards, opts.pool,
+        [&](std::size_t i, PageRecord& rec) {
+          // Pull the page state a few entries ahead; the shared-handle
+          // copy below is the first (otherwise cold) touch.
+          if (i + kFillPrefetch < states.size()) {
+            util::prefetch_read(states[i + kFillPrefetch].second);
+          }
+          rec.page = states[i].first;
+          rec.version = states[i].second->version;
+          rec.content = states[i].second->payload;
+          return rec.has_content();
+        });
     // This checkpoint captured everything dirty: re-arm tracking.
     mm.clear_soft_dirty();
   }

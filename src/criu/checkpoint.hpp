@@ -9,8 +9,6 @@
 // reports components separately instead of sleeping itself.
 #pragma once
 
-#include <optional>
-
 #include "criu/costs.hpp"
 #include "criu/image.hpp"
 #include "kernel/kernel.hpp"
@@ -72,17 +70,18 @@ class CheckpointEngine {
       : kernel_(&k), tcp_(&tcp), costs_(costs) {}
 
   /// Harvests the container delta for `epoch`. `cached_infrequent`, when
-  /// non-null and version-current, is replayed into the image instead of a
+  /// non-null and version-current, is the image's snapshot instead of a
   /// fresh (expensive) harvest — the §V-B optimization. Clears soft-dirty
   /// bits and DNC bits as a side effect (they are "checkpointed" now).
   HarvestResult harvest(kern::ContainerId cid, std::uint64_t epoch,
-                        const InfrequentState* cached_infrequent,
+                        const InfrequentSnapshot& cached_infrequent,
                         const HarvestOptions& opts);
 
-  /// Harvests only the infrequently-modified components (used to populate
-  /// the state cache initially and after an invalidation).
-  InfrequentState harvest_infrequent(kern::ContainerId cid,
-                                     Time* cost_out = nullptr) const;
+  /// Harvests only the infrequently-modified components into a new
+  /// snapshot (used to populate the state cache initially and after an
+  /// invalidation).
+  InfrequentSnapshot harvest_infrequent(kern::ContainerId cid,
+                                        Time* cost_out = nullptr) const;
 
   const KernelInterfaceCosts& costs() const { return costs_; }
 

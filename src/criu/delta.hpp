@@ -11,9 +11,10 @@
 //    (property-tested) — apply(prev, encode(prev, cur)) == cur.
 //  * DeltaCodec: the per-container epoch stage. It keeps a shared handle to
 //    the last-shipped payload of every page (refcount bump, zero copy —
-//    copy-on-write in the address space keeps those bytes frozen), encodes
-//    each content page of an epoch image against it, and stamps the
-//    modeled compressed size into PageRecord::wire_size. The backup folds
+//    copy-on-write in the address space keeps those bytes frozen), sizes
+//    each content page of an epoch image against it with delta_wire_size()
+//    (delta_encode()'s size, with no runs built), and stamps that modeled
+//    compressed size into PageRecord::wire_size. The backup folds
 //    full payloads as before; only the *wire* accounting and the
 //    decompress cost model change, which is exactly what EpochStateMsg::
 //    wire_bytes / send_side_cost / backup commit consume.
@@ -56,30 +57,10 @@ struct PageDelta {
   std::uint32_t wire_size = 0;
 };
 
-namespace detail {
-
-/// Computes framing + raw-fallback for an assembled run list (shared tail
-/// of both encoder kernels).
-inline void seal_delta(PageDelta& d) {
-  std::uint32_t size = kDeltaPageHeader;
-  for (const PageDelta::Run& r : d.runs) {
-    size += kDeltaRunHeader + static_cast<std::uint32_t>(r.bytes.size());
-  }
-  if (size >= nlc::kPageSize) {
-    d.raw = true;
-    d.runs.clear();
-    d.wire_size = static_cast<std::uint32_t>(nlc::kPageSize);
-  } else {
-    d.wire_size = size;
-  }
-}
-
-}  // namespace detail
-
 /// Encodes `cur` against reference `prev` (null => raw). Adjacent changed
 /// bytes closer than the run-header cost are merged into one run, which is
 /// what a real encoder would do to minimize framing. This is the reference
-/// kernel: byte-at-a-time, the oracle the fast kernel is property-tested
+/// kernel: byte-at-a-time, the oracle the size kernel is property-tested
 /// against and the shadow encoder of check::DeltaReplayChecker.
 inline PageDelta delta_encode(const kern::PageBytes* prev,
                               const kern::PageBytes& cur) {
@@ -93,6 +74,7 @@ inline PageDelta delta_encode(const kern::PageBytes* prev,
   NLC_CHECK(prev->size() == nlc::kPageSize);
   std::uint32_t i = 0;
   const auto n = static_cast<std::uint32_t>(nlc::kPageSize);
+  std::uint32_t size = kDeltaPageHeader;
   while (i < n) {
     if (cur[i] == (*prev)[i]) {
       ++i;
@@ -115,34 +97,41 @@ inline PageDelta delta_encode(const kern::PageBytes* prev,
     PageDelta::Run run;
     run.offset = start;
     run.bytes.assign(cur.begin() + start, cur.begin() + last_diff + 1);
+    size += kDeltaRunHeader + static_cast<std::uint32_t>(run.bytes.size());
     d.runs.push_back(std::move(run));
   }
-  detail::seal_delta(d);
+  if (size >= n) {
+    // Compression lost: the raw page ships instead.
+    d.raw = true;
+    d.runs.clear();
+    d.wire_size = n;
+  } else {
+    d.wire_size = size;
+  }
   return d;
 }
 
-/// Span-scanning encoder kernel used by DeltaCodec (DESIGN.md §10/§12):
-/// equal spans — the overwhelming majority of bytes of a typical
-/// dirty page — and changed spans are both resolved by the dispatched scan
-/// primitives (util/simd.hpp): 8 bytes per compare at kSwar64, 32 at
-/// kVector, byte-at-a-time at kScalar. Run boundaries follow exactly the
-/// reference kernel's absorb rule, so runs, raw flag and wire_size are
-/// bit-identical to delta_encode() for every input and every tier
-/// (tests/simd_kernel_test, tests/shard_determinism_test, property_test).
-inline PageDelta delta_encode_fast(
+/// Span-scanning size kernel used by DeltaCodec (DESIGN.md §10/§12): the
+/// wire size delta_encode(prev, cur) stamps, kPageSize when the page
+/// ships raw, computed without building the runs. Equal spans — the
+/// overwhelming majority of bytes of a typical dirty page — and changed
+/// spans are both resolved by the dispatched scan primitives
+/// (util/simd.hpp): 8 bytes per compare at kSwar64, 32 at kVector,
+/// byte-at-a-time at kScalar. Run boundaries follow exactly the reference
+/// kernel's absorb rule, so the size is bit-identical to delta_encode()'s
+/// for every input and every tier (tests/simd_kernel_test,
+/// tests/shard_determinism_test); the sum stops at the raw size.
+inline std::uint32_t delta_wire_size(
     const kern::PageBytes* prev, const kern::PageBytes& cur,
     util::SimdTier tier = util::SimdTier::kSwar64) {
+  constexpr auto kRaw = static_cast<std::uint32_t>(nlc::kPageSize);
   NLC_CHECK(cur.size() == nlc::kPageSize);
-  PageDelta d;
-  if (prev == nullptr) {
-    d.raw = true;
-    d.wire_size = static_cast<std::uint32_t>(nlc::kPageSize);
-    return d;
-  }
+  if (prev == nullptr) return kRaw;
   NLC_CHECK(prev->size() == nlc::kPageSize);
   const std::byte* a = cur.data();
   const std::byte* b = prev->data();
   const std::size_t n = nlc::kPageSize;
+  std::size_t size = kDeltaPageHeader;
   std::size_t i = util::find_diff(a, b, 0, n, tier);
   while (i < n) {
     const std::size_t start = i;
@@ -167,14 +156,10 @@ inline PageDelta delta_encode_fast(
       }
       i = j;  // diff within the absorbable gap: the run continues
     }
-    PageDelta::Run run;
-    run.offset = static_cast<std::uint32_t>(start);
-    run.bytes.assign(cur.begin() + static_cast<std::ptrdiff_t>(start),
-                     cur.begin() + static_cast<std::ptrdiff_t>(last_diff + 1));
-    d.runs.push_back(std::move(run));
+    size += kDeltaRunHeader + (last_diff + 1 - start);
+    if (size >= n) return kRaw;  // the rest can only add framing
   }
-  detail::seal_delta(d);
-  return d;
+  return static_cast<std::uint32_t>(size);
 }
 
 /// Reconstructs the current page from the reference and a delta. For raw
@@ -310,10 +295,9 @@ class DeltaCodec {
       return;
     }
     const kern::PageBytes* ref = inserted ? nullptr : it->second.get();
-    PageDelta d = delta_encode_fast(ref, *rec.content, tier_);
-    rec.wire_size = d.wire_size;
-    st.wire_bytes += d.wire_size;
-    if (d.raw) {
+    rec.wire_size = delta_wire_size(ref, *rec.content, tier_);
+    st.wire_bytes += rec.wire_size;
+    if (rec.wire_size == nlc::kPageSize) {
       ++st.raw_pages;
     } else {
       ++st.delta_pages;

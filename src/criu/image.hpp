@@ -5,12 +5,13 @@
 // the replication path needs (the backup buffers images, it never parses
 // files). The split into `InfrequentState` and the per-epoch delta mirrors
 // NiLiCon's state cache (§V-B): the infrequent part is either freshly
-// harvested or replayed from the cache.
+// harvested or replayed from the cache, as one immutable snapshot that the
+// cache and every image replaying it share.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,19 @@ struct InfrequentState {
   }
 };
 
+/// An immutable infrequent-state snapshot. Replaying the cache into an
+/// image, updating the cache from it and copying the image to each
+/// replica all copy this pointer, never the state.
+using InfrequentSnapshot = std::shared_ptr<const InfrequentState>;
+
+/// The empty snapshot every default-constructed image shares, so an
+/// image's snapshot is never null.
+inline const InfrequentSnapshot& empty_infrequent_state() {
+  static const InfrequentSnapshot empty =
+      std::make_shared<const InfrequentState>();
+  return empty;
+}
+
 /// One epoch's checkpoint: the full container delta NiLiCon ships.
 struct CheckpointImage {
   std::uint64_t epoch = 0;
@@ -101,7 +115,7 @@ struct CheckpointImage {
   /// True when `pages` holds every mapped page (epoch 0), not a delta.
   bool full = false;
 
-  InfrequentState infrequent;
+  InfrequentSnapshot infrequent = empty_infrequent_state();
   std::vector<ProcessRecord> processes;
   std::vector<SocketRecord> sockets;
   std::vector<ListenerRecord> listeners;
@@ -136,7 +150,7 @@ struct CheckpointImage {
 
   /// Bytes on the replication wire.
   std::uint64_t byte_size() const {
-    return 128 + infrequent.byte_size() + process_bytes() + socket_bytes() +
+    return 128 + infrequent->byte_size() + process_bytes() + socket_bytes() +
            fs_cache.byte_size() + page_wire_bytes();
   }
 };

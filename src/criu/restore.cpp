@@ -19,20 +19,19 @@ sim::task<RestoreTimeline> RestoreEngine::restore(
   // The network namespace comes up first; from namespaces_done onwards an
   // unblocked incoming packet would meet a namespace without sockets (the
   // §III RST hazard).
+  const InfrequentState& inf = *img.infrequent;
   Time stage1 = costs_.restore_namespaces + costs_.restore_cgroups +
                 costs_.restore_mounts_base;
-  stage1 += static_cast<Time>(img.infrequent.mounts.size()) *
-            costs_.restore_per_mount;
-  stage1 += static_cast<Time>(img.infrequent.devices.size()) *
-            costs_.restore_per_device;
+  stage1 += static_cast<Time>(inf.mounts.size()) * costs_.restore_per_mount;
+  stage1 += static_cast<Time>(inf.devices.size()) * costs_.restore_per_device;
   co_await sim.sleep_for(stage1);
 
   kern::Container& c =
       kernel_->install_container(img.container, img.container_name);
-  c.namespaces() = img.infrequent.namespaces;
-  c.cgroup() = img.infrequent.cgroup;
-  c.mounts() = img.infrequent.mounts;
-  c.devices() = img.infrequent.devices;
+  c.namespaces() = inf.namespaces;
+  c.cgroup() = inf.cgroup;
+  c.mounts() = inf.mounts;
+  c.devices() = inf.devices;
   c.set_net_ns_id(img.net_ns_id);
   c.set_service_ip(img.service_ip);
   tl.namespaces_done = sim.now();
@@ -50,7 +49,7 @@ sim::task<RestoreTimeline> RestoreEngine::restore(
   }
   stage2 += static_cast<Time>(thread_count) * costs_.restore_per_thread;
   stage2 += static_cast<Time>(fd_count) * costs_.restore_per_fd;
-  stage2 += static_cast<Time>(img.infrequent.mmap_files.size()) *
+  stage2 += static_cast<Time>(inf.mmap_files.size()) *
             costs_.restore_per_mmap_file;
   stage2 += static_cast<Time>(committed_pages.size()) *
             costs_.restore_page_write;

@@ -1,6 +1,7 @@
 #include "criu/serialize.hpp"
 
 #include <cstring>
+#include <memory>
 
 #include "util/arena.hpp"
 #include "util/assert.hpp"
@@ -207,33 +208,34 @@ std::vector<std::byte> serialize_image(const CheckpointImage& img) {
 
   // --- infrequent state ----------------------------------------------------
   std::size_t sec = w.begin_section();
-  w.u32(static_cast<std::uint32_t>(img.infrequent.namespaces.size()));
-  for (const kern::Namespace& ns : img.infrequent.namespaces) {
+  const InfrequentState& inf = *img.infrequent;
+  w.u32(static_cast<std::uint32_t>(inf.namespaces.size()));
+  for (const kern::Namespace& ns : inf.namespaces) {
     w.u8(static_cast<std::uint8_t>(ns.type));
     w.u64(ns.ns_id);
     w.u64(ns.config_bytes);
     w.u64(ns.version);
   }
-  w.str(img.infrequent.cgroup.path);
-  w.u64(img.infrequent.cgroup.cpu_quota_us);
-  w.u64(img.infrequent.cgroup.mem_limit_bytes);
-  w.u64(img.infrequent.cgroup.version);
-  w.u32(static_cast<std::uint32_t>(img.infrequent.mounts.size()));
-  for (const kern::Mount& m : img.infrequent.mounts) {
+  w.str(inf.cgroup.path);
+  w.u64(inf.cgroup.cpu_quota_us);
+  w.u64(inf.cgroup.mem_limit_bytes);
+  w.u64(inf.cgroup.version);
+  w.u32(static_cast<std::uint32_t>(inf.mounts.size()));
+  for (const kern::Mount& m : inf.mounts) {
     w.str(m.source);
     w.str(m.target);
     w.str(m.fstype);
     w.u64(m.flags);
   }
-  w.u32(static_cast<std::uint32_t>(img.infrequent.devices.size()));
-  for (const kern::DeviceFile& d : img.infrequent.devices) {
+  w.u32(static_cast<std::uint32_t>(inf.devices.size()));
+  for (const kern::DeviceFile& d : inf.devices) {
     w.str(d.path);
     w.u32(d.major);
     w.u32(d.minor);
   }
-  w.u32(static_cast<std::uint32_t>(img.infrequent.mmap_files.size()));
-  for (const std::string& f : img.infrequent.mmap_files) w.str(f);
-  w.u64(img.infrequent.version);
+  w.u32(static_cast<std::uint32_t>(inf.mmap_files.size()));
+  for (const std::string& f : inf.mmap_files) w.str(f);
+  w.u64(inf.version);
   w.end_section(sec);
 
   // --- processes ------------------------------------------------------------
@@ -329,34 +331,36 @@ CheckpointImage deserialize_image(std::span<const std::byte> data) {
 
   std::size_t end = rd.begin_section();
   {
+    auto inf = std::make_shared<InfrequentState>();
     std::uint32_t n = rd.u32();
-    img.infrequent.namespaces.resize(n);
-    for (kern::Namespace& ns : img.infrequent.namespaces) {
+    inf->namespaces.resize(n);
+    for (kern::Namespace& ns : inf->namespaces) {
       ns.type = static_cast<kern::NamespaceType>(rd.u8());
       ns.ns_id = rd.u64();
       ns.config_bytes = rd.u64();
       ns.version = rd.u64();
     }
-    img.infrequent.cgroup.path = rd.str();
-    img.infrequent.cgroup.cpu_quota_us = rd.u64();
-    img.infrequent.cgroup.mem_limit_bytes = rd.u64();
-    img.infrequent.cgroup.version = rd.u64();
-    img.infrequent.mounts.resize(rd.u32());
-    for (kern::Mount& m : img.infrequent.mounts) {
+    inf->cgroup.path = rd.str();
+    inf->cgroup.cpu_quota_us = rd.u64();
+    inf->cgroup.mem_limit_bytes = rd.u64();
+    inf->cgroup.version = rd.u64();
+    inf->mounts.resize(rd.u32());
+    for (kern::Mount& m : inf->mounts) {
       m.source = rd.str();
       m.target = rd.str();
       m.fstype = rd.str();
       m.flags = rd.u64();
     }
-    img.infrequent.devices.resize(rd.u32());
-    for (kern::DeviceFile& d : img.infrequent.devices) {
+    inf->devices.resize(rd.u32());
+    for (kern::DeviceFile& d : inf->devices) {
       d.path = rd.str();
       d.major = rd.u32();
       d.minor = rd.u32();
     }
-    img.infrequent.mmap_files.resize(rd.u32());
-    for (std::string& f : img.infrequent.mmap_files) f = rd.str();
-    img.infrequent.version = rd.u64();
+    inf->mmap_files.resize(rd.u32());
+    for (std::string& f : inf->mmap_files) f = rd.str();
+    inf->version = rd.u64();
+    img.infrequent = std::move(inf);
   }
   rd.end_section(end);
 

@@ -46,11 +46,12 @@ void AddressSpace::unmap(std::uint64_t vma_id) {
   auto it = std::find_if(vmas_.begin(), vmas_.end(),
                          [&](const Vma& v) { return v.id == vma_id; });
   NLC_CHECK_MSG(it != vmas_.end(), "unmap of unknown VMA");
-  // Drop dirty-list entries before their page states disappear.
-  std::erase_if(dirty_, [&](const DirtyRef& d) {
-    return it->contains(d.page);
-  });
-  dirs_.erase(dirs_.begin() + (it - vmas_.begin()));
+  // The VMA's soft-dirty pages go with its leaves.
+  const auto dir = dirs_.begin() + (it - vmas_.begin());
+  for (const auto& leaf : *dir) {
+    if (leaf) dirty_count_ -= leaf->dirty_count;
+  }
+  dirs_.erase(dir);
   mapped_pages_ -= it->npages;
   vmas_.erase(it);
 }
@@ -80,13 +81,14 @@ std::size_t AddressSpace::vma_index(PageNum page) const {
   return static_cast<std::size_t>(std::prev(it) - vmas_.begin());
 }
 
-AddressSpace::PageState& AddressSpace::mapped_slot(PageNum page) {
+std::pair<AddressSpace::Leaf&, std::size_t> AddressSpace::mapped_slot(
+    PageNum page) {
   const std::size_t i = vma_index(page);
   NLC_CHECK_MSG(i < vmas_.size(), "access to unmapped page");
   const std::uint64_t off = page - vmas_[i].start;
   std::unique_ptr<Leaf>& leaf = dirs_[i][off / kLeafPages];
   if (!leaf) leaf = std::make_unique<Leaf>();
-  return (*leaf)[off % kLeafPages];
+  return {*leaf, off % kLeafPages};
 }
 
 const AddressSpace::PageState* AddressSpace::slot(PageNum page) const {
@@ -94,20 +96,22 @@ const AddressSpace::PageState* AddressSpace::slot(PageNum page) const {
   if (i == vmas_.size()) return nullptr;
   const std::uint64_t off = page - vmas_[i].start;
   const Leaf* leaf = dirs_[i][off / kLeafPages].get();
-  return leaf == nullptr ? nullptr : &(*leaf)[off % kLeafPages];
+  return leaf == nullptr ? nullptr : &leaf->slots[off % kLeafPages];
 }
 
 bool AddressSpace::touch(PageNum page) {
-  PageState& st = mapped_slot(page);
-  ++st.version;
-  if (!tracking_) return false;
-  return mark_dirty(page, st);
+  auto [leaf, s] = mapped_slot(page);
+  ++leaf.slots[s].version;
+  return tracking_ && mark_dirty(leaf, s);
 }
 
-bool AddressSpace::mark_dirty(PageNum page, PageState& st) {
-  if (st.dirty) return false;
-  st.dirty = true;
-  dirty_.push_back(DirtyRef{page, &st});
+bool AddressSpace::mark_dirty(Leaf& leaf, std::size_t s) {
+  std::uint64_t& word = leaf.dirty_mask[s / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+  if ((word & bit) != 0) return false;
+  word |= bit;
+  ++leaf.dirty_count;
+  ++dirty_count_;
   return true;
 }
 
@@ -122,7 +126,8 @@ std::uint64_t AddressSpace::touch_range(PageNum start, std::uint64_t count) {
 bool AddressSpace::write(PageNum page, std::uint32_t offset,
                          std::span<const std::byte> data) {
   NLC_CHECK(offset + data.size() <= kPageSize);
-  PageState& st = mapped_slot(page);
+  auto [leaf, s] = mapped_slot(page);
+  PageState& st = leaf.slots[s];
   ++st.version;
   if (!st.payload) {
     st.payload = util::arena_make_shared<PageBytes>(kPageSize, std::byte{0});
@@ -135,9 +140,7 @@ bool AddressSpace::write(PageNum page, std::uint32_t offset,
     ++cow_clones_;
   }
   std::copy(data.begin(), data.end(), st.payload->begin() + offset);
-  bool fault = false;
-  if (tracking_) fault = mark_dirty(page, st);
-  return fault;
+  return tracking_ && mark_dirty(leaf, s);
 }
 
 std::vector<std::byte> AddressSpace::read(PageNum page, std::uint32_t offset,
@@ -159,26 +162,37 @@ PagePayload AddressSpace::content(PageNum page) const {
 
 void AddressSpace::install_content(PageNum page, PagePayload data) {
   NLC_CHECK(data != nullptr && data->size() == kPageSize);
-  PageState& st = mapped_slot(page);
+  auto [leaf, s] = mapped_slot(page);
+  PageState& st = leaf.slots[s];
   ++st.version;
   // Adopt the shared handle. The stored pointer is non-const because this
   // address space owns future mutations of the page; copy-on-write in
   // write() guarantees the adopted bytes are never modified while any other
   // holder (image, page store) keeps its handle.
   st.payload = std::const_pointer_cast<PageBytes>(data);
-  if (tracking_) mark_dirty(page, st);
+  if (tracking_) mark_dirty(leaf, s);
+}
+
+void AddressSpace::clear_dirty_bits() {
+  if (dirty_count_ == 0) return;
+  for (Directory& dir : dirs_) {
+    for (const auto& leaf : dir) {
+      if (!leaf || leaf->dirty_count == 0) continue;
+      leaf->dirty_mask.fill(0);
+      leaf->dirty_count = 0;
+    }
+  }
+  dirty_count_ = 0;
 }
 
 void AddressSpace::clear_soft_dirty() {
   tracking_ = true;
-  for (const DirtyRef& d : dirty_) d.state->dirty = false;
-  dirty_.clear();
+  clear_dirty_bits();
 }
 
 void AddressSpace::disable_tracking() {
   tracking_ = false;
-  for (const DirtyRef& d : dirty_) d.state->dirty = false;
-  dirty_.clear();
+  clear_dirty_bits();
 }
 
 std::uint64_t AddressSpace::page_version(PageNum page) const {

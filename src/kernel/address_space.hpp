@@ -21,18 +21,21 @@
 // (DESIGN.md §12).
 //
 // Soft-dirty tracking mirrors Linux's /proc/pid/clear_refs + pagemap
-// protocol: clear_soft_dirty() arms tracking and clears the bits;
-// dirty_pages() is the set a pagemap scan would report. The *cost* of the
-// scan (per mapped page) is charged by the checkpoint engine, not here.
+// protocol: clear_soft_dirty() arms tracking and clears the bits, which
+// live in a per-leaf bitmap; for_each_dirty() walks the set a pagemap scan
+// would report, in page order. The *cost* of the scan (per mapped page) is
+// charged by the checkpoint engine, not here.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kernel/ids.hpp"
@@ -74,22 +77,11 @@ class AddressSpace {
   /// Per-page resident state: monotone version plus the (possibly null)
   /// content payload. A page is resident iff its version is non-zero.
   /// Exposed so the checkpoint engine reads a page's version and payload
-  /// from one slot instead of separate version/content probes.
+  /// from one slot instead of separate version/content probes. The
+  /// soft-dirty bit lives in the leaf's bitmap, not here (24 bytes a page).
   struct PageState {
     std::uint64_t version = 0;
     std::shared_ptr<PageBytes> payload;  // null for accounting pages
-    /// Soft-dirty bit; mirrored by an entry in the contiguous dirty list.
-    bool dirty = false;
-  };
-
-  /// One dirty-list entry: the page number plus a direct pointer to its
-  /// resident state (stable: a leaf never moves until its VMA is
-  /// unmapped). The harvest fill walks this contiguous vector linearly — no
-  /// per-page lookup, and the next entries are prefetchable (DESIGN.md
-  /// §12).
-  struct DirtyRef {
-    PageNum page = 0;
-    PageState* state = nullptr;
   };
 
   /// Maps a new VMA of `npages`; returns its descriptor. Page numbers are
@@ -156,11 +148,33 @@ class AddressSpace {
 
   bool tracking() const { return tracking_; }
 
-  /// Pages dirtied since the last clear_soft_dirty(), in dirtying order
-  /// (each page once). Sorted copies are the caller's job. The entries
-  /// carry the page-state pointer so the harvest fill is one linear scan
-  /// over this vector instead of a page-table lookup per page.
-  const std::vector<DirtyRef>& dirty_pages() const { return dirty_; }
+  /// Number of pages dirtied since the last clear_soft_dirty().
+  std::uint64_t dirty_count() const { return dirty_count_; }
+
+  /// Calls f(page, state) for every page dirtied since the last
+  /// clear_soft_dirty(), each once, in ascending page order: the
+  /// incremental harvest's walk, so its image needs no sort. Leaves with
+  /// no dirty page are skipped on their count alone.
+  template <typename F>
+  void for_each_dirty(F&& f) const {
+    if (dirty_count_ == 0) return;
+    for (std::size_t i = 0; i < vmas_.size(); ++i) {
+      const Directory& dir = dirs_[i];
+      for (std::uint64_t l = 0; l < dir.size(); ++l) {
+        const Leaf* leaf = dir[l].get();
+        if (leaf == nullptr || leaf->dirty_count == 0) continue;
+        const PageNum base = vmas_[i].start + l * kLeafPages;
+        for (std::size_t w = 0; w < kMaskWords; ++w) {
+          for (std::uint64_t bits = leaf->dirty_mask[w]; bits != 0;
+               bits &= bits - 1) {
+            const std::size_t s =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            f(base + s, leaf->slots[s]);
+          }
+        }
+      }
+    }
+  }
 
   /// Calls f(page, state) for every resident page (ever touched, written
   /// or installed) in ascending page order. Full dumps walk this instead
@@ -176,7 +190,7 @@ class AddressSpace {
         const std::uint64_t base = l * kLeafPages;
         const std::uint64_t n = std::min(kLeafPages, v.npages - base);
         for (std::uint64_t s = 0; s < n; ++s) {
-          const PageState& st = (*dir[l])[s];
+          const PageState& st = dir[l]->slots[s];
           if (st.version != 0) f(v.start + base + s, st);
         }
       }
@@ -200,10 +214,19 @@ class AddressSpace {
   static constexpr std::uint64_t kLeafPages = 512;
 
  private:
+  /// 64-bit words in a leaf's soft-dirty bitmap.
+  static constexpr std::size_t kMaskWords = kLeafPages / 64;
+
   /// One leaf of a VMA's page table: the states of kLeafPages consecutive
-  /// pages. Heap-allocated on first use and never moved until its VMA is
-  /// unmapped, so DirtyRef pointers into it stay valid.
-  using Leaf = std::array<PageState, kLeafPages>;
+  /// pages behind their soft-dirty bitmap (slot s is bit s % 64 of word
+  /// s / 64) and its population count, so a walk skips a clean leaf on
+  /// its first cache line. Heap-allocated on first use and never moved
+  /// until its VMA is unmapped, so state pointers into it stay valid.
+  struct Leaf {
+    std::uint64_t dirty_count = 0;
+    std::array<std::uint64_t, kMaskWords> dirty_mask{};
+    std::array<PageState, kLeafPages> slots;
+  };
   /// A VMA's leaves, indexed by (page - start) / kLeafPages; null until a
   /// page in the leaf is first touched, written or installed.
   using Directory = std::vector<std::unique_ptr<Leaf>>;
@@ -212,15 +235,17 @@ class AddressSpace {
   void insert_vma(Vma v);
   /// Position in vmas_ of the VMA containing `page`, or vmas_.size().
   std::size_t vma_index(PageNum page) const;
-  /// The state slot of a mapped page, allocating its leaf if needed.
-  /// Throws on a page outside every VMA.
-  PageState& mapped_slot(PageNum page);
+  /// The leaf holding a mapped page and the page's slot in it, allocating
+  /// the leaf if needed. Throws on a page outside every VMA.
+  std::pair<Leaf&, std::size_t> mapped_slot(PageNum page);
   /// The state slot of `page`, or null if it is unmapped or its leaf was
   /// never allocated. Never allocates.
   const PageState* slot(PageNum page) const;
-  /// Appends `page` to the dirty list iff not already there; returns true
-  /// on the clean->dirty transition (a soft-dirty write fault).
-  bool mark_dirty(PageNum page, PageState& st);
+  /// Sets slot `s`'s soft-dirty bit; returns true on the clean->dirty
+  /// transition (a soft-dirty write fault).
+  bool mark_dirty(Leaf& leaf, std::size_t s);
+  /// Zeroes every leaf's soft-dirty bitmap.
+  void clear_dirty_bits();
 
   /// Sorted by start; dirs_[i] is the page table of vmas_[i].
   std::vector<Vma> vmas_;
@@ -229,7 +254,7 @@ class AddressSpace {
   PageNum next_page_ = 0x1000;  // arbitrary non-zero base
   std::uint64_t mapped_pages_ = 0;
   bool tracking_ = false;
-  std::vector<DirtyRef> dirty_;
+  std::uint64_t dirty_count_ = 0;  // sum of the leaves' dirty_count
   std::uint64_t cow_clones_ = 0;
 };
 

@@ -81,7 +81,7 @@ sim::task<> McDriver::checkpoint_once(bool initial) {
     if (initial) {
       dirty += p->mm().mapped_pages();
     } else {
-      dirty += p->mm().dirty_pages().size();
+      dirty += p->mm().dirty_count();
     }
     p->mm().clear_soft_dirty();
   }

@@ -448,7 +448,7 @@ TEST(ServerAppTest, DirtyPagesTrackedUnderLoad) {
   std::uint64_t dirty = 0;
   for (kern::Process* p :
        rig.cl.primary_kernel->container_processes(rig.cid)) {
-    dirty += p->mm().dirty_pages().size();
+    dirty += p->mm().dirty_count();
   }
   EXPECT_GT(dirty, 0u);
 }
@@ -536,7 +536,7 @@ TEST(BatchAppTest, WorkersDirtyPagesWithStreamingPattern) {
   cl.sim.run_until(30_ms);
   std::uint64_t dirty = 0;
   for (kern::Process* p : cl.primary_kernel->container_processes(c.id())) {
-    dirty += p->mm().dirty_pages().size();
+    dirty += p->mm().dirty_count();
   }
   // 4 threads x 13 pages/5ms quantum x ~6 quanta ≈ 312 (+ progress pages).
   EXPECT_GT(dirty, 250u);

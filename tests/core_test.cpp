@@ -116,11 +116,15 @@ TEST(StateCacheTest, InvalidationOnMount) {
   kern::Container& c = cl.create_service_container("x");
   InfrequentStateCache cache(*cl.primary_kernel, c.id());
   EXPECT_FALSE(cache.valid());
+  EXPECT_EQ(cache.get(), nullptr);
   criu::CheckpointEngine eng(*cl.primary_kernel, cl.primary_tcp);
-  cache.update(eng.harvest_infrequent(c.id()));
+  const criu::InfrequentSnapshot snap = eng.harvest_infrequent(c.id());
+  cache.update(snap);
   EXPECT_TRUE(cache.valid());
+  EXPECT_EQ(cache.get().get(), snap.get());  // holds the snapshot, no copy
   cl.primary_kernel->do_mount(c.id(), {"tmpfs", "/y", "tmpfs", 0});
   EXPECT_FALSE(cache.valid());
+  EXPECT_EQ(cache.get(), nullptr);
   EXPECT_EQ(cache.invalidations(), 1u);
 }
 

@@ -259,8 +259,8 @@ TEST(CheckpointTest, FullImageContainsEverything) {
   EXPECT_TRUE(res.image.full);
   EXPECT_EQ(res.image.processes.size(), 1u);
   EXPECT_EQ(res.image.pages.size(), 130u);  // resident, not mapped (150)
-  EXPECT_EQ(res.image.infrequent.namespaces.size(), 7u);
-  EXPECT_EQ(res.image.infrequent.mmap_files.size(), 1u);
+  EXPECT_EQ(res.image.infrequent->namespaces.size(), 7u);
+  EXPECT_EQ(res.image.infrequent->mmap_files.size(), 1u);
   EXPECT_GT(res.image.byte_size(), 130u * kPageSize);
   EXPECT_GT(res.cost.total(), 0);
 }
@@ -287,24 +287,49 @@ TEST(CheckpointTest, CachedInfrequentStateSkipsExpensiveHarvest) {
   r.primary.create_process(c.id(), "srv");
   r.primary.freeze_container(c.id());
 
-  InfrequentState cached = r.ckpt.harvest_infrequent(c.id());
-  auto with_cache = r.ckpt.harvest(c.id(), 1, &cached, {});
+  InfrequentSnapshot cached = r.ckpt.harvest_infrequent(c.id());
+  auto with_cache = r.ckpt.harvest(c.id(), 1, cached, {});
   auto without = r.ckpt.harvest(c.id(), 2, nullptr, {});
   EXPECT_LT(with_cache.cost.infrequent, 100_us);
   EXPECT_GT(without.cost.infrequent, 100_ms);  // ~160ms (§V-B)
+}
+
+TEST(CheckpointTest, CachedHarvestSharesTheCacheSnapshot) {
+  // A version-current cache is replayed by pointer: the image holds the
+  // cache's own snapshot, not a copy of it, and ships the same bytes as a
+  // fresh harvest of the same state.
+  CriuRig r;
+  kern::Container& c = r.make_container();
+  r.primary.create_process(c.id(), "srv");
+  r.primary.freeze_container(c.id());
+
+  const InfrequentSnapshot cached = r.ckpt.harvest_infrequent(c.id());
+  const long owners = cached.use_count();
+  auto hit = r.ckpt.harvest(c.id(), 1, cached, {});
+  EXPECT_EQ(hit.image.infrequent.get(), cached.get());
+  EXPECT_EQ(cached.use_count(), owners + 1);
+  auto fresh = r.ckpt.harvest(c.id(), 2, nullptr, {});
+  EXPECT_NE(fresh.image.infrequent.get(), cached.get());
+  EXPECT_EQ(fresh.image.infrequent->mmap_files, cached->mmap_files);
+  EXPECT_EQ(fresh.image.infrequent->byte_size(), cached->byte_size());
 }
 
 TEST(CheckpointTest, StaleCacheIsNotUsed) {
   CriuRig r;
   kern::Container& c = r.make_container();
   r.primary.create_process(c.id(), "srv");
-  InfrequentState cached = r.ckpt.harvest_infrequent(c.id());
+  InfrequentSnapshot cached = r.ckpt.harvest_infrequent(c.id());
+  const std::size_t cached_mounts = cached->mounts.size();
   // Mutation invalidates: mount something new.
   r.primary.do_mount(c.id(), {"tmpfs", "/x", "tmpfs", 0});
   r.primary.freeze_container(c.id());
-  auto res = r.ckpt.harvest(c.id(), 1, &cached, {});
+  auto res = r.ckpt.harvest(c.id(), 1, cached, {});
   EXPECT_GT(res.cost.infrequent, 100_ms);  // fell back to full harvest
-  EXPECT_EQ(res.image.infrequent.mounts.size(), cached.mounts.size() + 1);
+  // A fresh snapshot with the new mount; the stale one is left as it was.
+  EXPECT_NE(res.image.infrequent.get(), cached.get());
+  ASSERT_EQ(res.image.infrequent->mounts.size(), cached_mounts + 1);
+  EXPECT_EQ(res.image.infrequent->mounts.back().target, "/x");
+  EXPECT_EQ(cached->mounts.size(), cached_mounts);
 }
 
 TEST(CheckpointTest, VmaCostSmapsVsNetlink) {

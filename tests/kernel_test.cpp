@@ -26,6 +26,16 @@ std::vector<std::byte> bytes_of(const char* s) {
   return out;
 }
 
+/// Every soft-dirty page, in the dirty walk's order.
+std::vector<PageNum> dirty_pages(const AddressSpace& as) {
+  std::vector<PageNum> out;
+  as.for_each_dirty([&](PageNum p, const AddressSpace::PageState& st) {
+    EXPECT_EQ(st.version, as.page_version(p)) << p;
+    out.push_back(p);
+  });
+  return out;
+}
+
 /// Minimal in-memory block store for kernel-level tests.
 class FakeStore : public BlockStore {
  public:
@@ -72,7 +82,8 @@ TEST(AddressSpaceTest, TouchWithoutTrackingIsFree) {
   AddressSpace as;
   auto start = as.map(4, VmaKind::kAnon).start;
   EXPECT_FALSE(as.touch(start));
-  EXPECT_TRUE(as.dirty_pages().empty());
+  EXPECT_EQ(as.dirty_count(), 0u);
+  EXPECT_TRUE(dirty_pages(as).empty());
 }
 
 TEST(AddressSpaceTest, SoftDirtyTrackingReportsWriteFaultOncePerPage) {
@@ -82,7 +93,8 @@ TEST(AddressSpaceTest, SoftDirtyTrackingReportsWriteFaultOncePerPage) {
   EXPECT_TRUE(as.touch(start));    // first write: fault
   EXPECT_FALSE(as.touch(start));   // subsequent writes: no fault
   EXPECT_TRUE(as.touch(start + 1));
-  EXPECT_EQ(as.dirty_pages().size(), 2u);
+  EXPECT_EQ(as.dirty_count(), 2u);
+  EXPECT_EQ(dirty_pages(as), (std::vector<PageNum>{start, start + 1}));
 }
 
 TEST(AddressSpaceTest, ClearSoftDirtyRearmsFaults) {
@@ -91,7 +103,8 @@ TEST(AddressSpaceTest, ClearSoftDirtyRearmsFaults) {
   as.clear_soft_dirty();
   as.touch(start);
   as.clear_soft_dirty();
-  EXPECT_TRUE(as.dirty_pages().empty());
+  EXPECT_EQ(as.dirty_count(), 0u);
+  EXPECT_TRUE(dirty_pages(as).empty());
   EXPECT_TRUE(as.touch(start));
 }
 
@@ -216,9 +229,10 @@ std::vector<std::pair<PageNum, std::uint64_t>> resident_pages(
   return out;
 }
 
-TEST(AddressSpaceTest, DirtyRefsSurviveMappingChanges) {
-  // The harvest holds dirty_pages() entries (page + state pointer); mapping
-  // changes and new leaves elsewhere must never move a page's state.
+TEST(AddressSpaceTest, DirtyWalkSurvivesMappingChanges) {
+  // The harvest walks the leaves' soft-dirty bits; mapping changes and new
+  // leaves elsewhere must keep every page's bit and state where the walk
+  // finds them, and unmapping must drop exactly its own pages' bits.
   constexpr std::uint64_t kLeaf = AddressSpace::kLeafPages;
   AddressSpace as;
   const Vma a = as.map(3 * kLeaf, VmaKind::kAnon);
@@ -227,46 +241,52 @@ TEST(AddressSpaceTest, DirtyRefsSurviveMappingChanges) {
   as.touch(a.start);
   as.write(a.start + 1, 0, bytes_of("held"));
   as.touch(b.start + 5);
-  const std::vector<AddressSpace::DirtyRef> held(as.dirty_pages().begin(),
-                                                 as.dirty_pages().end());
-  ASSERT_EQ(held.size(), 3u);
+  const std::vector<PageNum> held = {a.start, a.start + 1, b.start + 5};
+  ASSERT_EQ(dirty_pages(as), held);
 
   // New leaves in the same VMAs, a VMA installed below every other one, a
   // run of maps that regrows the directory list, and unmaps.
-  as.touch(a.start + kLeaf + 9);
-  as.touch(a.start + 2 * kLeaf);
-  as.touch(b.start + kLeaf);
+  std::set<PageNum> want(held.begin(), held.end());
+  for (PageNum p :
+       {a.start + kLeaf + 9, a.start + 2 * kLeaf, b.start + kLeaf}) {
+    as.touch(p);
+    want.insert(p);
+  }
   Vma low;
   low.id = 1000;
   low.start = 0x10;
   low.npages = 40;
   as.install_vma(low);
   as.touch(low.start + 39);
-  std::vector<std::uint64_t> extra;
+  want.insert(low.start + 39);
+  std::vector<Vma> extra;
   for (int i = 0; i < 24; ++i) {
     const Vma v = as.map(kLeaf + 3, VmaKind::kAnon);
-    as.touch(v.start + kLeaf + i % 3);
+    as.touch(v.start + kLeaf + static_cast<std::uint64_t>(i % 3));
     as.write(v.start, 0, bytes_of("new"));
-    extra.push_back(v.id);
+    extra.push_back(v);
   }
-  for (std::size_t i = 0; i < extra.size(); i += 2) as.unmap(extra[i]);
-  as.touch(a.start);  // same page again: no new dirty entry
+  for (std::size_t i = 0; i < extra.size(); ++i) {
+    if (i % 2 == 0) {
+      as.unmap(extra[i].id);
+    } else {
+      want.insert(extra[i].start);
+      want.insert(extra[i].start + kLeaf + i % 3);
+    }
+  }
+  as.touch(a.start);  // same page again: no new dirty bit
 
-  for (const AddressSpace::DirtyRef& d : held) {
-    EXPECT_EQ(d.state->version, as.page_version(d.page)) << d.page;
-    EXPECT_TRUE(d.state->dirty) << d.page;
-  }
+  EXPECT_EQ(dirty_pages(as), std::vector<PageNum>(want.begin(), want.end()));
+  EXPECT_EQ(as.dirty_count(), want.size());
   EXPECT_EQ(as.read(a.start + 1, 0, 4), bytes_of("held"));
-  for (const AddressSpace::DirtyRef& d : as.dirty_pages()) {
-    EXPECT_EQ(d.state->version, as.page_version(d.page)) << d.page;
-  }
 
   as.clear_soft_dirty();
-  for (const AddressSpace::DirtyRef& d : held) {
-    EXPECT_FALSE(d.state->dirty) << d.page;
-    EXPECT_TRUE(as.touch(d.page)) << "soft-dirty bit not cleared: " << d.page;
+  EXPECT_EQ(as.dirty_count(), 0u);
+  EXPECT_TRUE(dirty_pages(as).empty());
+  for (PageNum p : held) {
+    EXPECT_TRUE(as.touch(p)) << "soft-dirty bit not cleared: " << p;
   }
-  EXPECT_EQ(as.dirty_pages().size(), held.size());
+  EXPECT_EQ(dirty_pages(as), held);
 }
 
 TEST(AddressSpaceTest, InstallVmaBelowKeepsVmasSorted) {
@@ -301,7 +321,8 @@ TEST(AddressSpaceTest, InstallVmaBelowKeepsVmasSorted) {
 
 TEST(AddressSpaceTest, ResidentWalkMatchesReferenceModel) {
   // A seeded mix of mutations over four VMAs, some ending in a partial
-  // leaf, checked after every step against a std::map of versions.
+  // leaf, checked after every step against a std::map of versions and a
+  // std::set of soft-dirty pages.
   constexpr std::uint64_t kLeaf = AddressSpace::kLeafPages;
   const std::uint64_t sizes[] = {1, kLeaf - 1, kLeaf + 1, 2 * kLeaf + 476,
                                  kLeaf, 3};
@@ -316,6 +337,8 @@ TEST(AddressSpaceTest, ResidentWalkMatchesReferenceModel) {
   for (int i = 0; i < 4; ++i) map_one();
   std::map<PageNum, std::uint64_t> model;
   std::set<std::pair<std::uint64_t, std::uint64_t>> leaves;  // (vma, leaf)
+  std::set<PageNum> dirty;
+  bool tracking = true;
   as.clear_soft_dirty();
   PagePayload bytes =
       util::arena_make_shared<PageBytes>(kPageSize, std::byte{3});
@@ -327,13 +350,24 @@ TEST(AddressSpaceTest, ResidentWalkMatchesReferenceModel) {
     const Vma v = live[vi];
     if (op < 2) {
       as.unmap(v.id);
-      for (PageNum p = v.start; p < v.end(); ++p) model.erase(p);
+      for (PageNum p = v.start; p < v.end(); ++p) {
+        model.erase(p);
+        dirty.erase(p);
+      }
       std::erase_if(leaves, [&](const auto& l) { return l.first == v.id; });
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(vi));
       map_one();
     } else if (op < 6) {
       // Just past the end, inside the last leaf's slots when it is partial.
       EXPECT_THROW(as.touch(v.end()), InvariantError);
+    } else if (op < 8) {
+      as.clear_soft_dirty();
+      dirty.clear();
+      tracking = true;
+    } else if (op < 9) {
+      as.disable_tracking();
+      dirty.clear();
+      tracking = false;
     } else {
       // Bias toward leaf edges and the last page.
       const std::int64_t last = static_cast<std::int64_t>(v.npages) - 1;
@@ -349,19 +383,21 @@ TEST(AddressSpaceTest, ResidentWalkMatchesReferenceModel) {
         as.install_content(page, bytes);
       }
       ++model[page];
+      if (tracking) dirty.insert(page);
       leaves.emplace(v.id, static_cast<std::uint64_t>(off) / kLeaf);
     }
     const std::vector<std::pair<PageNum, std::uint64_t>> want(model.begin(),
                                                               model.end());
     ASSERT_EQ(resident_pages(as), want) << "step " << step;
     ASSERT_EQ(as.leaf_count(), leaves.size()) << "step " << step;
+    ASSERT_EQ(dirty_pages(as), std::vector<PageNum>(dirty.begin(), dirty.end()))
+        << "step " << step;
+    ASSERT_EQ(as.dirty_count(), dirty.size()) << "step " << step;
   }
   for (const auto& [page, version] : model) {
     EXPECT_EQ(as.page_version(page), version);
   }
-  for (const AddressSpace::DirtyRef& d : as.dirty_pages()) {
-    EXPECT_TRUE(model.contains(d.page));
-  }
+  for (PageNum p : dirty) EXPECT_TRUE(model.contains(p));
 }
 
 TEST(AddressSpaceTest, LeavesAreAllocatedOnFirstTouch) {

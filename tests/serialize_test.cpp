@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "blockdev/disk.hpp"
 #include "criu/checkpoint.hpp"
 #include "criu/serialize.hpp"
@@ -26,12 +29,14 @@ CheckpointImage sample_image() {
   ns.ns_id = 0x40000001;
   ns.config_bytes = 4096;
   ns.version = 3;
-  img.infrequent.namespaces.push_back(ns);
-  img.infrequent.cgroup = {"/sys/fs/cgroup/web", 100000, 1 << 30, 2};
-  img.infrequent.mounts.push_back({"proc", "/proc", "proc", 0});
-  img.infrequent.devices.push_back({"/dev/null", 1, 3});
-  img.infrequent.mmap_files.push_back("/lib/libc.so.6");
-  img.infrequent.version = 9;
+  auto inf = std::make_shared<InfrequentState>();
+  inf->namespaces.push_back(ns);
+  inf->cgroup = {"/sys/fs/cgroup/web", 100000, 1 << 30, 2};
+  inf->mounts.push_back({"proc", "/proc", "proc", 0});
+  inf->devices.push_back({"/dev/null", 1, 3});
+  inf->mmap_files.push_back("/lib/libc.so.6");
+  inf->version = 9;
+  img.infrequent = std::move(inf);
 
   ProcessRecord p;
   p.pid = 101;
@@ -105,12 +110,13 @@ TEST(SerializeTest, RoundTripPreservesEverything) {
   EXPECT_EQ(back.net_ns_id, img.net_ns_id);
   EXPECT_EQ(back.full, img.full);
 
-  ASSERT_EQ(back.infrequent.namespaces.size(), 1u);
-  EXPECT_EQ(back.infrequent.namespaces[0], img.infrequent.namespaces[0]);
-  EXPECT_EQ(back.infrequent.cgroup, img.infrequent.cgroup);
-  EXPECT_EQ(back.infrequent.mounts, img.infrequent.mounts);
-  EXPECT_EQ(back.infrequent.devices, img.infrequent.devices);
-  EXPECT_EQ(back.infrequent.mmap_files, img.infrequent.mmap_files);
+  ASSERT_EQ(back.infrequent->namespaces.size(), 1u);
+  EXPECT_EQ(back.infrequent->namespaces[0], img.infrequent->namespaces[0]);
+  EXPECT_EQ(back.infrequent->cgroup, img.infrequent->cgroup);
+  EXPECT_EQ(back.infrequent->mounts, img.infrequent->mounts);
+  EXPECT_EQ(back.infrequent->devices, img.infrequent->devices);
+  EXPECT_EQ(back.infrequent->mmap_files, img.infrequent->mmap_files);
+  EXPECT_EQ(back.infrequent->version, 9u);
 
   ASSERT_EQ(back.processes.size(), 1u);
   EXPECT_EQ(back.processes[0].pid, 101);
@@ -224,8 +230,47 @@ TEST(SerializeTest, HarvestedImageRoundTrips) {
   CheckpointImage back = deserialize_image(bytes);
   EXPECT_EQ(back.pages.size(), hr.image.pages.size());
   EXPECT_EQ(back.processes.size(), hr.image.processes.size());
-  EXPECT_EQ(back.infrequent.mmap_files, hr.image.infrequent.mmap_files);
+  EXPECT_EQ(back.infrequent->mmap_files, hr.image.infrequent->mmap_files);
   EXPECT_EQ(back.byte_size(), hr.image.byte_size());
+}
+
+/// Two images replaying one cached snapshot serialize it in full, each
+/// the same bytes as an image holding its own copy; each parsed image
+/// gets a snapshot of its own.
+TEST(SerializeTest, SharedSnapshotRoundTripsInEachImage) {
+  CheckpointImage a = sample_image();
+  CheckpointImage b = sample_image();
+  b.epoch = 43;
+  b.infrequent = a.infrequent;
+  ASSERT_EQ(a.infrequent.get(), b.infrequent.get());
+
+  CheckpointImage own_copy = sample_image();
+  own_copy.epoch = 43;
+  ASSERT_NE(own_copy.infrequent.get(), a.infrequent.get());
+  const std::vector<std::byte> bytes_b = serialize_image(b);
+  EXPECT_EQ(bytes_b, serialize_image(own_copy));
+  EXPECT_EQ(b.byte_size(), own_copy.byte_size());
+
+  const std::vector<std::byte> bytes_a = serialize_image(a);
+  CheckpointImage back_a = deserialize_image(bytes_a);
+  CheckpointImage back_b = deserialize_image(bytes_b);
+  EXPECT_NE(back_a.infrequent.get(), back_b.infrequent.get());
+  EXPECT_EQ(back_b.infrequent->mounts, a.infrequent->mounts);
+  EXPECT_EQ(serialize_image(back_a), bytes_a);
+  EXPECT_EQ(serialize_image(back_b), bytes_b);
+}
+
+/// A default-constructed image holds the one shared empty snapshot, never
+/// null, and serializes and sizes it like any other.
+TEST(SerializeTest, DefaultImageHoldsTheEmptySnapshot) {
+  CheckpointImage a;
+  CheckpointImage b;
+  ASSERT_NE(a.infrequent, nullptr);
+  EXPECT_EQ(a.infrequent.get(), b.infrequent.get());
+  EXPECT_EQ(a.infrequent->byte_size(), InfrequentState{}.byte_size());
+  CheckpointImage back = deserialize_image(serialize_image(a));
+  EXPECT_EQ(back.byte_size(), a.byte_size());
+  EXPECT_EQ(serialize_image(back), serialize_image(a));
 }
 
 }  // namespace

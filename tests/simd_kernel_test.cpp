@@ -3,8 +3,9 @@
 //
 // Contract under test: every SimdTier produces bit-identical results —
 // for the find_diff/find_same primitives over arbitrary spans (including
-// sub-word tails), for delta_encode_fast against the byte-at-a-time
-// reference over adversarial run patterns, and for the full sharded
+// sub-word tails), for the delta_wire_size size kernel against the
+// byte-at-a-time reference over adversarial run patterns, and for the full
+// sharded
 // harvest -> encode -> serialize -> fold pipeline across
 // (shards, tier) combinations, whose every stamped wire size is checked
 // against the reference kernel. Plus sanity for the payload/node arena:
@@ -107,23 +108,20 @@ kern::PageBytes random_page(Rng& rng) {
   return p;
 }
 
-/// Asserts delta_encode_fast(tier) == delta_encode for every runnable tier
-/// (runs, raw flag, wire size) and that each tier's delta round-trips.
-void expect_tiers_match_reference(const kern::PageBytes& prev,
-                                  const kern::PageBytes& cur) {
+/// Asserts delta_wire_size(tier) == delta_encode's wire size for every
+/// runnable tier, that it is kPageSize exactly when the reference ships
+/// the page raw, and that the reference delta round-trips. Returns the
+/// reference size.
+std::uint32_t expect_tiers_match_reference(const kern::PageBytes& prev,
+                                           const kern::PageBytes& cur) {
   const criu::PageDelta ref = criu::delta_encode(&prev, cur);
   for (util::SimdTier t : runnable_tiers()) {
-    criu::PageDelta fast = criu::delta_encode_fast(&prev, cur, t);
-    ASSERT_EQ(fast.raw, ref.raw) << util::simd_tier_name(t);
-    ASSERT_EQ(fast.wire_size, ref.wire_size) << util::simd_tier_name(t);
-    ASSERT_EQ(fast.runs.size(), ref.runs.size()) << util::simd_tier_name(t);
-    for (std::size_t i = 0; i < ref.runs.size(); ++i) {
-      EXPECT_EQ(fast.runs[i].offset, ref.runs[i].offset);
-      EXPECT_EQ(fast.runs[i].bytes, ref.runs[i].bytes);
-    }
-    kern::PageBytes back = criu::delta_apply(&prev, fast, &cur);
-    EXPECT_EQ(back, cur) << util::simd_tier_name(t);
+    const std::uint32_t size = criu::delta_wire_size(&prev, cur, t);
+    EXPECT_EQ(size, ref.wire_size) << util::simd_tier_name(t);
+    EXPECT_EQ(size == kPageSize, ref.raw) << util::simd_tier_name(t);
   }
+  EXPECT_EQ(criu::delta_apply(&prev, ref, &cur), cur);
+  return ref.wire_size;
 }
 
 TEST(SimdKernelTest, EncoderTiersMatchOnAdversarialPatterns) {
@@ -177,6 +175,33 @@ TEST(SimdKernelTest, EncoderTiersMatchOnAdversarialPatterns) {
     stripes[j] = static_cast<std::byte>(static_cast<int>(stripes[j]) ^ 0x55);
   }
   expect_tiers_match_reference(prev, stripes);
+}
+
+TEST(SimdKernelTest, SizeKernelExactAtTheRawThreshold) {
+  // One changed run of `len` bytes costs kDeltaPageHeader +
+  // kDeltaRunHeader + len: 4079 bytes is one byte under the raw page,
+  // 4080 reaches it and ships raw.
+  Rng rng(0x51D0'0004);
+  const kern::PageBytes prev = random_page(rng);
+  auto flip = [&](std::size_t from, std::size_t len) {
+    kern::PageBytes cur = prev;
+    for (std::size_t j = from; j < from + len; ++j) {
+      cur[j] = static_cast<std::byte>(static_cast<int>(cur[j]) ^ 0xFF);
+    }
+    return cur;
+  };
+  const std::size_t framing = criu::kDeltaPageHeader + criu::kDeltaRunHeader;
+  EXPECT_EQ(expect_tiers_match_reference(prev,
+                                         flip(8, kPageSize - framing - 1)),
+            kPageSize - 1);
+  EXPECT_EQ(expect_tiers_match_reference(prev, flip(8, kPageSize - framing)),
+            kPageSize);
+  // The first run alone passes the raw size; the run after it is never
+  // reached by the size kernel's early exit, and changes nothing.
+  kern::PageBytes early = flip(0, kPageSize - 11);
+  early[kPageSize - 2] =
+      static_cast<std::byte>(static_cast<int>(early[kPageSize - 2]) ^ 0x1);
+  EXPECT_EQ(expect_tiers_match_reference(prev, early), kPageSize);
 }
 
 TEST(SimdKernelTest, EncoderTiersMatchOnRandomMutationFuzz) {

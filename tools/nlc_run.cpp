@@ -42,29 +42,33 @@ const cli::Usage kUsage{
     "  --mode MODE        stock|nilicon|mc (default: nilicon)\n"
     "  --seconds N        measurement window for servers (default 6)\n"
     "  --batch-seconds N  per-thread CPU quota for batch apps (default 3)\n"
-    "  --epoch-ms N       NiLiCon epoch length (default 30)\n"
-    "  --epoch-policy P   fixed|adaptive (default fixed; adaptive =\n"
-    "                     trace-driven epoch-length controller,\n"
-    "                     DESIGN.md §15)\n"
-    "  --commit M         output-commit scheme: epoch|replay (default\n"
-    "                     epoch; replay = HyCoR-style event-log release,\n"
-    "                     DESIGN.md §14)\n"
-    "  --opt-level N      Table I cumulative optimization row 0..7\n"
-    "                     (7 = all + delta-compressed dirty pages)\n"
+    "  --epoch-ms N       nilicon mode only: epoch length (default 30)\n"
+    "  --epoch-policy P   nilicon mode only: fixed|adaptive (default\n"
+    "                     fixed; adaptive = trace-driven epoch-length\n"
+    "                     controller, DESIGN.md §15)\n"
+    "  --commit M         nilicon mode only: output-commit scheme:\n"
+    "                     epoch|replay (default epoch; replay = HyCoR-style\n"
+    "                     event-log release, DESIGN.md §14)\n"
+    "  --opt-level N      nilicon mode only: Table I cumulative\n"
+    "                     optimization row 0..7 (7 = all + delta-compressed\n"
+    "                     dirty pages)\n"
     "  --clients N        override client connections\n"
     "  --pipeline N       override per-connection request pipeline\n"
     "  --seed N           RNG seed (default 1)\n"
-    "  --replicas N       backup replica count 1..16 (default 1; N>1\n"
-    "                     enables quorum output commit, DESIGN.md §16)\n"
-    "  --quorum K         replica acks required to release output,\n"
-    "                     0..N (default 0 = majority of N)\n"
-    "  --topology T       replication wiring: star|chain (default star)\n"
+    "  --replicas N       nilicon mode only: backup replica count 1..16\n"
+    "                     (default 1; N>1 enables quorum output commit,\n"
+    "                     DESIGN.md §16)\n"
+    "  --quorum K         nilicon mode only: replica acks required to\n"
+    "                     release output, 0..N (default 0 = majority of N)\n"
+    "  --topology T       nilicon mode only: replication wiring:\n"
+    "                     star|chain (default star)\n"
     "  --fault            inject a fail-stop fault mid-run\n"
     "  --fault-kind F     what fails with --fault: primary|backup|rack|\n"
     "                     double (default primary; the others need\n"
     "                     --mode nilicon and --replicas 2 or more)\n"
-    "  --audit L          attach the invariant auditor: off|commit|\n"
-    "                     continuous (default off; violations exit 1)\n"
+    "  --audit L          nilicon mode only: attach the invariant auditor:\n"
+    "                     off|commit|continuous (default off; violations\n"
+    "                     exit 1)\n"
     "  --kv               validating KV payloads (at most one client\n"
     "                     connection per KV page; 512 pages on a\n"
     "                     workload without a store)\n"
@@ -84,6 +88,9 @@ int main(int argc, char** argv) {
   cfg.batch_work = nlc::seconds(3);
   std::string trace_path;
   bool fault_kind_given = false;
+  // The first NiLiCon-only flag given, checked against --mode after the
+  // loop so the order of the arguments does not matter.
+  std::string nilicon_flag;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -94,6 +101,11 @@ int main(int argc, char** argv) {
     auto next_int = [&](long long lo, long long hi) {
       return kUsage.parse_int(arg, next(), lo, hi);
     };
+    for (const char* f : {"--epoch-ms", "--epoch-policy", "--commit",
+                          "--opt-level", "--replicas", "--quorum",
+                          "--topology", "--audit"}) {
+      if (arg == f && nilicon_flag.empty()) nilicon_flag = arg;
+    }
     if (arg == "--workload") {
       const char* name = next();
       auto spec = find_spec(name);
@@ -185,6 +197,9 @@ int main(int argc, char** argv) {
   }
   if (!trace_path.empty() && cfg.mode != harness::Mode::kNiLiCon) {
     kUsage.fail("--trace requires --mode nilicon (stock and mc trace nothing)");
+  }
+  if (!nilicon_flag.empty() && cfg.mode != harness::Mode::kNiLiCon) {
+    kUsage.fail(nilicon_flag + " requires --mode nilicon");
   }
   if (fault_kind_given && !cfg.inject_fault) {
     kUsage.fail("--fault-kind requires --fault");
