@@ -29,7 +29,7 @@ ClosedLoopClient::ClosedLoopClient(sim::Simulation& s, sim::DomainPtr domain,
 void ClosedLoopClient::start() {
   connected_->add(cfg_.connections);
   for (int i = 0; i < cfg_.connections; ++i) {
-    sim_->spawn(domain_, connection(i));
+    sim_->spawn(domain_.get(), connection(i));
   }
 }
 

@@ -20,8 +20,8 @@ Cluster::Cluster(ClusterConfig cfg)
     : client_domain(std::make_shared<sim::Domain>("client")),
       primary_domain(std::make_shared<sim::Domain>("primary")),
       network(sim),
-      client_host(network.add_host("client", client_domain)),
-      primary_host(network.add_host("primary", primary_domain)),
+      client_host(network.add_host("client", client_domain.get())),
+      primary_host(network.add_host("primary", primary_domain.get())),
       client_tcp(sim, client_domain, network, client_host),
       primary_tcp(sim, primary_domain, network, primary_host),
       config(cfg) {
@@ -49,7 +49,7 @@ Cluster::Cluster(ClusterConfig cfg)
     const std::string name = replica_name(i);
     r.upstream = topo::upstream_of(cfg.topology, i);
     r.domain = std::make_shared<sim::Domain>(name);
-    r.host = network.add_host(name, r.domain);
+    r.host = network.add_host(name, r.domain.get());
     network.add_link(client_host, r.host, kClientLinkBps, kClientLinkLatency);
     // The primary's link to replica 0 is its replication NIC. Every other
     // replica's pair of links carries only acks (and, after a failover,
@@ -74,7 +74,7 @@ Cluster::Cluster(ClusterConfig cfg)
       log_feed = r.log_link.get();
     }
     r.drbd_channel = std::make_unique<net::Channel<blk::DrbdMessage>>(
-        sim, *feed, r.domain);
+        sim, *feed, r.domain.get());
     r.drbd = std::make_unique<blk::DrbdBackup>(sim, *r.disk, *r.drbd_channel);
     // The DRBD stream reaches each replica from the first write on, before
     // protect(): a direct replica gets its own copy from the primary, a
@@ -86,17 +86,21 @@ Cluster::Cluster(ClusterConfig cfg)
       drbd_primary->add_channel(*r.drbd_channel);
     }
     r.kernel = std::make_unique<kern::Kernel>(sim, r.domain, name, *r.disk);
-    r.state_channel = std::make_unique<StateChannel>(sim, *feed, r.domain);
-    r.log_channel = std::make_unique<LogChannel>(sim, *log_feed, r.domain);
+    r.state_channel =
+        std::make_unique<StateChannel>(sim, *feed, r.domain.get());
+    r.log_channel =
+        std::make_unique<LogChannel>(sim, *log_feed, r.domain.get());
     net::Link* ret = network.link_between(r.host, primary_host);
     NLC_CHECK(ret != nullptr);
-    r.ack_channel = std::make_unique<AckChannel>(sim, *ret, primary_domain);
+    r.ack_channel =
+        std::make_unique<AckChannel>(sim, *ret, primary_domain.get());
     r.log_ack_channel =
-        std::make_unique<LogAckChannel>(sim, *ret, primary_domain);
+        std::make_unique<LogAckChannel>(sim, *ret, primary_domain.get());
     // Control plane is star regardless of topology: every replica's
     // failure detector listens on the shared management network.
     r.heartbeat_channel =
-        std::make_unique<HeartbeatChannel>(sim, *control_link, r.domain);
+        std::make_unique<HeartbeatChannel>(sim, *control_link,
+                                           r.domain.get());
     r.stream = &r.own_stream;
   }
   // Replica 0 emits on the main stream, beside the primary.

@@ -69,7 +69,9 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // Simulation must outlive (and be torn down before) everything below.
+  // Simulation must outlive (and be torn down before) everything below:
+  // it borrows the domains and the channels' and network's deliveries,
+  // and its coroutines reference the rest.
   sim::Simulation sim;
 
   sim::DomainPtr client_domain;

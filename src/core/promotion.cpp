@@ -18,7 +18,7 @@ void PromotionArbiter::report(int reporter) {
   // The closer runs under the reporter's domain: if this reporter dies
   // while the election is open its closer dies with it, and another
   // reporter's closer closes the election instead.
-  sim_->spawn(replicas_[static_cast<std::size_t>(reporter)].domain,
+  sim_->spawn(replicas_[static_cast<std::size_t>(reporter)].domain.get(),
               close_election());
 }
 
@@ -65,7 +65,7 @@ sim::task<> PromotionArbiter::close_election() {
   w.agent->promote();
   // Re-silvering runs under the winner's domain: it is the new primary's
   // responsibility, and dies with it.
-  sim_->spawn(w.domain, resilver_survivors());
+  sim_->spawn(w.domain.get(), resilver_survivors());
 }
 
 sim::task<> PromotionArbiter::resilver_survivors() {

@@ -236,9 +236,6 @@ class DeltaCodec {
     std::vector<EpochDeltaStats> per(prev_.size());
     auto encode_shard = [&](std::size_t s) {
       const std::vector<std::uint32_t>& bucket = plan.buckets[s];
-      // Rehash-churn fix (ISSUE 6 satellite): one reserve per shard per
-      // epoch bounds the map at its final size before the first probe.
-      prev_[s].reserve(prev_[s].size() + bucket.size());
       for (std::size_t k = 0; k < bucket.size(); ++k) {
         // Pull the next record and the head of its payload while encoding
         // this one; the 4 KiB scan gives the lines time to arrive.

@@ -130,7 +130,7 @@ RunResult run_experiment(const RunConfig& cfg) {
     mc_driver = std::make_unique<mc::McDriver>(
         mo, *cl.primary_kernel, cl.primary_tcp, cid, *backup.state_channel,
         *backup.ack_channel, cl.metrics);
-    cl.sim.spawn(backup.domain, mc_driver->backup_responder());
+    cl.sim.spawn(backup.domain.get(), mc_driver->backup_responder());
   }
 
   // Client population.

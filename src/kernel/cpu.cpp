@@ -35,7 +35,7 @@ void CpuSet::start_slice(SliceIter it) {
   // The slice owns its timer handle (cancelled on freeze/teardown) and the
   // domain gate discards post-kill wakeups.
   // NLC_LINT_OK(detached-this): timer handle owned and cancelled
-  it->timer = sim_->call_after(remaining, domain_, [this, it] {
+  it->timer = sim_->call_after(remaining, domain_.get(), [this, it] {
     usage_ += it->remaining;
     it->remaining = 0;
     it->running = false;

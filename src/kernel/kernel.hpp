@@ -28,7 +28,7 @@ class Kernel {
   Kernel& operator=(const Kernel&) = delete;
 
   sim::Simulation& simulation() { return *sim_; }
-  const sim::DomainPtr& domain() const { return domain_; }
+  sim::Domain* domain() const { return domain_.get(); }
   const std::string& hostname() const { return hostname_; }
 
   Filesystem& fs() { return fs_; }

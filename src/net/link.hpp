@@ -3,13 +3,13 @@
 // Models the paper's testbed links: a dedicated 10 Gb Ethernet between the
 // primary and backup hosts and 1 Gb Ethernet to the client host (§VI).
 // Transmission is FIFO: a packet begins serializing when the transmitter
-// frees up, and is delivered one propagation latency after serialization
-// completes. The link itself never drops or reorders; losses come from
-// host failure (dead-domain delivery) and explicit filters.
+// frees up, and arrives one propagation latency after serialization
+// completes. The link keeps only this timing; its users (Network,
+// Channel) post the deliveries. It never drops or reorders; losses come
+// from host failure (dead-domain delivery) and explicit filters.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/simulation.hpp"
 #include "util/time.hpp"
@@ -22,19 +22,17 @@ class Link {
   Link(sim::Simulation& s, double bits_per_second, Time latency)
       : sim_(&s), bps_(bits_per_second), latency_(latency) {}
 
-  /// Schedules delivery of `bytes` under `dst_domain`. `deliver` runs on
-  /// the receiving host (discarded if that host is dead at arrival).
-  /// Returns the delivery time. A downed link (unplugged cable, §VII-A)
-  /// silently swallows everything handed to it.
-  Time transmit(std::uint64_t bytes, sim::DomainPtr dst_domain,
-                std::function<void()> deliver) {
+  /// Serializes `bytes` behind what the link is already sending and
+  /// returns their arrival time at the far end, or kNever on a downed link
+  /// (unplugged cable, §VII-A), which silently swallows them. Arrivals
+  /// never decrease, since busy_until_ only grows and the latency is
+  /// fixed, so the caller can post each link's deliveries to one FIFO.
+  Time transmit(std::uint64_t bytes) {
     if (down_) return kNever;
     Time tx = serialization_delay(bytes);
     Time start = busy_until_ > sim_->now() ? busy_until_ : sim_->now();
     busy_until_ = start + tx;
-    Time arrival = busy_until_ + latency_;
-    sim_->call_at(arrival, std::move(dst_domain), std::move(deliver));
-    return arrival;
+    return busy_until_ + latency_;
   }
 
   Time serialization_delay(std::uint64_t bytes) const {

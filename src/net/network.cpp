@@ -4,17 +4,25 @@
 
 namespace nlc::net {
 
-HostId Network::add_host(std::string name, sim::DomainPtr domain) {
+HostId Network::add_host(std::string name, sim::Domain* domain) {
   HostId id = next_host_++;
-  hosts_[id] = HostRec{std::move(name), std::move(domain)};
+  hosts_[id] = HostRec{std::move(name), domain,
+                       std::make_unique<Lane>(*sim_, domain)};
   return id;
 }
 
 void Network::add_link(HostId a, HostId b, double bits_per_second,
                        Time latency) {
   NLC_CHECK(hosts_.contains(a) && hosts_.contains(b));
-  links_[{a, b}] = std::make_unique<Link>(*sim_, bits_per_second, latency);
-  links_[{b, a}] = std::make_unique<Link>(*sim_, bits_per_second, latency);
+  add_path(a, b, bits_per_second, latency);
+  add_path(b, a, bits_per_second, latency);
+}
+
+void Network::add_path(HostId from, HostId to, double bits_per_second,
+                       Time latency) {
+  paths_[{from, to}] =
+      Path{std::make_unique<Link>(*sim_, bits_per_second, latency),
+           std::make_unique<Lane>(*sim_, hosts_.at(to).domain)};
 }
 
 void Network::bind_ip(IpAddr ip, HostId host, PacketSink* sink) {
@@ -31,8 +39,8 @@ HostId Network::ip_host(IpAddr ip) const {
 }
 
 Link* Network::link_between(HostId a, HostId b) {
-  auto it = links_.find({a, b});
-  return it == links_.end() ? nullptr : it->second.get();
+  auto it = paths_.find({a, b});
+  return it == paths_.end() ? nullptr : it->second.link.get();
 }
 
 void Network::transmit(IpAddr src_ip, const Packet& p) {
@@ -46,19 +54,15 @@ void Network::transmit(IpAddr src_ip, const Packet& p) {
   if (src->second.host == dst->second.host) {
     // Loopback / same-host veth: deliver at the next event boundary with
     // no serialization cost.
-    PacketSink* sink = dst->second.sink;
-    Packet copy = p;
-    sim_->call_after(0, hosts_.at(dst->second.host).domain,
-                     [sink, copy] { sink->deliver(copy); });
+    hosts_.at(dst->second.host).loopback->post(sim_->now(), dst->second.sink,
+                                               p);
     ++packets_sent_;
     return;
   }
-  Link* link = link_between(src->second.host, dst->second.host);
-  NLC_CHECK_MSG(link != nullptr, "no link between hosts");
-  PacketSink* sink = dst->second.sink;
-  Packet copy = p;
-  link->transmit(p.wire_bytes(), hosts_.at(dst->second.host).domain,
-                 [sink, copy] { sink->deliver(copy); });
+  auto path = paths_.find({src->second.host, dst->second.host});
+  NLC_CHECK_MSG(path != paths_.end(), "no link between hosts");
+  const Time at = path->second.link->transmit(p.wire_bytes());
+  if (at != kNever) path->second.lane->post(at, dst->second.sink, p);
   ++packets_sent_;
 }
 

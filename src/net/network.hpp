@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,7 +28,8 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  HostId add_host(std::string name, sim::DomainPtr domain);
+  /// `domain` is the host's failure domain, borrowed.
+  HostId add_host(std::string name, sim::Domain* domain);
 
   /// Full-duplex link between two hosts (one Link per direction so
   /// opposing traffic does not contend, as on real Ethernet).
@@ -54,18 +54,52 @@ class Network {
   Link* link_between(HostId a, HostId b);
 
  private:
+  /// Packets in flight to one host along one path (a link direction, or
+  /// the host's loopback), in arrival order.
+  class Lane final : public sim::Deliverer {
+   public:
+    Lane(sim::Simulation& s, sim::Domain* dst) : sim_(&s), dst_(dst) {}
+    void post(Time at, PacketSink* sink, const Packet& p) {
+      in_flight_.push(at, Routed{sink, p});
+      sim_->post(at, dst_, this);
+    }
+    void deliver_next() override {
+      Routed r = in_flight_.pop(sim_->now());
+      r.sink->deliver(r.packet);
+    }
+    void drop_next() override { in_flight_.pop(sim_->now()); }
+
+   private:
+    struct Routed {
+      PacketSink* sink = nullptr;
+      Packet packet;
+    };
+    sim::Simulation* sim_;
+    sim::Domain* dst_;
+    sim::InFlight<Routed> in_flight_;
+  };
   struct HostRec {
     std::string name;
-    sim::DomainPtr domain;
+    sim::Domain* domain;
+    /// Same-host delivery (loopback / veth), posted at now().
+    std::unique_ptr<Lane> loopback;
+  };
+  /// One direction of a full-duplex link and the packets in flight on it.
+  struct Path {
+    std::unique_ptr<Link> link;
+    std::unique_ptr<Lane> lane;
   };
   struct Binding {
     HostId host;
     PacketSink* sink;
   };
 
+  void add_path(HostId from, HostId to, double bits_per_second,
+                Time latency);
+
   sim::Simulation* sim_;
   std::map<HostId, HostRec> hosts_;
-  std::map<std::pair<HostId, HostId>, std::unique_ptr<Link>> links_;
+  std::map<std::pair<HostId, HostId>, Path> paths_;
   std::map<IpAddr, Binding> bindings_;
   HostId next_host_ = 1;
   std::uint64_t packets_sent_ = 0;

@@ -501,7 +501,7 @@ void TcpStack::arm_retransmit(Socket& s) {
   // callback re-resolves the socket by id, and the domain gate drops the
   // wakeup after a host kill.
   // NLC_LINT_OK(detached-this): timer handle owned and cancelled, id-keyed
-  s.retrans_timer = sim_->call_after(s.rto, domain_, [this, id] {
+  s.retrans_timer = sim_->call_after(s.rto, domain_.get(), [this, id] {
     auto it = sockets_.find(id);
     if (it == sockets_.end()) return;
     retransmit_now(*it->second);

@@ -10,7 +10,20 @@ namespace {
 // front keeps the hot loop free of heap growth until a workload genuinely
 // exceeds it.
 constexpr std::size_t kInitialQueueCapacity = 1024;
+// A purge needs at least this many cancelled timers in the heap (and half
+// the heap cancelled), so a small heap is never rebuilt for a few of them.
+constexpr std::size_t kPurgeMinCancelled = 64;
 }  // namespace
+
+void TimerHandle::cancel() {
+  auto s = state_.lock();
+  if (!s || s->cancelled || s->fired) return;
+  s->cancelled = true;
+  if (s->in_heap) {
+    ++s->sim->cancelled_in_heap_;
+    s->sim->purge_if_half_cancelled();
+  }
+}
 
 Simulation::Simulation() {
   queue_.reserve(kInitialQueueCapacity);
@@ -19,31 +32,37 @@ Simulation::Simulation() {
 
 Simulation::~Simulation() { shutdown(); }
 
-TimerHandle Simulation::call_at(Time t, DomainPtr domain,
+TimerHandle Simulation::call_at(Time t, Domain* domain,
                                 std::function<void()> fn) {
   NLC_CHECK_MSG(t >= now_, "cannot schedule an event in the past");
   ++timers_scheduled_;
   auto state = std::make_shared<TimerHandle::State>();
   state->fn = std::move(fn);
-  state->domain = std::move(domain);
+  state->sim = this;
+  state->in_heap = t != now_;
   TimerHandle handle{std::weak_ptr<TimerHandle::State>(state)};
-  enqueue(QueueEntry{t, next_seq_++, {}, std::move(state)});
+  enqueue(QueueEntry{t, next_seq_++, domain, {}, nullptr, std::move(state)});
   return handle;
 }
 
-TimerHandle Simulation::call_after(Time delay, DomainPtr domain,
+TimerHandle Simulation::call_after(Time delay, Domain* domain,
                                    std::function<void()> fn) {
   NLC_CHECK_MSG(delay >= 0, "negative delay");
-  return call_at(now_ + delay, std::move(domain), std::move(fn));
+  return call_at(now_ + delay, domain, std::move(fn));
 }
 
-void Simulation::schedule_resume(Time t, DomainPtr domain,
+void Simulation::schedule_resume(Time t, Domain* domain,
                                  std::coroutine_handle<> h) {
   // Dedicated resume entry: no TimerHandle::State allocation and no
   // type-erased std::function — resumes dominate the event mix (sleep_for
   // + every sync-primitive wakeup), so this is the engine's hot path.
   NLC_CHECK_MSG(t >= now_, "cannot schedule a resume in the past");
-  enqueue(QueueEntry{t, next_seq_++, h, std::move(domain)});
+  enqueue(QueueEntry{t, next_seq_++, domain, h, nullptr, nullptr});
+}
+
+void Simulation::post(Time t, Domain* domain, Deliverer* source) {
+  NLC_CHECK_MSG(t >= now_, "cannot post a delivery in the past");
+  enqueue(QueueEntry{t, next_seq_++, domain, {}, source, nullptr});
 }
 
 Simulation::RootDriver Simulation::drive(task<> t) {
@@ -64,12 +83,12 @@ Simulation::RootDriver Simulation::drive(task<> t) {
   }
 }
 
-void Simulation::spawn(DomainPtr domain, task<> t) {
+void Simulation::spawn(Domain* domain, task<> t) {
   NLC_CHECK_MSG(t.valid(), "spawning an empty task");
   if (domain && !domain->alive()) return;  // code on a dead host never runs
-  DomainPtr saved = std::exchange(current_domain_, std::move(domain));
+  Domain* saved = std::exchange(current_domain_, domain);
   drive(std::move(t));  // runs eagerly until the first suspension
-  current_domain_ = std::move(saved);
+  current_domain_ = saved;
 }
 
 void Simulation::register_root(std::coroutine_handle<> h) {
@@ -102,29 +121,27 @@ void Simulation::rethrow_if_failed() {
 }
 
 bool Simulation::dispatch(QueueEntry& entry) {
-  if (entry.resume) {
-    // Fast path: plain coroutine resume, no cancellation protocol. The
-    // domain moves out of the entry, so a live resume costs no refcounts.
-    auto* domain = static_cast<Domain*>(entry.ref.get());
-    if (domain && !domain->alive()) return false;
-    ++events_processed_;
-    DomainPtr saved = std::exchange(
-        current_domain_,
-        std::static_pointer_cast<Domain>(std::move(entry.ref)));
-    entry.resume.resume();
-    current_domain_ = std::move(saved);
-  } else {
-    // entry.ref keeps the state alive across fn() even if the callback
+  Domain* const domain = entry.domain;
+  if (entry.timer) {
+    // entry.timer keeps the state alive across fn() even if the callback
     // drops its own TimerHandle.
-    auto& state = *static_cast<TimerHandle::State*>(entry.ref.get());
-    if (state.cancelled) return false;
-    if (state.domain && !state.domain->alive()) return false;
-    state.fired = true;
-    ++events_processed_;
-    DomainPtr saved = std::exchange(current_domain_, state.domain);
-    state.fn();
-    current_domain_ = std::move(saved);
+    if (entry.timer->cancelled) return false;
+    if (domain && !domain->alive()) return false;
+    entry.timer->fired = true;
+  } else if (domain && !domain->alive()) {
+    if (entry.deliverer) entry.deliverer->drop_next();
+    return false;
   }
+  ++events_processed_;
+  Domain* const saved = std::exchange(current_domain_, domain);
+  if (entry.resume) {
+    entry.resume.resume();
+  } else if (entry.deliverer) {
+    entry.deliverer->deliver_next();
+  } else {
+    entry.timer->fn();
+  }
+  current_domain_ = saved;
   if (audit_probe_ && ++events_since_probe_ >= audit_probe_every_) {
     events_since_probe_ = 0;
     audit_probe_();  // outside any coroutine: an InvariantError escapes run()
@@ -141,12 +158,40 @@ void Simulation::enqueue(QueueEntry entry) {
   }
 }
 
+void Simulation::purge_if_half_cancelled() {
+  // Checked after every cancel and every live pop, the two steps that can
+  // raise the cancelled share; a cancelled pop cannot. Pop order does not
+  // change: (time, seq) is a strict total order, so every valid heap over
+  // the same live entries pops the same sequence.
+  if (cancelled_in_heap_ < kPurgeMinCancelled ||
+      2 * cancelled_in_heap_ < queue_.size()) {
+    return;
+  }
+  const std::size_t removed = queue_.remove_if(
+      [](const QueueEntry& e) { return e.timer && e.timer->cancelled; });
+  NLC_CHECK_MSG(removed == cancelled_in_heap_,
+                "heap purge removed a different count than was cancelled");
+  cancelled_in_heap_ = 0;
+}
+
+void Simulation::pop_heap(QueueEntry& out) {
+  out = queue_.pop_top();
+  if (out.timer) {
+    out.timer->in_heap = false;
+    if (out.timer->cancelled) {
+      --cancelled_in_heap_;
+      return;
+    }
+  }
+  if (cancelled_in_heap_ >= kPurgeMinCancelled) purge_if_half_cancelled();
+}
+
 bool Simulation::pop_next(QueueEntry& out, Time limit) {
   if (now_head_ < now_queue_.size()) {
     // Heap entries at the current time (scheduled before now_ got here)
     // predate everything in the same-time lane, so they go first.
     if (!queue_.empty() && queue_.top().time == now_) {
-      out = queue_.pop_top();
+      pop_heap(out);
       return true;
     }
     out = std::move(now_queue_[now_head_++]);
@@ -157,7 +202,7 @@ bool Simulation::pop_next(QueueEntry& out, Time limit) {
     return true;
   }
   if (queue_.empty() || queue_.top().time > limit) return false;
-  out = queue_.pop_top();
+  pop_heap(out);
   return true;
 }
 

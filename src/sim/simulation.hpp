@@ -9,7 +9,9 @@
 // Killing a Domain (fail-stop host crash) silently discards all of its
 // pending and future wakeups, freezing that host's coroutines exactly the
 // way a crashed machine freezes its threads. Untagged events (the "wire",
-// surviving hosts) keep running.
+// surviving hosts) keep running. The engine borrows domains: it holds a
+// plain Domain*, and whoever owns a domain (Cluster, Kernel, TcpStack, a
+// test) keeps it alive for every run that can dispatch its events.
 //
 // Determinism: events with equal timestamps fire in scheduling order (FIFO
 // by a monotone sequence number). There is no wall-clock or address-based
@@ -50,14 +52,78 @@ class Domain {
 
 using DomainPtr = std::shared_ptr<Domain>;
 
+/// Source of non-cancellable deliveries (Simulation::post): a link
+/// direction's packets, a channel's messages. The payloads stay with the
+/// source, oldest first; a queue entry names only the source. When the
+/// entry fires, the source hands its oldest payload over (deliver_next),
+/// or discards it when the destination's domain is dead (drop_next).
+///
+/// Lifetime: a Deliverer must outlive every run that can dispatch its
+/// entries, as a sync primitive must outlive its waiters. The queue holds
+/// its address, so it is neither copied nor moved.
+class Deliverer {
+ public:
+  virtual void deliver_next() = 0;
+  virtual void drop_next() = 0;
+
+ protected:
+  Deliverer() = default;
+  Deliverer(const Deliverer&) = delete;
+  Deliverer& operator=(const Deliverer&) = delete;
+  ~Deliverer() = default;
+};
+
+/// A Deliverer's payloads in flight, oldest first, each stamped with its
+/// arrival time. The source must post its payloads in arrival order (one
+/// link's arrivals never decrease), so FIFO order is the entries' (time,
+/// seq) pop order; pop() checks that against the stamp. A ring that only
+/// grows, so a steady flow allocates nothing.
+template <typename T>
+class InFlight {
+ public:
+  void push(Time at, T item) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = Slot{at, std::move(item)};
+    ++size_;
+  }
+
+  /// Removes the oldest payload, which must arrive at `now`.
+  T pop(Time now) {
+    NLC_CHECK(size_ > 0);
+    Slot& oldest = slots_[head_];
+    NLC_CHECK_MSG(oldest.at == now, "delivery out of arrival order");
+    T item = std::move(oldest.item);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+    return item;
+  }
+
+ private:
+  struct Slot {
+    Time at = 0;
+    T item{};
+  };
+  void grow() {
+    std::vector<Slot> bigger(slots_.empty() ? 8 : 2 * slots_.size());
+    for (std::size_t i = 0; i < size_; ++i) {
+      bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_ = std::move(bigger);
+    head_ = 0;
+  }
+  std::vector<Slot> slots_;  // power-of-two size
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// Handle to a scheduled callback; allows cancellation.
 class TimerHandle {
  public:
   TimerHandle() = default;
 
-  void cancel() {
-    if (auto s = state_.lock()) s->cancelled = true;
-  }
+  /// The callback will not run. A timer cancelled while it waits in the
+  /// heap is counted there, so the heap can shed it (Simulation's purge).
+  void cancel();
   bool active() const {
     auto s = state_.lock();
     return s && !s->cancelled && !s->fired;
@@ -67,14 +133,19 @@ class TimerHandle {
   friend class Simulation;
   struct State {
     std::function<void()> fn;
-    DomainPtr domain;
+    Simulation* sim = nullptr;
     bool cancelled = false;
     bool fired = false;
+    bool in_heap = false;  // queued in the heap, not the same-time lane
   };
   explicit TimerHandle(std::weak_ptr<State> s) : state_(std::move(s)) {}
   std::weak_ptr<State> state_;
 };
 
+/// The event loop. It borrows every Domain and Deliverer its entries
+/// name: each must outlive every run that can dispatch its events (an
+/// owner such as Cluster declares the Simulation first and shuts it down
+/// first).
 class Simulation {
  public:
   Simulation();
@@ -89,8 +160,8 @@ class Simulation {
   /// Schedules `fn` at absolute simulated time `t` (>= now). A null domain
   /// means the callback always runs; otherwise it is discarded if the
   /// domain is dead when the time arrives.
-  TimerHandle call_at(Time t, DomainPtr domain, std::function<void()> fn);
-  TimerHandle call_after(Time delay, DomainPtr domain,
+  TimerHandle call_at(Time t, Domain* domain, std::function<void()> fn);
+  TimerHandle call_after(Time delay, Domain* domain,
                          std::function<void()> fn);
   TimerHandle call_at(Time t, std::function<void()> fn) {
     return call_at(t, nullptr, std::move(fn));
@@ -99,9 +170,14 @@ class Simulation {
     return call_after(delay, nullptr, std::move(fn));
   }
 
+  /// Posts a delivery from `source` at `t` (>= now): `deliver_next()`
+  /// runs under `domain`, or `drop_next()` if the domain is dead by then.
+  /// Not cancellable, and no allocation: the payload stays with `source`.
+  void post(Time t, Domain* domain, Deliverer* source);
+
   /// Starts a root coroutine, associated with `domain` (may be null).
   /// The coroutine runs synchronously up to its first suspension point.
-  void spawn(DomainPtr domain, task<> t);
+  void spawn(Domain* domain, task<> t);
   void spawn(task<> t) { spawn(nullptr, std::move(t)); }
 
   /// Runs events until the queue is empty or a stop is requested.
@@ -121,11 +197,11 @@ class Simulation {
   auto sleep_until(Time t) { return SleepAwaiter{this, t}; }
 
   /// Domain of the coroutine/callback currently executing (null outside).
-  const DomainPtr& current_domain() const { return current_domain_; }
+  Domain* current_domain() const { return current_domain_; }
 
   /// Schedules a coroutine wakeup at `t` under `domain`. Used by the sync
   /// primitives; prefer those in application code.
-  void schedule_resume(Time t, DomainPtr domain, std::coroutine_handle<> h);
+  void schedule_resume(Time t, Domain* domain, std::coroutine_handle<> h);
 
   /// Destroys all still-live root coroutine frames. Must be called (or the
   /// destructor will call it) before the components the coroutines
@@ -150,26 +226,34 @@ class Simulation {
   }
 
   /// Number of call_at/call_after calls since construction. Each allocates
-  /// one TimerHandle::State; coroutine resumes never count here.
+  /// one TimerHandle::State; coroutine resumes and deliveries never count
+  /// here.
   std::uint64_t timers_scheduled() const { return timers_scheduled_; }
   /// Number of entries that went to the heap rather than the same-time
   /// lane, i.e. were scheduled for a time later than now().
   std::uint64_t heap_pushes() const { return heap_pushes_; }
+  /// Entries queued now, heap plus same-time lane, cancelled timers that
+  /// are still queued included.
+  std::size_t pending() const {
+    return queue_.size() + (now_queue_.size() - now_head_);
+  }
 
  private:
-  // A queue entry is either a timer callback (`resume` null, `ref` holds a
-  // TimerHandle::State) or a plain coroutine resume (`resume` set, `ref`
-  // holds the Domain or is null). Resumes are by far the most common event
-  // — every sleep_for and every sync-primitive wakeup — so they get a
-  // dedicated representation that needs no shared_ptr<State> and no
-  // type-erased std::function allocation. The single type-erased `ref`
-  // slot keeps the entry at 48 bytes with one smart-pointer move per heap
-  // sift level instead of two.
+  // A queue entry carries the domain it runs under and one of three
+  // targets: a coroutine resume (`resume` set), a delivery (`deliverer`
+  // set) or a timer callback (`timer` set). Resumes and deliveries are by
+  // far the most common events — every sleep_for, every sync-primitive
+  // wakeup, every packet and channel message — and need no allocation and
+  // no refcount: the domain is borrowed and a delivery's payload stays
+  // with its source. Only a timer holds a shared TimerHandle::State, which
+  // its handle's weak_ptr needs.
   struct QueueEntry {
     Time time = 0;
     std::uint64_t seq = 0;
+    Domain* domain = nullptr;
     std::coroutine_handle<> resume{};
-    std::shared_ptr<void> ref;  // Domain (fast path) or TimerHandle::State
+    Deliverer* deliverer = nullptr;
+    std::shared_ptr<TimerHandle::State> timer;
   };
 
   // Flat 4-ary min-heap on (time, seq). (time, seq) is a strict total
@@ -180,6 +264,7 @@ class Simulation {
    public:
     void reserve(std::size_t n) { v_.reserve(n); }
     bool empty() const { return v_.empty(); }
+    std::size_t size() const { return v_.size(); }
     const QueueEntry& top() const { return v_.front(); }
 
     void push(QueueEntry e) {
@@ -199,8 +284,21 @@ class Simulation {
       QueueEntry out = std::move(v_.front());
       QueueEntry last = std::move(v_.back());
       v_.pop_back();
-      if (!v_.empty()) sift_down(std::move(last));
+      if (!v_.empty()) sift_down(0, std::move(last));
       return out;
+    }
+
+    /// Removes every entry `dead` accepts and re-heapifies the rest
+    /// bottom-up (Floyd, O(n)). Returns the number removed.
+    template <typename Pred>
+    std::size_t remove_if(Pred dead) {
+      const std::size_t before_size = v_.size();
+      std::erase_if(v_, dead);
+      for (std::size_t i = v_.size() > 1 ? (v_.size() - 2) / kArity + 1 : 0;
+           i-- > 0;) {
+        sift_down(i, std::move(v_[i]));
+      }
+      return before_size - v_.size();
     }
 
    private:
@@ -209,8 +307,7 @@ class Simulation {
       if (a.time != b.time) return a.time < b.time;
       return a.seq < b.seq;
     }
-    void sift_down(QueueEntry hole) {
-      std::size_t i = 0;
+    void sift_down(std::size_t i, QueueEntry hole) {
       const std::size_t n = v_.size();
       for (;;) {
         std::size_t first = i * kArity + 1;
@@ -268,18 +365,25 @@ class Simulation {
   bool dispatch(QueueEntry& entry);
   void enqueue(QueueEntry entry);
   bool pop_next(QueueEntry& out, Time limit);
+  void pop_heap(QueueEntry& out);
+  friend class TimerHandle;  // cancel() counts a cancel in the heap
+  void purge_if_half_cancelled();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t timers_scheduled_ = 0;
   std::uint64_t heap_pushes_ = 0;
+  // Cancelled timers still in the heap. Once they are at least
+  // kPurgeMinCancelled and half the heap, they are all removed, so the
+  // heap never holds more than twice its live entries plus that minimum.
+  std::size_t cancelled_in_heap_ = 0;
   std::function<void()> audit_probe_;
   std::uint64_t audit_probe_every_ = 1024;
   std::uint64_t events_since_probe_ = 0;
   bool stop_requested_ = false;
   bool tearing_down_ = false;
-  DomainPtr current_domain_;
+  Domain* current_domain_ = nullptr;
   std::exception_ptr pending_exception_;
   ReadyQueue queue_;
   // Same-time lane: entries scheduled at exactly now_ (sync-primitive

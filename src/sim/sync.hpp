@@ -25,9 +25,10 @@ namespace nlc::sim {
 namespace detail {
 
 /// Intrusive list node shared by all awaiters that park in a wait list.
+/// The domain is borrowed from the parked coroutine's owner.
 struct ParkedWaiter {
   std::coroutine_handle<> handle;
-  DomainPtr domain;
+  Domain* domain = nullptr;
 };
 
 }  // namespace detail

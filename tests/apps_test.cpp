@@ -327,7 +327,7 @@ KvStore kv_store(ServerRig& rig) {
 std::vector<KvOp> kv_request(ServerRig& rig, const std::vector<KvOp>& ops) {
   std::optional<net::Segment> reply;
   rig.cl.sim.spawn(
-      rig.cl.client_domain,
+      rig.cl.client_domain.get(),
       [](ServerRig& r, std::shared_ptr<std::vector<std::byte>> payload,
          std::optional<net::Segment>& rep) -> task<> {
         net::SocketId cs = co_await r.cl.client_tcp.connect(

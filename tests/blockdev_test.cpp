@@ -42,14 +42,14 @@ struct DrbdRig {
   sim::DomainPtr primary_dom = std::make_shared<sim::Domain>("primary");
   sim::DomainPtr backup_dom = std::make_shared<sim::Domain>("backup");
   net::Link link{s, net::kTenGigabit, 20_us};
-  net::Channel<DrbdMessage> chan{s, link, backup_dom};
+  net::Channel<DrbdMessage> chan{s, link, backup_dom.get()};
   Disk primary_disk, backup_disk;
   DrbdPrimary primary{primary_disk};
   DrbdBackup backup{s, backup_disk, chan};
 
   DrbdRig() {
     primary.add_channel(chan);
-    s.spawn(backup_dom, backup.run());
+    s.spawn(backup_dom.get(), backup.run());
   }
   ~DrbdRig() { s.shutdown(); }
 };
@@ -58,7 +58,7 @@ TEST(DrbdTest, WritesBufferedUntilCommit) {
   DrbdRig r;
   r.primary.write_block(1, 0, block_of('a'));
   r.primary.send_barrier(1);
-  r.s.spawn(r.backup_dom, [](DrbdRig& rr) -> task<> {
+  r.s.spawn(r.backup_dom.get(), [](DrbdRig& rr) -> task<> {
     co_await rr.backup.wait_barrier(1);
   }(r));
   r.s.run();
@@ -94,7 +94,7 @@ TEST(DrbdTest, DiscardUncommittedProtectsBackupDisk) {
   // Epoch 1 committed, epoch 2 in flight at failure.
   r.primary.write_block(1, 0, block_of('1'));
   r.primary.send_barrier(1);
-  r.s.spawn(r.backup_dom, [](DrbdRig& rr) -> task<> {
+  r.s.spawn(r.backup_dom.get(), [](DrbdRig& rr) -> task<> {
     co_await rr.backup.wait_barrier(1);
     rr.backup.commit(1);
   }(r));
@@ -114,7 +114,7 @@ TEST(DrbdTest, MultiEpochCommitInOrder) {
     r.primary.write_block(e, 0, block_of(static_cast<char>('0' + e)));
     r.primary.send_barrier(e);
   }
-  r.s.spawn(r.backup_dom, [](DrbdRig& rr) -> task<> {
+  r.s.spawn(r.backup_dom.get(), [](DrbdRig& rr) -> task<> {
     co_await rr.backup.wait_barrier(3);
   }(r));
   r.s.run();
@@ -129,7 +129,7 @@ TEST(DrbdTest, MultiEpochCommitInOrder) {
 TEST(DrbdTest, BarrierWithNoWrites) {
   DrbdRig r;
   r.primary.send_barrier(1);
-  r.s.spawn(r.backup_dom, [](DrbdRig& rr) -> task<> {
+  r.s.spawn(r.backup_dom.get(), [](DrbdRig& rr) -> task<> {
     co_await rr.backup.wait_barrier(1);
   }(r));
   r.s.run();
@@ -144,7 +144,7 @@ TEST(DrbdTest, WriteAfterBarrierLandsInNextEpoch) {
   r.primary.send_barrier(1);
   r.primary.write_block(2, 0, block_of('b'));
   r.primary.send_barrier(2);
-  r.s.spawn(r.backup_dom, [](DrbdRig& rr) -> task<> {
+  r.s.spawn(r.backup_dom.get(), [](DrbdRig& rr) -> task<> {
     co_await rr.backup.wait_barrier(2);
   }(r));
   r.s.run();
@@ -176,7 +176,7 @@ TEST(DrbdTest, FilesystemWritebackFlowsThroughReplication) {
   fs.write(ino, 0, data, 1);
   fs.sync_all();
   r.primary.send_barrier(1);
-  r.s.spawn(r.backup_dom, [](DrbdRig& rr) -> task<> {
+  r.s.spawn(r.backup_dom.get(), [](DrbdRig& rr) -> task<> {
     co_await rr.backup.wait_barrier(1);
     rr.backup.commit(1);
   }(r));

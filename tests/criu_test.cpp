@@ -207,9 +207,9 @@ struct CriuRig {
   sim::DomainPtr client_dom = std::make_shared<sim::Domain>("client");
   blk::Disk primary_disk, backup_disk;
   net::Network net{s};
-  net::HostId client_host = net.add_host("client", client_dom);
-  net::HostId primary_host = net.add_host("primary", primary_dom);
-  net::HostId backup_host = net.add_host("backup", backup_dom);
+  net::HostId client_host = net.add_host("client", client_dom.get());
+  net::HostId primary_host = net.add_host("primary", primary_dom.get());
+  net::HostId backup_host = net.add_host("backup", backup_dom.get());
   net::TcpStack client_tcp{s, client_dom, net, client_host};
   net::TcpStack primary_tcp{s, primary_dom, net, primary_host};
   net::TcpStack backup_tcp{s, backup_dom, net, backup_host};
@@ -378,10 +378,10 @@ TEST(CheckpointTest, SocketStateCaptured) {
   r.primary_tcp.listen({kServiceIp, 80});
 
   net::SocketId server_sock = 0;
-  r.s.spawn(r.primary_dom, [](CriuRig& rr, net::SocketId& ss) -> task<> {
+  r.s.spawn(r.primary_dom.get(), [](CriuRig& rr, net::SocketId& ss) -> task<> {
     ss = co_await rr.primary_tcp.accept({kServiceIp, 80});
   }(r, server_sock));
-  r.s.spawn(r.client_dom, [](CriuRig& rr) -> task<> {
+  r.s.spawn(r.client_dom.get(), [](CriuRig& rr) -> task<> {
     auto cs = co_await rr.client_tcp.connect(kClientIp, {kServiceIp, 80});
     rr.client_tcp.send(cs, 64, 9);
   }(r));
@@ -461,7 +461,7 @@ TEST(RestoreTest, FullRoundTripPreservesState) {
   for (const auto& pg : res.image.pages) store.store(pg);
 
   RestoreTimeline tl;
-  r.s.spawn(r.backup_dom, [](CriuRig& rr, const HarvestResult& hr,
+  r.s.spawn(r.backup_dom.get(), [](CriuRig& rr, const HarvestResult& hr,
                              RadixPageStore& st, RestoreTimeline& out)
                 -> task<> {
     out = co_await rr.rest.restore(hr.image, st.all_pages(), {}, true);
@@ -515,7 +515,7 @@ TEST(RestoreTest, PostThawWritesDoNotAliasShippedImage) {
   EXPECT_EQ((*committed->content)[0], std::byte{0x11});
 
   // Restore from the store: the backup materializes the checkpointed bytes.
-  r.s.spawn(r.backup_dom, [](CriuRig& rr, const HarvestResult& hr,
+  r.s.spawn(r.backup_dom.get(), [](CriuRig& rr, const HarvestResult& hr,
                              RadixPageStore& st) -> task<> {
     (void)co_await rr.rest.restore(hr.image, st.all_pages(), {}, true);
   }(r, res, store));
@@ -546,7 +546,7 @@ TEST(RestoreTest, TimelineStagesAreOrdered) {
   for (const auto& pg : res.image.pages) store.store(pg);
 
   RestoreTimeline tl;
-  r.s.spawn(r.backup_dom, [](CriuRig& rr, const HarvestResult& hr,
+  r.s.spawn(r.backup_dom.get(), [](CriuRig& rr, const HarvestResult& hr,
                              RadixPageStore& st, RestoreTimeline& out)
                 -> task<> {
     out = co_await rr.rest.restore(hr.image, st.all_pages(), {}, true);
@@ -575,7 +575,7 @@ TEST(RestoreTest, FsCacheApplied) {
   auto res = r.ckpt.harvest(c.id(), 0, nullptr, opts);
 
   RestoreTimeline tl;
-  r.s.spawn(r.backup_dom, [](CriuRig& rr, const HarvestResult& hr,
+  r.s.spawn(r.backup_dom.get(), [](CriuRig& rr, const HarvestResult& hr,
                              RestoreTimeline& out) -> task<> {
     out = co_await rr.rest.restore(hr.image, {}, hr.image.fs_cache, true);
   }(r, res, tl));

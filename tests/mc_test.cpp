@@ -33,7 +33,7 @@ struct McRig {
                                         cl.primary_tcp, cid,
                                         *backup.state_channel,
                                         *backup.ack_channel, cl.metrics);
-    cl.sim.spawn(backup.domain, driver->backup_responder());
+    cl.sim.spawn(backup.domain.get(), driver->backup_responder());
     cl.sim.spawn([](McRig& r) -> task<> {
       co_await r.driver->start();
     }(*this));

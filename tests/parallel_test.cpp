@@ -2,10 +2,12 @@
 // event loop: identical seeds must produce byte-identical metrics and
 // event counts (a) serial vs parallel runner, (b) across repeats; and
 // (c) events with equal times fire in scheduling order, whichever queue
-// (heap or same-time lane) they took.
+// (heap or same-time lane) they took and whatever their kind (resume,
+// timer or delivery), while cancelled timers are purged from the heap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,6 +16,8 @@
 #include "apps/catalog.hpp"
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
+#include "net/channel.hpp"
+#include "net/link.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -175,12 +179,23 @@ struct DispatchLog {
   std::uint64_t next_tag = 0;
 };
 
-/// Resumes 0-6 us ahead (0 takes the same-time lane) and, every few steps,
-/// a timer under the coroutine's domain that is either zero-delay or up to
-/// 10 us later.
+/// A channel message: the tag drawn when it was sent, and when that was.
+struct Tagged {
+  std::uint64_t tag = 0;
+  Time sent_at = 0;
+};
+
+/// Every step: a resume 0-6 us ahead (0 takes the same-time lane) and a
+/// message on a shared zero-latency link, which arrives at now() when it
+/// is empty and the link idle. Every few steps, a timer under the
+/// coroutine's domain that is either zero-delay or up to 10 us later.
+/// Each step also re-arms a long retransmit-style timer and cancels the
+/// previous one, enough cancels to purge the heap many times over.
 sim::task<> ordering_worker(sim::Simulation& sim, DispatchLog& d, int id,
-                            int steps, int& done) {
+                            int steps, net::Channel<Tagged>& out, int& done,
+                            int& cancelled_fired) {
   Rng rng(0x0DE5'0000u + static_cast<std::uint64_t>(id));
+  sim::TimerHandle rto;
   for (int i = 0; i < steps; ++i) {
     if (rng.uniform(0, 2) == 0) {
       const Time delay =
@@ -190,12 +205,18 @@ sim::task<> ordering_worker(sim::Simulation& sim, DispatchLog& d, int id,
         d.log.push_back({sim.now(), tag, delay == 0});
       });
     }
+    out.send(Tagged{d.next_tag++, sim.now()},
+             static_cast<std::uint64_t>(rng.uniform(0, 1)) * 125);
+    rto.cancel();
+    rto = sim.call_after(nlc::microseconds(500), sim.current_domain(),
+                         [&cancelled_fired] { ++cancelled_fired; });
     const Time delay = nlc::microseconds(rng.uniform(0, 6));
     const std::uint64_t tag = d.next_tag++;
     co_await sim.sleep_for(delay);
     d.log.push_back({sim.now(), tag, delay == 0});
     ++done;
   }
+  rto.cancel();
 }
 
 TEST(SimEngineDeterminism, EqualTimeEventsFireInSchedulingOrder) {
@@ -204,10 +225,33 @@ TEST(SimEngineDeterminism, EqualTimeEventsFireInSchedulingOrder) {
   sim::Simulation sim;
   DispatchLog d;
   auto victim = std::make_shared<sim::Domain>("victim");
-  std::vector<int> done(kWorkers, 0);
+  // Every worker's messages share one link; each goes to its worker's
+  // domain, so the victim's stop arriving once it dies.
+  net::Link link(sim, net::kTenGigabit, 0);
+  std::vector<std::unique_ptr<net::Channel<Tagged>>> channels;
   for (int id = 0; id < kWorkers; ++id) {
-    sim.spawn(id == kWorkers - 1 ? victim : nullptr,
-              ordering_worker(sim, d, id, kSteps, done[id]));
+    channels.push_back(std::make_unique<net::Channel<Tagged>>(
+        sim, link, id == kWorkers - 1 ? victim.get() : nullptr));
+  }
+  // Nobody receives on the channels, so a delivery only fills the inbox;
+  // a probe after every event logs it where it was dispatched.
+  std::size_t peak_pending = 0;
+  sim.set_audit_probe(
+      [&] {
+        for (auto& ch : channels) {
+          while (auto m = ch->try_recv()) {
+            d.log.push_back({sim.now(), m->tag, m->sent_at == sim.now()});
+          }
+        }
+        peak_pending = std::max(peak_pending, sim.pending());
+      },
+      1);
+  std::vector<int> done(kWorkers, 0);
+  int cancelled_fired = 0;
+  for (int id = 0; id < kWorkers; ++id) {
+    sim.spawn(id == kWorkers - 1 ? victim.get() : nullptr,
+              ordering_worker(sim, d, id, kSteps, *channels[id], done[id],
+                              cancelled_fired));
   }
   const std::uint64_t kill_tag = d.next_tag++;
   sim.call_after(nlc::microseconds(200), [&] {
@@ -228,6 +272,10 @@ TEST(SimEngineDeterminism, EqualTimeEventsFireInSchedulingOrder) {
   // workers ran to the end.
   EXPECT_LT(done[kWorkers - 1], kSteps);
   for (int id = 0; id + 1 < kWorkers; ++id) EXPECT_EQ(done[id], kSteps) << id;
+  // No cancelled timer fired, and the cancelled ones left the heap: it
+  // never held more than a fraction of the ~kWorkers * kSteps cancelled.
+  EXPECT_EQ(cancelled_fired, 0);
+  EXPECT_LT(peak_pending, std::size_t{kWorkers * kSteps / 4});
   // Some times saw both a heap entry and a same-time-lane entry fire.
   int mixed_times = 0;
   for (std::size_t i = 0; i < d.log.size();) {

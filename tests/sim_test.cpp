@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "net/channel.hpp"
+#include "net/link.hpp"
 #include "sim/simulation.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -98,7 +101,7 @@ TEST(DomainTest, DeadDomainEventsDiscarded) {
   Simulation sim;
   auto host = std::make_shared<Domain>("primary");
   int host_fired = 0, wire_fired = 0;
-  sim.call_after(10_ms, host, [&] { ++host_fired; });
+  sim.call_after(10_ms, host.get(), [&] { ++host_fired; });
   sim.call_after(10_ms, nullptr, [&] { ++wire_fired; });
   sim.call_after(5_ms, [&] { host->kill(); });
   sim.run();
@@ -110,7 +113,7 @@ TEST(DomainTest, EventsBeforeKillStillFire) {
   Simulation sim;
   auto host = std::make_shared<Domain>("primary");
   int fired = 0;
-  sim.call_after(1_ms, host, [&] { ++fired; });
+  sim.call_after(1_ms, host.get(), [&] { ++fired; });
   sim.call_after(5_ms, [&] { host->kill(); });
   sim.run();
   EXPECT_EQ(fired, 1);
@@ -185,7 +188,7 @@ TEST(CoroutineTest, DomainKillFreezesCoroutine) {
   Simulation sim;
   auto host = std::make_shared<Domain>("h");
   int stage = 0;
-  sim.spawn(host, [](Simulation& s, int& st) -> task<> {
+  sim.spawn(host.get(), [](Simulation& s, int& st) -> task<> {
     st = 1;
     co_await s.sleep_for(10_ms);
     st = 2;  // must never run: host dies at 5ms
@@ -202,7 +205,7 @@ TEST(CoroutineTest, SpawnOnDeadDomainIsNoop) {
   auto host = std::make_shared<Domain>("h");
   host->kill();
   int stage = 0;
-  sim.spawn(host, [](Simulation& s, int& st) -> task<> {
+  sim.spawn(host.get(), [](Simulation& s, int& st) -> task<> {
     st = 1;
     co_await s.sleep_for(1_ms);
   }(sim, stage));
@@ -358,7 +361,7 @@ TEST(MailboxTest, DeadReceiverDoesNotConsume) {
   auto host = std::make_shared<Domain>("h");
   Mailbox<int> mb(sim);
   int got = -1;
-  sim.spawn(host, [](Mailbox<int>& m, int& g) -> task<> {
+  sim.spawn(host.get(), [](Mailbox<int>& m, int& g) -> task<> {
     g = co_await m.recv();
   }(mb, got));
   sim.call_after(1_ms, [&] { host->kill(); });
@@ -476,6 +479,58 @@ TEST(SimEngineCountersTest, PingPongHandOffsTakeTheLane) {
   // first token is already queued, so 2 * kBounces - 1 of them.
   EXPECT_EQ(sim.events_processed(),
             std::uint64_t{kPairs} * (3 * kBounces - 1));
+}
+
+// Channel messages are deliveries: each counts as an event when it
+// arrives, none allocates a timer, and each one over a link with latency
+// enters the heap while the receiver's wake-up takes the lane.
+TEST(SimEngineCountersTest, ChannelMessagesAreDeliveriesNotTimers) {
+  constexpr int kMessages = 1000;
+  Simulation sim;
+  net::Link link(sim, net::kGigabit, 5_us);
+  net::Channel<int> ch(sim, link, nullptr);
+  int sum = 0;
+  sim.spawn([](net::Channel<int>& c, int n, int& total) -> task<> {
+    for (int i = 0; i < n; ++i) total += co_await c.recv();
+  }(ch, kMessages, sum));
+  for (int i = 0; i < kMessages; ++i) ch.send(1, 125);  // 1 us apiece
+  sim.run();
+  EXPECT_EQ(sum, kMessages);
+  EXPECT_EQ(sim.timers_scheduled(), 0u);
+  EXPECT_EQ(sim.heap_pushes(), std::uint64_t{kMessages});
+  // Per message: its delivery and the receiver's wake-up.
+  EXPECT_EQ(sim.events_processed(), 2 * std::uint64_t{kMessages});
+  EXPECT_EQ(sim.now(), 5_us + microseconds(kMessages));
+}
+
+// TCP's retransmit pattern: arm a 200 ms timer, cancel it 1 us later when
+// the ACK arrives, arm a fresh one on the next send. Cancelled timers are
+// purged from the heap once they make up half of it, so the queue stays
+// bounded instead of holding one dead entry per ACK for 200 ms.
+TEST(SimEngineCountersTest, CancelledRetransmitTimersLeaveTheHeap) {
+  constexpr int kRearms = 5000;
+  // At most the sleeper's wake-up and one armed timer are live at a time.
+  constexpr std::size_t kLive = 2;
+  Simulation sim;
+  int fired = 0;
+  std::size_t peak = 0;
+  sim.spawn([](Simulation& s, int n, int& f, std::size_t& pk) -> task<> {
+    for (int i = 0; i < n; ++i) {
+      TimerHandle rto = s.call_after(200_ms, [&f] { ++f; });
+      pk = std::max(pk, s.pending());
+      co_await s.sleep_for(1_us);
+      pk = std::max(pk, s.pending());
+      rto.cancel();
+      pk = std::max(pk, s.pending());
+    }
+  }(sim, kRearms, fired, peak));
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_LE(peak, 2 * kLive + 64);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.timers_scheduled(), std::uint64_t{kRearms});
+  // Only the sleeps ran; no cancelled timer counts as an event.
+  EXPECT_EQ(sim.events_processed(), std::uint64_t{kRearms});
 }
 
 }  // namespace
