@@ -12,18 +12,16 @@
 // A second, partially-overwritten epoch then runs through the delta codec
 // to report encode ns/page and the achieved compression ratio.
 //
-// A third section sweeps the sharded intra-epoch pipeline (DESIGN.md §10):
-// harvest fill -> delta encode -> radix fold, at 1/2/4/8 shards over page
-// counts on both sides of criu::kFanOutMinPages. Every configuration runs
-// the same engine; the shard count sets the partition, and a stage hands
-// its shards to the pool only from kFanOutMinPages pages up, so a smaller
-// row runs every shard on the calling thread. Each row prints whether it
-// fanned out. The sweep checks that wire bytes, visit counts and stats
-// stay byte-identical across shard counts, that exactly the rows with
-// more than one shard at or above the gate fanned out, and that the codec
-// resolves every unchanged page by handle identity.
+// A third section times the page pipeline (DESIGN.md §10) — harvest fill
+// -> delta encode -> radix fold, on the calling thread — at 1K and 16,384
+// pages per epoch (plus 100K under --full). Each row checks that the
+// codec resolves every unchanged page by handle identity, that every
+// stamped wire size is the byte-at-a-time reference kernel's
+// (check::DeltaReplayChecker, outside the timed region) and adds up to
+// the epoch's wire bytes, and that the visit and content-page totals are
+// the ones the row's records determine.
 //
-// After the sweep, the largest configuration's store is walked
+// After the rows, the largest row's store is walked
 // (all_pages(), what failover restore does) and copied (clone(), what
 // re-silvering a surviving replica does), with ns/page for each; the
 // walk must be ascending and complete and the copy must walk the same
@@ -44,17 +42,16 @@
 
 #include "bench/common.hpp"
 #include "blockdev/disk.hpp"
+#include "check/invariants.hpp"
 #include "criu/checkpoint.hpp"
 #include "criu/delta.hpp"
 #include "criu/pagestore.hpp"
-#include "criu/shard.hpp"
 #include "kernel/kernel.hpp"
 #include "net/network.hpp"
 #include "net/tcp.hpp"
 #include "sim/simulation.hpp"
 #include "util/simd.hpp"
 #include "util/time.hpp"
-#include "util/worker_pool.hpp"
 
 namespace {
 
@@ -94,12 +91,9 @@ struct World {
     kernel.freeze_container(cid);
   }
 
-  criu::HarvestResult harvest(std::uint64_t epoch, int shards = 1,
-                              util::WorkerPool* pool = nullptr) {
+  criu::HarvestResult harvest(std::uint64_t epoch) {
     criu::HarvestOptions ho;
     ho.incremental = true;
-    ho.shards = shards;
-    ho.pool = pool;
     auto hr = engine.harvest(cid, epoch, nullptr, ho);
     // harvest clears soft-dirty; re-dirty for the next repetition.
     proc->mm().touch_range(vma.start, vma.npages);
@@ -124,41 +118,38 @@ double run_pipeline_ns_per_page(World& w, std::uint64_t epoch) {
                                  : 1);
 }
 
-/// One sharded-pipeline configuration: best-of ns/page over `reps` epochs
-/// of harvest -> encode -> fold, plus the determinism fingerprint (wire
-/// bytes / visits / content and identity pages summed over the measured
-/// epochs).
-struct ShardResult {
+/// One pipeline row: best-of ns/page over `reps` epochs of harvest ->
+/// encode -> fold, plus the totals its gates check (wire bytes, visits,
+/// content and identity pages summed over the measured epochs).
+struct RowResult {
   double ns_per_page = 1e18;
   std::uint64_t wire_bytes = 0;
   std::uint64_t visits = 0;
   std::uint64_t content_pages = 0;
   std::uint64_t identity_pages = 0;
-  std::uint64_t fan_outs = 0;  // batches the stages handed to the pool
 };
 
-/// Runs one sweep configuration; its final store is handed to `keep` if
-/// given.
-ShardResult run_shard_config(
-    std::uint64_t npages, int nshards, int reps,
-    std::unique_ptr<criu::RadixPageStore>* keep = nullptr) {
+/// Runs one row; its final store is handed to `keep` if given. Every
+/// epoch is replayed through the reference kernel after it is timed.
+RowResult run_row(std::uint64_t npages, int reps,
+                  std::unique_ptr<criu::RadixPageStore>* keep = nullptr) {
   World w(npages);
-  std::unique_ptr<util::WorkerPool> pool;
-  if (nshards > 1) pool = std::make_unique<util::WorkerPool>(nshards - 1);
-  criu::DeltaCodec codec(nshards);
-  auto owned = std::make_unique<criu::RadixPageStore>(nshards);
+  criu::DeltaCodec codec;
+  check::DeltaReplayChecker oracle;
+  auto owned = std::make_unique<criu::RadixPageStore>();
   criu::RadixPageStore& store = *owned;
   std::uint64_t epoch = 1;
 
   // Reference epoch: every page ships raw, the codec and store warm up.
   {
-    criu::HarvestResult hr = w.harvest(epoch++, nshards, pool.get());
-    codec.encode_epoch(hr.image, pool.get());
+    criu::HarvestResult hr = w.harvest(epoch++);
+    codec.encode_epoch(hr.image);
+    oracle.replay(hr.image, /*delta_enabled=*/true);
     store.begin_checkpoint(hr.image.epoch);
-    store.store_batch(hr.image.pages, pool.get());
+    store.store_batch(hr.image.pages);
   }
 
-  ShardResult res;
+  RowResult res;
   std::vector<std::byte> val(900);
   for (int r = 0; r < reps; ++r) {
     // Every page is dirty (touch_range) but only every 5th changed: the
@@ -170,12 +161,21 @@ ShardResult run_shard_config(
       w.proc->mm().write(w.vma.start + p, 512, val);
     }
     const std::uint64_t t0 = util::wall_now_ns();
-    criu::HarvestResult hr = w.harvest(epoch, nshards, pool.get());
-    criu::EpochDeltaStats ds = codec.encode_epoch(hr.image, pool.get());
+    criu::HarvestResult hr = w.harvest(epoch);
+    criu::EpochDeltaStats ds = codec.encode_epoch(hr.image);
     store.begin_checkpoint(epoch);
-    std::uint64_t visits = store.store_batch(hr.image.pages, pool.get());
+    std::uint64_t visits = store.store_batch(hr.image.pages);
     const std::uint64_t t1 = util::wall_now_ns();
     ++epoch;
+    // The wire-byte gate: each stamped size is the reference kernel's,
+    // and the stamps add up to the epoch's wire bytes.
+    oracle.replay(hr.image, /*delta_enabled=*/true);
+    std::uint64_t stamped = 0;
+    for (const criu::PageRecord& rec : hr.image.pages) {
+      stamped += rec.wire_size;
+    }
+    NLC_CHECK_MSG(stamped == ds.wire_bytes,
+                  "stamped wire sizes disagree with the epoch's wire bytes");
     res.ns_per_page = std::min(
         res.ns_per_page, ns_between(t0, t1) / static_cast<double>(npages));
     res.wire_bytes += ds.wire_bytes;
@@ -184,7 +184,6 @@ ShardResult run_shard_config(
     res.identity_pages += ds.identity_pages;
   }
   NLC_CHECK(store.page_count() == npages);
-  if (pool != nullptr) res.fan_outs = pool->fan_outs();
   if (keep != nullptr) *keep = std::move(owned);
   return res;
 }
@@ -290,67 +289,49 @@ int main(int argc, char** argv) {
   std::printf("%-38s | %10.3f (wire/raw, %llu pages)\n", "compression ratio",
               ds.ratio(), static_cast<unsigned long long>(ds.content_pages));
 
-  // ---- Sharded intra-epoch pipeline sweep (DESIGN.md §10) -----------------
-  header("Sharded page pipeline: harvest -> encode -> fold",
-         "extension — one engine at 1/2/4/8 shards");
+  // ---- Page pipeline rows (DESIGN.md §10) ---------------------------------
+  header("Page pipeline: harvest -> encode -> fold",
+         "extension — one loop per stage, on the calling thread");
   std::printf("scan-kernel tier: %s\n\n",
               util::simd_tier_name(util::env_simd_tier()));
-  std::printf("stages fan out from %zu pages (criu::kFanOutMinPages)\n\n",
-              criu::kFanOutMinPages);
   std::vector<std::uint64_t> page_counts;
   if (smoke) {
     page_counts = {1'000};
   } else if (full) {
-    page_counts = {1'000, criu::kFanOutMinPages, 100'000};
+    page_counts = {1'000, 16'384, 100'000};
   } else {
-    page_counts = {1'000, criu::kFanOutMinPages};
+    page_counts = {1'000, 16'384};
   }
-  const int shard_counts[] = {1, 2, 4, 8};
-  std::string sweep_json;
-  // The store of the sweep's last configuration, the largest.
+  std::string rows_json;
+  // The store of the last row, the largest.
   std::unique_ptr<criu::RadixPageStore> largest;
   for (std::uint64_t pages : page_counts) {
-    // run_shard_config rewrites every 5th page; the other four of every
-    // five keep the handle the codec shipped last epoch.
-    const std::uint64_t unchanged =
-        (pages - (pages + 4) / 5) * static_cast<std::uint64_t>(reps);
-    ShardResult one;
-    for (int nshards : shard_counts) {
-      ShardResult r = run_shard_config(pages, nshards, reps, &largest);
-      NLC_CHECK_MSG(r.identity_pages == unchanged,
-                    "codec missed the identity path on unchanged pages");
-      const bool fanned = r.fan_outs > 0;
-      NLC_CHECK_MSG(fanned == (nshards > 1 && pages >= criu::kFanOutMinPages),
-                    "a stage fanned out on the wrong side of the gate");
-      if (nshards == 1) {
-        one = r;
-      } else {
-        // The determinism contract: shipped bytes, stats and visit counts
-        // must not depend on the shard count.
-        NLC_CHECK_MSG(r.wire_bytes == one.wire_bytes,
-                      "wire bytes depend on the shard count");
-        NLC_CHECK_MSG(r.visits == one.visits,
-                      "visit counts depend on the shard count");
-        NLC_CHECK_MSG(r.content_pages == one.content_pages,
-                      "page counts depend on the shard count");
-      }
-      std::printf("%8llu pages | %d shards | %10.1f ns/page | %s\n",
-                  static_cast<unsigned long long>(pages), nshards,
-                  r.ns_per_page, fanned ? "fan-out" : "inline");
-      char row[256];
-      std::snprintf(row, sizeof row,
-                    "%s{\"pages\": %llu, \"shards\": %d, "
-                    "\"ns_per_page\": %.1f, \"fan_out\": %s, "
-                    "\"wire_bytes\": %llu, \"visits\": %llu, "
-                    "\"identity_pages\": %llu}",
-                    sweep_json.empty() ? "    " : ",\n    ",
-                    static_cast<unsigned long long>(pages), nshards,
-                    r.ns_per_page, fanned ? "true" : "false",
-                    static_cast<unsigned long long>(r.wire_bytes),
-                    static_cast<unsigned long long>(r.visits),
-                    static_cast<unsigned long long>(r.identity_pages));
-      sweep_json += row;
-    }
+    const auto epochs = static_cast<std::uint64_t>(reps);
+    // run_row rewrites every 5th page; the other four of every five keep
+    // the handle the codec shipped last epoch.
+    const std::uint64_t unchanged = (pages - (pages + 4) / 5) * epochs;
+    RowResult r = run_row(pages, reps, &largest);
+    NLC_CHECK_MSG(r.identity_pages == unchanged,
+                  "codec missed the identity path on unchanged pages");
+    // Every page of the row is a content page, and the store charges
+    // each record its kLevels visits.
+    NLC_CHECK_MSG(r.content_pages == pages * epochs,
+                  "the codec saw a different number of content pages");
+    NLC_CHECK_MSG(r.visits == criu::RadixPageStore::kLevels * pages * epochs,
+                  "the fold's visit total differs from kLevels per record");
+    std::printf("%8llu pages | %10.1f ns/page\n",
+                static_cast<unsigned long long>(pages), r.ns_per_page);
+    char row[256];
+    std::snprintf(row, sizeof row,
+                  "%s{\"pages\": %llu, \"ns_per_page\": %.1f, "
+                  "\"wire_bytes\": %llu, \"visits\": %llu, "
+                  "\"identity_pages\": %llu}",
+                  rows_json.empty() ? "    " : ",\n    ",
+                  static_cast<unsigned long long>(pages), r.ns_per_page,
+                  static_cast<unsigned long long>(r.wire_bytes),
+                  static_cast<unsigned long long>(r.visits),
+                  static_cast<unsigned long long>(r.identity_pages));
+    rows_json += row;
   }
 
   // ---- Restore walk and re-silver copy of the largest store ---------------
@@ -369,12 +350,12 @@ int main(int argc, char** argv) {
                  "  \"ns_per_page_zero_copy\": %.1f,\n"
                  "  \"delta_encode_ns_per_page\": %.1f,\n"
                  "  \"compression_ratio\": %.4f,\n"
-                 "  \"shard_sweep\": [\n%s\n  ],\n"
+                 "  \"pipeline_rows\": [\n%s\n  ],\n"
                  "  \"store_walk_ns_per_page\": %.1f,\n"
                  "  \"store_copy_ns_per_page\": %.1f\n"
                  "}\n",
                  static_cast<unsigned long long>(npages), zero_ns, delta_ns,
-                 ds.ratio(), sweep_json.c_str(), wc.walk_ns_per_page,
+                 ds.ratio(), rows_json.c_str(), wc.walk_ns_per_page,
                  wc.copy_ns_per_page);
     std::fclose(f);
     std::printf("\nwrote BENCH_page_pipeline.json\n");

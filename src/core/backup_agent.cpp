@@ -4,7 +4,6 @@
 
 #include "core/promotion.hpp"
 #include "util/assert.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::core {
 
@@ -23,10 +22,7 @@ BackupAgent::BackupAgent(Options opts, kern::Kernel& kernel,
       metrics_(&metrics),
       commit_idle_(std::make_unique<sim::Event>(kernel.simulation())) {
   if (opts_.optimize_criu) {
-    auto radix =
-        std::make_unique<criu::RadixPageStore>(opts_.resolved_page_shards());
-    radix_ = radix.get();
-    pages_ = std::move(radix);
+    pages_ = std::make_unique<criu::RadixPageStore>();
   } else {
     pages_ = std::make_unique<criu::ListPageStore>();
   }
@@ -105,18 +101,8 @@ sim::task<> BackupAgent::state_loop() {
     obs_.span_begin(Track::kBackup, Stage::kFold, sim.now(), msg.epoch);
     commit_idle_->reset();
     pages_->begin_checkpoint(msg.epoch);
-    std::uint64_t visits = 0;
     const std::uint64_t fold_t0 = util::wall_now_ns();
-    if (radix_ != nullptr) {
-      // Batched fold (DESIGN.md §10): same state and modeled visit total
-      // as the per-record loop; from criu::kFanOutMinPages records up the
-      // pool folds leaf-owned buckets.
-      visits = radix_->store_batch(msg.image.pages, &util::shard_pool());
-    } else {
-      for (const criu::PageRecord& pr : msg.image.pages) {
-        visits += pages_->store(pr);
-      }
-    }
+    const std::uint64_t visits = pages_->store_batch(msg.image.pages);
     metrics_->shard_stage_ns.fold += util::wall_now_ns() - fold_t0;
     // Zero-width in simulated time (the modeled cost is the commit sleep
     // below); the wall stamps expose the real fold cost.
@@ -266,7 +252,6 @@ void BackupAgent::adopt_resilver(const BackupAgent& src) {
   // shared handles, so the copy takes records, not page bytes; the bulk
   // transfer itself is metered by the arbiter on the replication link.
   pages_ = src.pages_->clone();
-  radix_ = dynamic_cast<criu::RadixPageStore*>(pages_.get());
   committed_fs_pages_ = src.committed_fs_pages_;
   committed_fs_inodes_ = src.committed_fs_inodes_;
   committed_epoch_ = src.committed_epoch_;

@@ -142,10 +142,6 @@ class BackupAgent {
   std::optional<std::uint64_t> acked_epoch_;
 
   std::unique_ptr<criu::PageStore> pages_;
-  /// Non-null iff pages_ is a RadixPageStore: lets the commit fold use
-  /// the sharded store_batch() (DESIGN.md §10) without a dynamic_cast per
-  /// epoch.
-  criu::RadixPageStore* radix_ = nullptr;
   std::optional<criu::CheckpointImage> committed_image_;  // latest records
   std::map<std::pair<kern::InodeNum, std::uint64_t>, kern::DncPageEntry>
       committed_fs_pages_;

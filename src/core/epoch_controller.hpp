@@ -31,7 +31,7 @@
 // Everything in this namespace is a pure function of simulated-time
 // observables: no wall clock, no ambient randomness (enforced by the
 // nlc_lint `replay-wallclock` rule, which covers `epochctl` regions), so
-// every byte-determinism guarantee (any NLC_SHARDS × NLC_JOBS) survives
+// every byte-determinism guarantee (any NLC_JOBS × NLC_SIMD) survives
 // adaptation.
 #pragma once
 
@@ -141,7 +141,7 @@ class EpochController {
 
   // EWMA state (alpha = 1/4 after the seeding sample). Doubles are fine
   // for determinism: IEEE arithmetic over the same observation sequence
-  // is bit-identical on every shard/job configuration.
+  // is bit-identical on every job/tier configuration.
   double stop_ewma_ = -1.0;
   double wall_ewma_ = -1.0;
   double pause_side_ewma_ = -1.0;  // pause_work, ns

@@ -10,10 +10,9 @@
 
 namespace nlc::core {
 
-/// Wall-clock (util::wall_now_ns) nanoseconds spent in each stage of the
-/// sharded intra-epoch page pipeline (DESIGN.md §10). Observability only:
-/// these never feed back into simulated time or the cost model, so the
-/// simulation's numbers stay identical across shard counts.
+/// Wall clock per page-pipeline stage (util::wall_now_ns nanoseconds,
+/// DESIGN.md §10). Observability only: these never feed back into
+/// simulated time or the cost model.
 struct ShardStageNanos {
   std::uint64_t harvest = 0;  // frozen-state page-record fill
   std::uint64_t encode = 0;   // delta encode + wire-size stamping
@@ -84,11 +83,9 @@ struct ReplicationMetrics {
   /// Page bytes the delta stage kept off the replication wire.
   std::uint64_t wire_bytes_saved = 0;
 
-  // ---- Sharded page pipeline (DESIGN.md §10/§12) --------------------------
-  /// Shard count the agent pair ran with (resolved from Options/NLC_SHARDS).
-  int page_shards_used = 1;
+  // ---- Page pipeline (DESIGN.md §10/§12) ----------------------------------
   /// Delta-codec scan-kernel tier the primary ran with (resolved from
-  /// Options::simd_tier / NLC_SIMD; util::simd_tier_name() renders it).
+  /// NLC_SIMD; util::simd_tier_name() renders it).
   /// Observability only — observables are tier-independent.
   util::SimdTier simd_tier_used = util::SimdTier::kScalar;
   /// Per-stage wall-clock accounting (not simulated time).

@@ -6,9 +6,7 @@
 #include <string>
 
 #include "topo/topology.hpp"
-#include "util/simd.hpp"
 #include "util/time.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::core {
 
@@ -140,29 +138,8 @@ struct Options {
   /// this is not kOff.
   TraceLevel trace_level = TraceLevel::kOff;
 
-  /// DESIGN.md §10: intra-epoch page-pipeline shard count. 0 = auto
-  /// (NLC_SHARDS env, else hardware concurrency). The count sets the
-  /// partition of the one page engine; a stage fans its shards out on the
-  /// shared pool only for a batch of criu::kFanOutMinPages pages or more.
-  /// All shipped bytes, stats and visit counts are byte-identical for any
-  /// value — only wall clock changes.
+  /// Read by nothing: the page pipeline runs on the trial's thread.
   int page_shards = 0;
-
-  int resolved_page_shards() const {
-    int s = page_shards > 0 ? page_shards : util::env_shards();
-    if (s < 1) return 1;
-    return s > util::kMaxShards ? util::kMaxShards : s;
-  }
-
-  /// DESIGN.md §12: scan-kernel tier of the delta codec, at every shard
-  /// count. kAuto defers to NLC_SIMD (scalar | swar64 | simd | auto =
-  /// fastest the CPU runs). Every tier produces byte-identical observables
-  /// — only wall clock changes.
-  util::SimdTier simd_tier = util::SimdTier::kAuto;
-
-  util::SimdTier resolved_simd_tier() const {
-    return util::resolve_simd_tier(simd_tier);
-  }
 
   /// The seven cumulative configurations of Table I, row index 0..6.
   /// Row 7 is our ablation extension: everything plus page delta

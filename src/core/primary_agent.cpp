@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::core {
 
@@ -31,12 +30,10 @@ PrimaryAgent::PrimaryAgent(Options opts, kern::Kernel& kernel,
                            ReplicationMetrics& metrics)
     : opts_(opts), kernel_(&kernel), tcp_(&tcp), cid_(cid), drbd_(&drbd),
       metrics_(&metrics), ckpt_(kernel, tcp), cache_(kernel, cid),
-      delta_(opts.resolved_page_shards(), opts.resolved_simd_tier()),
       rng_(opts.seed ^ 0x9e37'79b9'7f4a'7c15ull),
       ack_event_(std::make_unique<sim::Event>(kernel.simulation())),
       controller_(opts, log_costs_),
       log_flush_event_(std::make_unique<sim::Event>(kernel.simulation())) {
-  metrics_->page_shards_used = delta_.shards();
   metrics_->simd_tier_used = delta_.simd_tier();
 }
 
@@ -282,18 +279,11 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
   obs_.instant(Track::kPrimary, Stage::kBarrierSent, sim.now(), epoch);
 
   // ---- Harvest the container state (CRIU engine) ---------------------------
-  // Sharded page pipeline (DESIGN.md §10): harvest fill, delta encode and
-  // the backup's fold run shard by shard, on the shared pool for a batch of
-  // criu::kFanOutMinPages pages or more and on this thread below it;
-  // outputs are byte-identical for any shard count.
-  util::WorkerPool* ppool = &util::shard_pool();
   criu::HarvestOptions ho;
   ho.incremental = !initial;
   ho.vma_via_netlink = opts_.vma_via_netlink;
   ho.pages_via_shared_memory = opts_.pages_via_shared_memory;
   ho.fs_cache_via_dnc = opts_.fs_cache_via_dnc;
-  ho.shards = delta_.shards();
-  ho.pool = ppool;
   const criu::InfrequentSnapshot cached =
       opts_.cache_infrequent_state ? cache_.get() : nullptr;
   obs_.span_begin(Track::kPrimary, Stage::kHarvest, sim.now(), epoch);
@@ -328,7 +318,7 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
     // shipping path below.
     obs_.span_begin(Track::kPrimary, Stage::kEncode, sim.now(), epoch);
     const std::uint64_t encode_t0 = util::wall_now_ns();
-    const criu::EpochDeltaStats ds = delta_.encode_epoch(hr.image, ppool);
+    const criu::EpochDeltaStats ds = delta_.encode_epoch(hr.image);
     metrics_->shard_stage_ns.encode += util::wall_now_ns() - encode_t0;
     obs_.span_end(Track::kPrimary, Stage::kEncode, sim.now(), epoch);
     msg.compressed_pages = ds.content_pages;

@@ -134,7 +134,7 @@ class PrimaryAgent {
 
   criu::CheckpointEngine ckpt_;
   InfrequentStateCache cache_;
-  criu::DeltaCodec delta_;
+  criu::DeltaCodec delta_;  // scans at NLC_SIMD's tier
   Rng rng_;
   net::PlugQdisc* plug_ = nullptr;  // cached by plug()
 

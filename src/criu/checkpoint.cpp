@@ -1,12 +1,9 @@
 #include "criu/checkpoint.hpp"
 
-#include <algorithm>
 #include <utility>
 
-#include "criu/shard.hpp"
 #include "util/assert.hpp"
 #include "util/simd.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::criu {
 
@@ -16,40 +13,6 @@ namespace {
 /// enough to cover a memory round trip at ~8 entries of fill work, near
 /// enough that the line is still resident when reached.
 constexpr std::size_t kFillPrefetch = 8;
-
-/// Fills pages[base .. base+n) from an index-addressable source in
-/// min(shards, n) contiguous chunks, fanned out on `pool` only from
-/// kFanOutMinPages entries up. Each slot depends only on its own source
-/// entry, so the image is the same byte for byte for any chunk count
-/// (DESIGN.md §10); the content-page count folds per chunk in chunk
-/// order. Returns the number of content pages filled.
-template <typename FillOne>
-std::uint64_t fill_page_records(std::vector<PageRecord>& pages,
-                                std::size_t base, std::size_t n, int shards,
-                                util::WorkerPool* pool, FillOne fill_one) {
-  pages.resize(base + n);
-  std::size_t nchunks =
-      std::min<std::size_t>(static_cast<std::size_t>(std::max(shards, 1)), n);
-  std::vector<std::uint64_t> per(nchunks, 0);
-  auto chunk = [&](std::size_t c) {
-    std::size_t lo = n * c / nchunks;
-    std::size_t hi = n * (c + 1) / nchunks;
-    std::uint64_t count = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (fill_one(i, pages[base + i])) ++count;
-    }
-    per[c] = count;
-  };
-  pool = fan_out_pool(pool, n);
-  if (pool != nullptr) {
-    pool->run(nchunks, chunk);
-  } else {
-    for (std::size_t c = 0; c < nchunks; ++c) chunk(c);
-  }
-  std::uint64_t content = 0;
-  for (std::uint64_t v : per) content += v;
-  return content;
-}
 
 }  // namespace
 
@@ -207,19 +170,20 @@ HarvestResult CheckpointEngine::harvest(kern::ContainerId cid,
     } else {
       mm.for_each_resident(collect);
     }
-    r.content_pages += fill_page_records(
-        img.pages, img.pages.size(), states.size(), opts.shards, opts.pool,
-        [&](std::size_t i, PageRecord& rec) {
-          // Pull the page state a few entries ahead; the shared-handle
-          // copy below is the first (otherwise cold) touch.
-          if (i + kFillPrefetch < states.size()) {
-            util::prefetch_read(states[i + kFillPrefetch].second);
-          }
-          rec.page = states[i].first;
-          rec.version = states[i].second->version;
-          rec.content = states[i].second->payload;
-          return rec.has_content();
-        });
+    const std::size_t base = img.pages.size();
+    img.pages.resize(base + states.size());
+    for (std::size_t i = 0; i < states.size(); ++i) {
+      // Pull the page state a few entries ahead; the shared-handle copy
+      // below is the first (otherwise cold) touch.
+      if (i + kFillPrefetch < states.size()) {
+        util::prefetch_read(states[i + kFillPrefetch].second);
+      }
+      PageRecord& rec = img.pages[base + i];
+      rec.page = states[i].first;
+      rec.version = states[i].second->version;
+      rec.content = states[i].second->payload;
+      if (rec.has_content()) ++r.content_pages;
+    }
     // This checkpoint captured everything dirty: re-arm tracking.
     mm.clear_soft_dirty();
   }

@@ -14,10 +14,6 @@
 #include "kernel/kernel.hpp"
 #include "net/tcp.hpp"
 
-namespace nlc::util {
-class WorkerPool;
-}
-
 namespace nlc::criu {
 
 struct HarvestOptions {
@@ -30,12 +26,6 @@ struct HarvestOptions {
   /// §III: harvest the file-system cache via DNC/fgetfc. When false, model
   /// stock CRIU's flush-to-NAS cost instead.
   bool fs_cache_via_dnc = true;
-  /// DESIGN.md §10: split the page-record fill into `shards` contiguous
-  /// chunks; the image is byte-identical for any count. The chunks run on
-  /// `pool` only for a fill of kFanOutMinPages records or more
-  /// (criu/shard.hpp); `pool` may be null (inline chunk loop).
-  int shards = 1;
-  util::WorkerPool* pool = nullptr;
 };
 
 struct HarvestBreakdown {

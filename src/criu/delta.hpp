@@ -30,11 +30,9 @@
 #include <vector>
 
 #include "criu/image.hpp"
-#include "criu/shard.hpp"
 #include "kernel/address_space.hpp"
 #include "util/assert.hpp"
 #include "util/simd.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::criu {
 
@@ -119,8 +117,8 @@ inline PageDelta delta_encode(const kern::PageBytes* prev,
 /// (util/simd.hpp): 8 bytes per compare at kSwar64, 32 at kVector,
 /// byte-at-a-time at kScalar. Run boundaries follow exactly the reference
 /// kernel's absorb rule, so the size is bit-identical to delta_encode()'s
-/// for every input and every tier (tests/simd_kernel_test,
-/// tests/shard_determinism_test); the sum stops at the raw size.
+/// for every input and every tier (tests/simd_kernel_test); the sum
+/// stops at the raw size.
 inline std::uint32_t delta_wire_size(
     const kern::PageBytes* prev, const kern::PageBytes& cur,
     util::SimdTier tier = util::SimdTier::kSwar64) {
@@ -204,81 +202,46 @@ struct EpochDeltaStats {
 };
 
 /// Primary-side per-container compression stage. Keeps the last shipped
-/// payload of every content page as a shared handle.
-///
-/// The reference set is split into independent per-shard maps keyed by
-/// shard_of(page) (DESIGN.md §10) — a page's references live in one shard
-/// forever, so encode_epoch() can fan the per-shard encode out on the
-/// worker pool with no locks, using the span-scanning kernel at the
-/// codec's SIMD tier (NLC_SIMD / Options::simd_tier, DESIGN.md §12).
-/// Stats merge by summation in shard order. Stamped wire sizes and
-/// EpochDeltaStats are byte-identical for any shard count; the count sets
-/// the partition, and the shards fan out only for a batch of
-/// kFanOutMinPages pages or more.
+/// payload of every content page as a shared handle, and sizes each page
+/// with the span-scanning kernel at the codec's SIMD tier (NLC_SIMD,
+/// DESIGN.md §12).
 class DeltaCodec {
  public:
-  explicit DeltaCodec(int shards = 1,
-                      util::SimdTier tier = util::SimdTier::kAuto)
-      : prev_(static_cast<std::size_t>(shards < 1 ? 1 : shards)),
-        tier_(util::resolve_simd_tier(tier)) {}
+  explicit DeltaCodec(util::SimdTier tier = util::SimdTier::kAuto)
+      : tier_(util::resolve_simd_tier(tier)) {}
 
-  int shards() const { return static_cast<int>(prev_.size()); }
   util::SimdTier simd_tier() const { return tier_; }
 
   /// Encodes every content page of `img` against the previously shipped
   /// version, stamping PageRecord::wire_size, and advances the reference
   /// set. Accounting pages (no bytes to diff) keep full wire cost.
-  /// `pool` (null = inline shard loop) carries the sharded fan-out of an
-  /// image of kFanOutMinPages records or more; a smaller one runs inline.
-  EpochDeltaStats encode_epoch(CheckpointImage& img,
-                               util::WorkerPool* pool = nullptr) {
-    ShardPlan plan = ShardPlan::build(img.pages, shards());
-    std::vector<EpochDeltaStats> per(prev_.size());
-    auto encode_shard = [&](std::size_t s) {
-      const std::vector<std::uint32_t>& bucket = plan.buckets[s];
-      for (std::size_t k = 0; k < bucket.size(); ++k) {
-        // Pull the next record and the head of its payload while encoding
-        // this one; the 4 KiB scan gives the lines time to arrive.
-        if (k + 1 < bucket.size()) {
-          const PageRecord& next = img.pages[bucket[k + 1]];
-          util::prefetch_read(&next);
-          if (next.content != nullptr) {
-            util::prefetch_read(next.content->data());
-          }
-        }
-        encode_one(img.pages[bucket[k]], prev_[s], per[s]);
-      }
-    };
-    pool = fan_out_pool(pool, img.pages.size());
-    if (pool != nullptr) {
-      pool->run(prev_.size(), encode_shard);
-    } else {
-      for (std::size_t s = 0; s < prev_.size(); ++s) encode_shard(s);
-    }
-    // Deterministic merge: u64 sums folded in shard-index order.
+  EpochDeltaStats encode_epoch(CheckpointImage& img) {
     EpochDeltaStats st;
-    for (const EpochDeltaStats& p : per) {
-      st.content_pages += p.content_pages;
-      st.delta_pages += p.delta_pages;
-      st.identity_pages += p.identity_pages;
-      st.raw_pages += p.raw_pages;
-      st.raw_bytes += p.raw_bytes;
-      st.wire_bytes += p.wire_bytes;
+    std::vector<PageRecord>& pages = img.pages;
+    for (std::size_t k = 0; k < pages.size(); ++k) {
+      // Pull the next record and the head of its payload while encoding
+      // this one; the 4 KiB scan gives the lines time to arrive.
+      if (k + 1 < pages.size()) {
+        const PageRecord& next = pages[k + 1];
+        util::prefetch_read(&next);
+        if (next.content != nullptr) {
+          util::prefetch_read(next.content->data());
+        }
+      }
+      encode_one(pages[k], st);
     }
     return st;
   }
 
  private:
-  using RefMap = std::unordered_map<kern::PageNum, kern::PagePayload>;
-
-  void encode_one(PageRecord& rec, RefMap& refs, EpochDeltaStats& st) const {
+  void encode_one(PageRecord& rec, EpochDeltaStats& st) {
     if (!rec.has_content()) return;
     ++st.content_pages;
     st.raw_bytes += nlc::kPageSize;
     // One hash probe serves both the reference lookup and the
     // advance-reference store (the encode and stamp paths used to hit the
     // map separately per page).
-    auto [it, inserted] = refs.try_emplace(rec.page);
+    auto [it, inserted] = prev_.try_emplace(rec.page);
     if (!inserted && it->second == rec.content) {
       // Identity fast path: the record still carries the exact handle we
       // shipped last epoch. The address space clones-on-write whenever a
@@ -302,7 +265,7 @@ class DeltaCodec {
     it->second = rec.content;  // refcount bump, no byte copy
   }
 
-  std::vector<RefMap> prev_;
+  std::unordered_map<kern::PageNum, kern::PagePayload> prev_;
   util::SimdTier tier_;
 };
 

@@ -28,9 +28,7 @@
 #include <vector>
 
 #include "criu/image.hpp"
-#include "criu/shard.hpp"
 #include "util/simd.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::criu {
 
@@ -45,6 +43,14 @@ class PageStore {
   /// performed (the unit the backup CPU cost model charges). Storing a
   /// record copies its shared payload handle, not the page bytes.
   virtual std::uint64_t store(const PageRecord& rec) = 0;
+
+  /// Stores one epoch's records in image order; returns the visit total
+  /// store()ing each of them would.
+  virtual std::uint64_t store_batch(const std::vector<PageRecord>& recs) {
+    std::uint64_t visits = 0;
+    for (const PageRecord& rec : recs) visits += store(rec);
+    return visits;
+  }
 
   /// Latest committed copy of `page`, or nullptr.
   virtual const PageRecord* lookup(kern::PageNum page) const = 0;
@@ -151,29 +157,18 @@ class ListPageStore final : public PageStore {
 /// dense sorted range resolves ~1 level per page instead of walking all
 /// 4. Modeled visit accounting stays the paper's constant kLevels per
 /// store whatever the fold resolves.
-///
-/// Fan-out (DESIGN.md §10): a leaf belongs to bucket shard_of(leaf number,
-/// shards()), where the leaf number is its page number >> 9. A batch of
-/// kFanOutMinPages records or more, with a pool, has every record's leaf
-/// resolved (and created) on the calling thread first; the pool's tasks
-/// then fold one bucket each, touching only that bucket's leaves.
 class RadixPageStore final : public PageStore {
  public:
-  explicit RadixPageStore(int shards = 1)
-      : buckets_(static_cast<std::size_t>(shards < 1 ? 1 : shards)) {}
+  RadixPageStore() = default;
 
   RadixPageStore(const RadixPageStore& other)
-      : buckets_(other.buckets_), tops_(other.tops_), tables_(other.tables_),
-        count_(other.count_) {
+      : tops_(other.tops_), tables_(other.tables_), count_(other.count_) {
     leaves_.reserve(other.leaves_.size());
     for (const std::unique_ptr<Leaf>& leaf : other.leaves_) {
       leaves_.push_back(std::make_unique<Leaf>(*leaf));
     }
   }
   RadixPageStore& operator=(const RadixPageStore&) = delete;
-
-  /// Fan-out bucket count (the NLC_SHARDS partition).
-  int shards() const { return static_cast<int>(buckets_); }
 
   void begin_checkpoint(std::uint64_t /*epoch*/) override {}
 
@@ -182,17 +177,7 @@ class RadixPageStore final : public PageStore {
     return kLevels;
   }
 
-  /// Folds one epoch's records. A batch of kFanOutMinPages records or more
-  /// fans out on `pool` by leaf bucket; a smaller one (or a null pool)
-  /// folds inline in image order. Produces exactly the state and modeled
-  /// visit total that store()ing every record in image order would.
-  std::uint64_t store_batch(const std::vector<PageRecord>& recs,
-                            util::WorkerPool* pool) {
-    pool = fan_out_pool(pool, recs.size());
-    if (pool != nullptr) {
-      fold_fanned_out(recs, *pool);
-      return kLevels * recs.size();
-    }
+  std::uint64_t store_batch(const std::vector<PageRecord>& recs) override {
     for (std::size_t k = 0; k < recs.size(); ++k) {
       // Records arrive page-sorted, so a record a few ahead usually lands
       // in the memoized leaf: pull its slot in while this one folds.
@@ -375,44 +360,6 @@ class RadixPageStore final : public PageStore {
     return *last_leaf_;
   }
 
-  /// A maximal run of consecutive image records sharing one leaf.
-  struct Run {
-    Leaf* leaf;
-    std::size_t bucket;
-    std::uint32_t begin;
-    std::uint32_t end;
-  };
-
-  void fold_fanned_out(const std::vector<PageRecord>& recs,
-                       util::WorkerPool& pool) {
-    // Resolve every leaf on this thread: the tasks below then only write
-    // slots and masks of leaves in their own bucket.
-    std::vector<Run> runs;
-    kern::PageNum run_prefix = 0;
-    for (std::uint32_t k = 0; k < recs.size(); ++k) {
-      const kern::PageNum prefix = recs[k].page >> kBits;
-      if (runs.empty() || prefix != run_prefix) {
-        runs.push_back(Run{&leaf_for(recs[k].page),
-                           shard_of(prefix, shards()), k, k});
-        run_prefix = prefix;
-      }
-      runs.back().end = k + 1;
-    }
-    std::vector<std::uint64_t> fresh(buckets_, 0);
-    pool.run(buckets_, [&](std::size_t b) {
-      std::uint64_t added = 0;
-      for (const Run& r : runs) {
-        if (r.bucket != b) continue;
-        for (std::uint32_t k = r.begin; k < r.end; ++k) {
-          added += put(*r.leaf, recs[k]);
-        }
-      }
-      fresh[b] = added;
-    });
-    for (std::uint64_t added : fresh) count_ += added;
-  }
-
-  std::size_t buckets_;
   /// Level 3, sorted by key.
   std::vector<Top> tops_;
   /// Levels 2 and 1: kFanout entries per table. A level-2 entry names a

@@ -1,12 +1,15 @@
 // Binary serialization of checkpoint images — the on-the-wire / on-disk
 // format (CRIU's equivalent of its protobuf image files).
 //
-// The replication fast path keeps images as in-memory records (the backup
-// buffers them, it never re-parses), but recovery materializes image files
-// before `criu restore` consumes them (§IV), and cold migration ships them
-// across machines. This module provides that format: a little-endian TLV
-// layout with a magic/version header and per-section length framing, so a
-// truncated or corrupted image is detected rather than half-applied.
+// No replicated run goes through it. Images travel as in-memory records
+// (the backup buffers them, it never re-parses), and recovery does not
+// write image files: BackupAgent::recover charges the paper's image build
+// (§IV) as a modeled cost (image_build_base / image_build_per_mb). The
+// format serves cold migration (examples/live_migration) and is the
+// canonical byte form the determinism tests compare images in: a
+// little-endian TLV layout with a magic/version header and per-section
+// length framing, so a truncated or corrupted image is detected rather
+// than half-applied.
 #pragma once
 
 #include <cstdint>

@@ -15,10 +15,10 @@
 // order. The first-failing-*index* exception is rethrown (not the first
 // in wall-clock order, which would be racy).
 //
-// The fan-out itself lives in util::WorkerPool (shared with the sharded
-// intra-epoch page pipeline, DESIGN.md §10); TrialRunner owns a pool of
+// The fan-out itself lives in util::WorkerPool; TrialRunner owns a pool of
 // jobs-1 helpers, created lazily on the first parallel run() and reused
-// across batches, with the calling thread always participating.
+// across batches, with the calling thread always participating. Each trial
+// runs on one thread, page pipeline included (DESIGN.md §10).
 //
 // Concurrency knob: NLC_JOBS. Unset or 0 = hardware_concurrency;
 // NLC_JOBS=1 forces the old serial path (trials run inline on the calling

@@ -1,5 +1,7 @@
 #include "net/network.hpp"
 
+#include <utility>
+
 #include "util/assert.hpp"
 
 namespace nlc::net {
@@ -43,7 +45,7 @@ Link* Network::link_between(HostId a, HostId b) {
   return it == paths_.end() ? nullptr : it->second.link.get();
 }
 
-void Network::transmit(IpAddr src_ip, const Packet& p) {
+void Network::transmit(IpAddr src_ip, Packet p) {
   auto src = bindings_.find(src_ip);
   NLC_CHECK_MSG(src != bindings_.end(), "transmit from unbound IP");
   auto dst = bindings_.find(p.dst.ip);
@@ -55,14 +57,16 @@ void Network::transmit(IpAddr src_ip, const Packet& p) {
     // Loopback / same-host veth: deliver at the next event boundary with
     // no serialization cost.
     hosts_.at(dst->second.host).loopback->post(sim_->now(), dst->second.sink,
-                                               p);
+                                               std::move(p));
     ++packets_sent_;
     return;
   }
   auto path = paths_.find({src->second.host, dst->second.host});
   NLC_CHECK_MSG(path != paths_.end(), "no link between hosts");
   const Time at = path->second.link->transmit(p.wire_bytes());
-  if (at != kNever) path->second.lane->post(at, dst->second.sink, p);
+  if (at != kNever) {
+    path->second.lane->post(at, dst->second.sink, std::move(p));
+  }
   ++packets_sent_;
 }
 

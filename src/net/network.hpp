@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "net/link.hpp"
 #include "net/types.hpp"
@@ -44,8 +45,9 @@ class Network {
   HostId ip_host(IpAddr ip) const;
 
   /// Sends `p` from the host owning `src_ip`. Unbound destinations are
-  /// silently blackholed (like a switch with no forwarding entry).
-  void transmit(IpAddr src_ip, const Packet& p);
+  /// silently blackholed (like a switch with no forwarding entry). The
+  /// packet is moved into its lane.
+  void transmit(IpAddr src_ip, Packet p);
 
   /// Statistics for tests.
   std::uint64_t packets_sent() const { return packets_sent_; }
@@ -59,8 +61,8 @@ class Network {
   class Lane final : public sim::Deliverer {
    public:
     Lane(sim::Simulation& s, sim::Domain* dst) : sim_(&s), dst_(dst) {}
-    void post(Time at, PacketSink* sink, const Packet& p) {
-      in_flight_.push(at, Routed{sink, p});
+    void post(Time at, PacketSink* sink, Packet p) {
+      in_flight_.push(at, Routed{sink, std::move(p)});
       sim_->post(at, dst_, this);
     }
     void deliver_next() override {

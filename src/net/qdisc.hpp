@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 
 #include "net/types.hpp"
 #include "sim/simulation.hpp"
@@ -27,7 +28,8 @@ namespace nlc::net {
 
 class PlugQdisc {
  public:
-  using TransmitFn = std::function<void(const Packet&)>;
+  /// Takes each packet it sends by value: the plug moves its copy in.
+  using TransmitFn = std::function<void(Packet)>;
 
   /// `clock` stamps the plug's protocol events; it may be null for a plug
   /// that never gets a stream.
@@ -59,14 +61,14 @@ class PlugQdisc {
     enqueue_hook_ = std::move(hook);
   }
 
-  void enqueue(const Packet& p) {
+  void enqueue(Packet p) {
     if (!engaged_) {
-      transmit_(p);
+      transmit_(std::move(p));
       return;
     }
-    buffer_.push_back(Entry{p, false});
-    ++buffered_total_;
     pending_bytes_ += p.wire_bytes();
+    buffer_.push_back(Entry{std::move(p), false});
+    ++buffered_total_;
     emit(trace::Stage::kPlugEnqueue, 0);
     if (enqueue_hook_) enqueue_hook_();
   }
@@ -95,7 +97,7 @@ class PlugQdisc {
         continue;
       }
       pending_bytes_ -= e.packet.wire_bytes();
-      transmit_(e.packet);
+      transmit_(std::move(e.packet));
       ++released_total_;
       ++released;
     }

@@ -1,6 +1,7 @@
 #include "net/tcp.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -17,7 +18,11 @@ void TcpStack::add_address(IpAddr ip) {
   net_->bind_ip(ip, host_, this);
   if (!plugs_.contains(ip)) {
     plugs_[ip] = std::make_unique<PlugQdisc>(
-        [this](const Packet& p) { net_->transmit(p.src.ip, p); }, sim_);
+        [this](Packet p) {
+          const IpAddr src = p.src.ip;
+          net_->transmit(src, std::move(p));
+        },
+        sim_);
     plugs_[ip]->set_stream(obs_.stream(), track_);
   }
   if (!filters_.contains(ip)) {
@@ -120,8 +125,10 @@ void TcpStack::send(SocketId id, std::uint32_t len, std::uint64_t tag,
   Socket& s = sock(id);
   NLC_CHECK_MSG(s.state == TcpState::kEstablished, "send on non-ESTABLISHED");
   NLC_CHECK(len > 0);
-  Segment seg{s.snd_nxt, len, tag, std::move(payload)};
-  s.write_queue.push_back(seg);
+  // The queue keeps the payload handle for retransmission; the packet
+  // below takes the only other copy and is moved from there on.
+  s.write_queue.push_back(Segment{s.snd_nxt, len, tag, std::move(payload)});
+  const Segment& seg = s.write_queue.back();
   s.snd_nxt += len;
 
   // Replay-mode re-execution: bytes the peer acknowledged before the
@@ -141,7 +148,7 @@ void TcpStack::send(SocketId id, std::uint32_t len, std::uint64_t tag,
   p.len = seg.len;
   p.tag = seg.tag;
   p.payload = seg.payload;
-  send_packet(p);
+  send_packet(std::move(p));
   arm_retransmit(s);
 }
 
@@ -298,11 +305,12 @@ bool TcpStack::inject_repaired_input(Endpoint local, Endpoint remote,
 // ------------------------------------------------------------- data plane --
 
 void TcpStack::send_packet(Packet p) {
-  auto it = plugs_.find(p.src.ip);
+  const IpAddr src = p.src.ip;
+  auto it = plugs_.find(src);
   if (it != plugs_.end()) {
-    it->second->enqueue(p);
+    it->second->enqueue(std::move(p));
   } else {
-    net_->transmit(p.src.ip, p);
+    net_->transmit(src, std::move(p));
   }
 }
 
@@ -543,7 +551,7 @@ void TcpStack::retransmit_now(Socket& s) {
     p.len = seg.len;
     p.tag = seg.tag;
     p.payload = seg.payload;
-    send_packet(p);
+    send_packet(std::move(p));
   }
   s.rto = std::min(s.rto * 2, tuning_.rto_max);
   arm_retransmit(s);

@@ -7,7 +7,7 @@
 //
 //   freeze    pause begin → harvest begin   (freeze + input-block + barrier)
 //   harvest   dirty-page harvest cost
-//   encode    shard delta encode (sim cost rides the ship span; usually ~0)
+//   encode    delta encode (sim cost rides the ship span; usually ~0)
 //   tail      harvest/encode end → ship begin (resume + staging handoff)
 //   ship      state transfer on the replication wire
 //   ack-wait  ship end → release (backup recv + barrier wait + ack flight)

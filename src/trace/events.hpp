@@ -44,7 +44,7 @@ enum class Stage : std::uint16_t {
   // PrimaryAgent epoch pipeline
   kPause,        // span: container frozen (freeze .. thaw)
   kHarvest,      // span: dirty-page harvest (simulated cost)
-  kEncode,       // span: shard delta encode (wall cost; sim cost rides ship)
+  kEncode,       // span: delta encode (wall cost; sim cost rides ship)
   kShip,         // span: state transfer on the replication wire
   kResume,       // instant: container thawed, execute phase begins
   kRelease,      // instant: epoch output released to the outside world

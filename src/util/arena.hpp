@@ -15,10 +15,10 @@
 //    than they were allocated on simply join the freeing thread's cache
 //    (blocks of one class are interchangeable; the slab memory itself is
 //    owned by the arena for the process lifetime);
-//  * slab carving is a bump pointer, so the payloads/nodes a shard
-//    allocates during one harvest/encode/fold burst are contiguous in
-//    allocation order — the walks that revisit them scan forward through a
-//    few slabs instead of pointer-chasing the heap.
+//  * slab carving is a bump pointer, so the payloads/nodes a trial's
+//    thread allocates during one harvest/encode/fold burst are contiguous
+//    in allocation order — the walks that revisit them scan forward through
+//    a few slabs instead of pointer-chasing the heap.
 //
 // `ArenaAllocator<T>` adapts the arena to standard containers; PageBytes
 // (kernel/address_space.hpp) rides it. `arena_make_shared<T>()` is the
@@ -62,7 +62,7 @@ ArenaStats arena_stats();
 
 /// Standard allocator over the thread-cached slab arena. Stateless: any
 /// instance can free any instance's blocks (all storage is process-wide),
-/// so containers move freely across threads and shards.
+/// so containers move freely across threads.
 template <typename T>
 struct ArenaAllocator {
   using value_type = T;

@@ -19,8 +19,9 @@
 //
 // Every tier returns bit-identical results for every input — the encoder
 // built on top is property-tested against the scalar reference
-// (tests/simd_kernel_test.cpp). Tier selection: NLC_SIMD env
-// (scalar | swar64 | simd | auto) or core::Options::simd_tier.
+// (tests/simd_kernel_test.cpp). Tier selection: the NLC_SIMD env
+// (scalar | swar64 | simd | auto); unit tests and benches may hand a
+// concrete tier to the kernels directly.
 #pragma once
 
 #include <bit>

@@ -1,9 +1,5 @@
 #include "util/worker_pool.hpp"
 
-#include <algorithm>
-
-#include "util/cli.hpp"
-
 namespace nlc::util {
 
 namespace {
@@ -87,7 +83,6 @@ void WorkerPool::run(std::size_t n,
     active_ = static_cast<int>(threads_.size());
     ++generation_;
   }
-  fan_outs_.fetch_add(1, std::memory_order_relaxed);
   cv_start_.notify_all();
 
   const WorkerPool* prev = t_busy_pool;
@@ -128,29 +123,6 @@ void WorkerPool::worker_loop() {
       if (--active_ == 0) cv_done_.notify_all();
     }
   }
-}
-
-int env_shards() {
-  const auto s =
-      static_cast<int>(cli::env_int("NLC_SHARDS", 0, kMaxShards, 0));
-  if (s >= 1) return s;
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return std::min(static_cast<int>(hw), kMaxShards);
-}
-
-WorkerPool& shard_pool() {
-  // Helpers are sized from the hardware, not from NLC_SHARDS: a shard
-  // count above the core count still partitions the data (the contract is
-  // shard-count-invariant output), it just shares the real cores.
-  static WorkerPool pool(
-      std::max(0, std::min(static_cast<int>(
-                               std::thread::hardware_concurrency() == 0
-                                   ? 1
-                                   : std::thread::hardware_concurrency()),
-                           kMaxShards) -
-                      1));
-  return pool;
 }
 
 }  // namespace nlc::util

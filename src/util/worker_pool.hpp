@@ -1,13 +1,6 @@
-// Reusable worker pool for deterministic fan-out.
-//
-// Shared by the two parallelism layers of the repo:
-//  * harness::TrialRunner — parallelism *across* independent simulations
-//    (NLC_JOBS, DESIGN.md §9);
-//  * the sharded intra-epoch page pipeline — parallelism *within* one
-//    epoch's dirty-page work (NLC_SHARDS, DESIGN.md §10). Its stages hand
-//    a batch to the pool only from criu::kFanOutMinPages pages up; the
-//    smaller batches a 30 ms epoch produces run on the caller, because
-//    waking the helpers and waiting for them costs more than it saves.
+// Reusable worker pool for deterministic fan-out: harness::TrialRunner
+// runs independent simulations on it (NLC_JOBS, DESIGN.md §9). A trial
+// itself runs on one thread.
 //
 // run(n, fn) executes fn(0..n-1) with the calling thread participating:
 // helper threads and the caller pull indices from one atomic counter, so a
@@ -21,9 +14,8 @@
 // from inside a running task. A caller that cannot take exclusive
 // ownership of the helpers (they are busy, or the call is re-entrant from
 // this pool) simply executes its batch inline — the nested-pool policy is
-// "outermost fan-out wins", so NLC_JOBS trial parallelism keeps the cores
-// and nested shard fan-outs collapse to serial loops instead of
-// oversubscribing.
+// "outermost fan-out wins", so a nested fan-out collapses to a serial loop
+// instead of oversubscribing the cores.
 //
 // If any index's task throws, the exception of the lowest failing index is
 // rethrown after the whole batch drained (same contract as TrialRunner).
@@ -31,6 +23,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -39,11 +32,6 @@
 #include <vector>
 
 namespace nlc::util {
-
-/// Upper bound on NLC_SHARDS (and on any sane helper count): the shard
-/// merge stages are O(shards) per epoch, so an absurd value only adds
-/// overhead.
-inline constexpr int kMaxShards = 64;
 
 class WorkerPool {
  public:
@@ -56,12 +44,6 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   int helpers() const { return static_cast<int>(threads_.size()); }
-
-  /// Batches handed to the helpers so far. A batch run inline (no
-  /// helpers, one index, nested or contended call) does not count.
-  std::uint64_t fan_outs() const {
-    return fan_outs_.load(std::memory_order_relaxed);
-  }
 
   /// Executes fn(0), ..., fn(n-1), returning when all have completed. The
   /// caller participates; helpers join in when available. Rethrows the
@@ -93,18 +75,6 @@ class WorkerPool {
   /// Serializes concurrent run() callers; a caller that cannot take it
   /// immediately runs inline (nested-pool policy).
   std::mutex dispatch_m_;
-  std::atomic<std::uint64_t> fan_outs_{0};
 };
-
-/// NLC_SHARDS: page-pipeline shard count, a whole integer in
-/// 0..kMaxShards; unset or 0 means hardware concurrency, capped at
-/// kMaxShards. Anything else exits 2 (cli::env_int).
-int env_shards();
-
-/// Process-wide pool for the sharded page pipeline, shared by every agent
-/// in every concurrently running trial (helpers are sized once from the
-/// hardware). Trials that find it busy fall back to inline shard loops —
-/// see the nested-pool policy above.
-WorkerPool& shard_pool();
 
 }  // namespace nlc::util

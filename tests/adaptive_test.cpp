@@ -2,10 +2,10 @@
 // EpochController's feedback law (shrink/grow bands, the drain/busy/duty
 // shrink gates, the replay-mode stretch and its three budget caps), plus
 // the end-to-end contracts: observables — including the controller's own
-// trajectory — are byte-identical for any NLC_SHARDS x NLC_JOBS
-// combination, a fault injected mid-adaptation recovers losslessly in both
-// commit modes, and checkpoint-commit truncation bounds the backup's
-// retained log even at second-scale epochs.
+// trajectory — are byte-identical for any NLC_JOBS value, a fault
+// injected mid-adaptation recovers losslessly in both commit modes, and
+// checkpoint-commit truncation bounds the backup's retained log even at
+// second-scale epochs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -278,11 +278,11 @@ TEST(EpochControllerTest, IdenticalFeedsGiveIdenticalTrajectories) {
   EXPECT_GT(a.shrink_steps(), 0u);
 }
 
-// ------------------------------------------- shard x jobs byte-equivalence --
+// --------------------------------------------------- jobs byte-equivalence --
 
 /// Everything the adaptive policy can observe or decide is identical
-/// across NLC_SHARDS and NLC_JOBS: the simulated world, both wire
-/// streams, the client view, and the controller's own trajectory.
+/// across NLC_JOBS: the simulated world, both wire streams, the client
+/// view, and the controller's own trajectory.
 struct Observables {
   std::uint64_t sim_events, requests, epochs, page_bytes;
   std::uint64_t log_bytes, retained_peak, pruned;
@@ -311,14 +311,13 @@ struct Observables {
   bool operator==(const Observables&) const = default;
 };
 
-RunConfig adaptive_cfg(std::uint64_t seed, int shards, CommitMode commit) {
+RunConfig adaptive_cfg(std::uint64_t seed, CommitMode commit) {
   RunConfig cfg;
   cfg.spec = apps::netecho_spec();
   cfg.spec.kv_pages = 128;
   cfg.mode = Mode::kNiLiCon;
   cfg.nilicon.commit_mode = commit;
   cfg.nilicon.epoch_policy = EpochPolicy::kAdaptive;
-  cfg.nilicon.page_shards = shards;
   // Single closed-loop client: the request-response regime where the
   // epoch-commit controller's drain/busy gates open and it demonstrably
   // adapts (a saturating population keeps it parked by design).
@@ -328,13 +327,13 @@ RunConfig adaptive_cfg(std::uint64_t seed, int shards, CommitMode commit) {
   return cfg;
 }
 
+// The name predates the page pipeline's single loop; the shard dimension
+// it names is gone, and the jobs dimension remains.
 TEST(AdaptiveDeterminismTest, ObservablesIdenticalAcrossShardsAndJobs) {
   std::vector<RunConfig> cfgs;
   for (CommitMode commit : {CommitMode::kEpoch, CommitMode::kReplay}) {
     for (std::uint64_t seed : {5u, 6u}) {
-      for (int shards : {1, 8}) {
-        cfgs.push_back(adaptive_cfg(seed, shards, commit));
-      }
+      cfgs.push_back(adaptive_cfg(seed, commit));
     }
   }
 
@@ -354,17 +353,12 @@ TEST(AdaptiveDeterminismTest, ObservablesIdenticalAcrossShardsAndJobs) {
     // feedback path.
     EXPECT_GT(a[i].last_change, 0u) << "trial " << i << " never adapted";
   }
-  // Shard count must not leak into any observable (seed-wise pairs).
-  for (std::size_t p = 0; p < cfgs.size() / 2; ++p) {
-    EXPECT_TRUE(a[p * 2] == a[p * 2 + 1])
-        << "shards changed observables, pair " << p;
-  }
 }
 
 // ------------------------------------------------ failover mid-adaptation --
 
 TEST(AdaptiveFailoverTest, EpochModeFaultDuringAdaptationRecovers) {
-  RunConfig cfg = adaptive_cfg(23, 1, CommitMode::kEpoch);
+  RunConfig cfg = adaptive_cfg(23, CommitMode::kEpoch);
   cfg.measure = nlc::seconds(3);
   cfg.inject_fault = true;
   cfg.kv_validation = true;

@@ -351,7 +351,7 @@ void expect_resilver_violation(F&& fn) {
 }
 
 TEST(StoreEquivalenceTest, ResilveredCopyPasses) {
-  criu::RadixPageStore radix(4);
+  criu::RadixPageStore radix;
   criu::ListPageStore list;
   StoreEquivalenceChecker checker;
   for (criu::PageStore* winner : {static_cast<criu::PageStore*>(&radix),

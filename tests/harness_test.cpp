@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "apps/catalog.hpp"
 #include "harness/experiment.hpp"
 #include "util/assert.hpp"
@@ -37,6 +40,31 @@ TEST(HarnessTest, NiLiConRunCheckpointsAndServes) {
   EXPECT_GT(r.metrics.stop_time_ms.mean(), 0.5);
   EXPECT_GT(r.backup_cores, 0.0);
   EXPECT_LT(r.backup_cores, r.active_cores + 0.5);
+}
+
+/// Threads this process runs (the `Threads:` line of /proc/self/status),
+/// or -1 if the line cannot be read.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(HarnessTest, ProtectedRunStartsNoThread) {
+  // A trial runs on its caller's thread, page pipeline included: a
+  // protected run leaves the process with the threads it started with.
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+  RunConfig cfg = base_config(Mode::kNiLiCon);
+  cfg.spec = apps::redis_spec();
+  cfg.spec.kv_pages = 256;
+  cfg.measure = nlc::milliseconds(500);
+  auto r = run_experiment(cfg);
+  EXPECT_GT(r.metrics.epochs_completed, 5u);
+  EXPECT_EQ(process_threads(), before);
 }
 
 TEST(HarnessTest, McRunCheckpointsAndServes) {

@@ -163,7 +163,7 @@ TEST(LintFixtures, ReplayWallclock) {
 TEST(LintFixtures, EpochctlWallclock) {
   // The adaptive epoch controller (namespace ...::epochctl) is held to
   // the same purity standard as the replay engine: wall clock or ambient
-  // randomness there would break byte determinism across shard/job
+  // randomness there would break byte determinism across job/tier
   // configurations (DESIGN.md §15).
   expect_positive("pos_epochctl_wallclock.cpp",
                   {{"replay-wallclock", 3}, {"replay-wallclock", 5}});

@@ -16,7 +16,6 @@
 #include "harness/experiment.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc {
 namespace {
@@ -199,6 +198,9 @@ class RadixStoreModel : public ::testing::TestWithParam<int> {
  protected:
   using Model = std::map<kern::PageNum, criu::PageRecord>;
 
+  /// The size of the two large batches: a dense run over dozens of leaves.
+  static constexpr std::size_t kLargeBatch = 16448;
+
   criu::PageRecord make(kern::PageNum page) {
     criu::PageRecord r;
     r.page = page;
@@ -217,7 +219,7 @@ class RadixStoreModel : public ::testing::TestWithParam<int> {
   std::vector<criu::PageRecord> image(Rng& rng, std::size_t n,
                                       bool repeat) {
     std::set<kern::PageNum> pages;
-    if (n >= criu::kFanOutMinPages) {
+    if (n >= kLargeBatch) {
       // A dense run over dozens of leaves, plus a scattered tail.
       const kern::PageNum start =
           (kern::PageNum{300} << 24) +
@@ -275,9 +277,7 @@ class RadixStoreModel : public ::testing::TestWithParam<int> {
 
 TEST_P(RadixStoreModel, MatchesReferenceMapAndCopiesAreIndependent) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 5);
-  const int shards = 1 + GetParam() % 4;
-  criu::RadixPageStore store(shards);
-  util::WorkerPool pool(3);
+  criu::RadixPageStore store;
   Model model;
   std::uint64_t visits = 0;
   std::uint64_t records = 0;
@@ -306,19 +306,13 @@ TEST_P(RadixStoreModel, MatchesReferenceMapAndCopiesAreIndependent) {
         model[r.page] = r;
       }
     } else {
-      // kind 1: inline batch without a pool; kind 2: inline batch below
-      // the gate with a pool; kind 3: fanned-out batch at the gate.
+      // Kinds 1 and 2: a batch of up to 900 records; kind 3: a large one.
       const std::size_t n =
-          kind == 3 ? criu::kFanOutMinPages + 64
+          kind == 3 ? kLargeBatch
                     : static_cast<std::size_t>(rng.uniform(1, 900));
       std::vector<criu::PageRecord> img = image(rng, n, rng.chance(0.7));
-      const std::uint64_t fan_outs = pool.fan_outs();
-      const std::uint64_t v =
-          store.store_batch(img, kind == 1 ? nullptr : &pool);
+      const std::uint64_t v = store.store_batch(img);
       EXPECT_EQ(v, criu::RadixPageStore::kLevels * img.size()) << where;
-      EXPECT_EQ(pool.fan_outs() - fan_outs,
-                kind == 3 && shards > 1 ? 1u : 0u)
-          << where;
       visits += v;
       records += img.size();
       for (const criu::PageRecord& r : img) model[r.page] = r;

@@ -1,10 +1,9 @@
 // Replay commit mode (DESIGN.md §14): unit tests for the backup-side
 // ReplayEngine's segment validation (truncation/corruption/gap rejection,
 // checkpoint-boundary replay), plus the end-to-end contracts: observables
-// are byte-identical for any NLC_SHARDS x NLC_JOBS combination, and a
-// failover injected mid-epoch replays the accepted log on top of the
-// restored checkpoint to the released-output point with no client-visible
-// loss.
+// are byte-identical for any NLC_JOBS value, and a failover injected
+// mid-epoch replays the accepted log on top of the restored checkpoint to
+// the released-output point with no client-visible loss.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -130,10 +129,10 @@ TEST(ReplayEngineTest, RejectsSequenceGapAndStaleReplay) {
   EXPECT_EQ(eng.accepted_end_fp(), log.chain_fp());
 }
 
-// ------------------------------------------- shard x jobs byte-equivalence --
+// --------------------------------------------------- jobs byte-equivalence --
 
-/// Everything replay mode promises is identical across NLC_SHARDS and
-/// NLC_JOBS: the simulated world, both wire streams, and the client view.
+/// Everything replay mode promises is identical across NLC_JOBS: the
+/// simulated world, both wire streams, and the client view.
 struct Observables {
   std::uint64_t sim_events, requests, epochs, page_bytes;
   std::uint64_t log_bytes, log_segments, log_entries;
@@ -155,26 +154,28 @@ struct Observables {
   bool operator==(const Observables&) const = default;
 };
 
-RunConfig replay_cfg(std::uint64_t seed, int shards) {
+RunConfig replay_cfg(std::uint64_t seed) {
   RunConfig cfg;
   cfg.spec = apps::netecho_spec();
   cfg.spec.kv_pages = 128;
   cfg.mode = Mode::kNiLiCon;
   cfg.nilicon.commit_mode = core::CommitMode::kReplay;
-  cfg.nilicon.page_shards = shards;
   cfg.measure = nlc::seconds(2);
   cfg.seed = seed;
   return cfg;
 }
 
+// The name predates the page pipeline's single loop; the shard dimension
+// it names is gone, and the jobs dimension remains.
 TEST(ReplayDeterminismTest, ObservablesIdenticalAcrossShardsAndJobs) {
   const std::uint64_t kSeeds[] = {5, 6};
   std::vector<RunConfig> cfgs;
   for (std::uint64_t seed : kSeeds) {
-    for (int shards : {1, 8}) cfgs.push_back(replay_cfg(seed, shards));
+    // Each seed twice, the second run with the auditor riding along.
+    cfgs.push_back(replay_cfg(seed));
+    cfgs.push_back(replay_cfg(seed));
+    cfgs.back().nilicon.audit_level = core::AuditLevel::kCommitPoints;
   }
-  // The auditor riding along must not perturb any observable either.
-  cfgs[1].nilicon.audit_level = core::AuditLevel::kCommitPoints;
 
   auto trial = [&](std::size_t i) {
     return Observables::of(harness::run_experiment(cfgs[i]));
@@ -191,12 +192,10 @@ TEST(ReplayDeterminismTest, ObservablesIdenticalAcrossShardsAndJobs) {
     EXPECT_GT(a[i].log_bytes, 0u);
     EXPECT_LT(a[i].log_bytes, a[i].page_bytes);  // thin-stream asymmetry
   }
-  // Shard count must not leak into any observable (seed-wise pairs).
+  // The auditor must not leak into any observable (seed-wise pairs).
   for (std::size_t s = 0; s < 2; ++s) {
-    Observables one = a[s * 2], eight = a[s * 2 + 1];
-    // (trial 1 runs with the auditor on; comparing within the pair is
-    // still exact because audits are pure observers.)
-    EXPECT_TRUE(one == eight) << "shards changed observables, seed set " << s;
+    EXPECT_TRUE(a[s * 2] == a[s * 2 + 1])
+        << "the auditor changed observables, seed set " << s;
   }
 }
 
@@ -205,7 +204,7 @@ TEST(ReplayDeterminismTest, ObservablesIdenticalAcrossShardsAndJobs) {
 TEST(ReplayFailoverTest, MidEpochFailoverReplaysLogToReleasePoint) {
   std::uint64_t events = 0, segments = 0, inputs = 0;
   for (std::uint64_t seed : {17u, 29u, 41u}) {
-    RunConfig cfg = replay_cfg(seed, 1);
+    RunConfig cfg = replay_cfg(seed);
     cfg.measure = nlc::seconds(3);
     cfg.inject_fault = true;
     cfg.kv_validation = true;

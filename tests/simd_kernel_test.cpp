@@ -5,16 +5,20 @@
 // for the find_diff/find_same primitives over arbitrary spans (including
 // sub-word tails), for the delta_wire_size size kernel against the
 // byte-at-a-time reference over adversarial run patterns, and for the full
-// sharded
-// harvest -> encode -> serialize -> fold pipeline across
-// (shards, tier) combinations, whose every stamped wire size is checked
-// against the reference kernel. Plus sanity for the payload/node arena:
-// blocks flow across threads and the stats counters move.
+// harvest -> encode -> serialize -> fold pipeline at every tier, whose
+// every stamped wire size is checked against the reference kernel. The
+// size kernel at its default tier, the codec's identity short-circuit and
+// the reference codec's round trip are property-tested too. Plus sanity
+// for the payload/node arena: blocks flow across threads and the stats
+// counters move.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "apps/catalog.hpp"
@@ -32,7 +36,6 @@
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc {
 namespace {
@@ -221,10 +224,114 @@ TEST(SimdKernelTest, EncoderTiersMatchOnRandomMutationFuzz) {
   }
 }
 
+// ------------------------------------- size kernel at its default tier ----
+
+void expect_same_delta(const kern::PageBytes& prev,
+                       const kern::PageBytes& cur) {
+  criu::PageDelta ref = criu::delta_encode(&prev, cur);
+  const std::uint32_t size = criu::delta_wire_size(&prev, cur);
+  EXPECT_EQ(size, ref.wire_size);
+  EXPECT_EQ(size == kPageSize, ref.raw);
+  // And the codec round-trips: apply(prev, encode(prev, cur)) == cur.
+  kern::PageBytes back = criu::delta_apply(&prev, ref, &cur);
+  EXPECT_EQ(back, cur);
+}
+
+TEST(DeltaKernelTest, FastMatchesReferenceOnRandomMutations) {
+  Rng rng(0xD157'0001);
+  for (int iter = 0; iter < 200; ++iter) {
+    kern::PageBytes prev = random_page(rng);
+    kern::PageBytes cur = prev;
+    int nmut = static_cast<int>(rng.uniform(0, 40));
+    for (int m = 0; m < nmut; ++m) {
+      auto pos = static_cast<std::size_t>(rng.uniform(0, kPageSize - 1));
+      auto len = static_cast<std::size_t>(rng.uniform(1, 64));
+      for (std::size_t j = pos; j < std::min(pos + len, kPageSize); ++j) {
+        cur[j] = static_cast<std::byte>(rng.next() & 0xff);
+      }
+    }
+    expect_same_delta(prev, cur);
+  }
+}
+
+TEST(DeltaKernelTest, FastMatchesReferenceOnEdgeCases) {
+  Rng rng(0xD157'0002);
+  kern::PageBytes prev = random_page(rng);
+  // Identical pages: zero runs either way.
+  expect_same_delta(prev, prev);
+  // Fully different: raw fallback.
+  kern::PageBytes inv = prev;
+  for (auto& b : inv) b = static_cast<std::byte>(~static_cast<int>(b));
+  expect_same_delta(prev, inv);
+  // Single-byte diffs at word boundaries and page edges.
+  for (std::size_t pos : {0ul, 1ul, 7ul, 8ul, 9ul, 63ul, 64ul, 2048ul,
+                          kPageSize - 9, kPageSize - 8, kPageSize - 1}) {
+    kern::PageBytes cur = prev;
+    cur[pos] = static_cast<std::byte>(static_cast<int>(cur[pos]) ^ 0x1);
+    expect_same_delta(prev, cur);
+  }
+  // Diff pairs separated by every gap width around the run-merge threshold
+  // (kDeltaRunHeader): exercises the absorb-vs-new-run decision exactly.
+  for (std::size_t gap = 1; gap <= criu::kDeltaRunHeader + 3; ++gap) {
+    for (std::size_t base : {100ul, 1000ul, kPageSize - 32}) {
+      kern::PageBytes cur = prev;
+      cur[base] = static_cast<std::byte>(static_cast<int>(cur[base]) ^ 0xFF);
+      cur[base + gap + 1] =
+          static_cast<std::byte>(static_cast<int>(cur[base + gap + 1]) ^ 0xFF);
+      expect_same_delta(prev, cur);
+    }
+  }
+}
+
+TEST(DeltaKernelTest, NoReferenceIsRawInBothKernels) {
+  Rng rng(0xD157'0003);
+  kern::PageBytes cur = random_page(rng);
+  criu::PageDelta ref = criu::delta_encode(nullptr, cur);
+  EXPECT_TRUE(ref.raw);
+  EXPECT_EQ(criu::delta_wire_size(nullptr, cur), kPageSize);
+  EXPECT_EQ(ref.wire_size, kPageSize);
+}
+
+// The codec short-circuits a page whose record still carries the exact
+// reference handle (identity implies byte equality under COW freezing).
+// The stamped wire size must be what the reference kernel computes by
+// scanning the identical bytes.
+TEST(DeltaKernelTest, IdentityShortCircuitMatchesReferenceCodec) {
+  Rng rng(0xD157'0004);
+  auto payload = util::arena_make_shared<kern::PageBytes>(random_page(rng));
+  const criu::PageDelta ref = criu::delta_encode(payload.get(), *payload);
+  ASSERT_FALSE(ref.raw);
+  ASSERT_EQ(ref.wire_size, criu::kDeltaPageHeader);
+
+  auto make_image = [&](std::uint64_t epoch) {
+    criu::CheckpointImage img;
+    img.epoch = epoch;
+    criu::PageRecord rec;
+    rec.page = 7;
+    rec.content = payload;
+    img.pages.push_back(rec);
+    return img;
+  };
+
+  criu::DeltaCodec codec;
+  criu::CheckpointImage e0 = make_image(0);
+  criu::EpochDeltaStats first = codec.encode_epoch(e0);
+  EXPECT_EQ(first.raw_pages, 1u);
+  EXPECT_EQ(first.identity_pages, 0u);
+
+  // The second epoch ships the same handle: the identity path.
+  criu::CheckpointImage e1 = make_image(1);
+  criu::EpochDeltaStats st = codec.encode_epoch(e1);
+  EXPECT_EQ(st.identity_pages, 1u);
+  EXPECT_EQ(st.delta_pages, 1u);
+  EXPECT_EQ(st.raw_pages, 0u);
+  EXPECT_EQ(st.wire_bytes, ref.wire_size);
+  EXPECT_EQ(e1.pages[0].wire_size, ref.wire_size);
+}
+
 // --------------------------------------------- pipeline tier determinism ----
 
-/// A frozen container with seeded content — identical for every
-/// (shards, tier) configuration (same rig as shard_determinism_test).
+/// A frozen container with seeded content — identical for every tier.
 struct PipelineRig {
   sim::Simulation sim;
   blk::Disk disk;
@@ -274,13 +381,11 @@ struct PipelineTrace {
   std::vector<std::byte> restore_bytes;
 };
 
-PipelineTrace run_pipeline(int nshards, util::SimdTier tier, int epochs) {
+PipelineTrace run_pipeline(util::SimdTier tier, int epochs) {
   constexpr std::uint64_t kPages = 500;
   PipelineRig rig(kPages);
-  std::unique_ptr<util::WorkerPool> pool;
-  if (nshards > 1) pool = std::make_unique<util::WorkerPool>(nshards - 1);
-  criu::DeltaCodec codec(nshards, tier);
-  criu::RadixPageStore store(nshards);
+  criu::DeltaCodec codec(tier);
+  criu::RadixPageStore store;
   // Re-encodes every page with the reference kernel and checks the
   // stamped wire size and the round trip.
   check::DeltaReplayChecker oracle;
@@ -290,11 +395,9 @@ PipelineTrace run_pipeline(int nshards, util::SimdTier tier, int epochs) {
     if (e > 0) rig.mutate(static_cast<std::uint64_t>(e));
     criu::HarvestOptions ho;
     ho.incremental = true;
-    ho.shards = nshards;
-    ho.pool = pool.get();
     criu::HarvestResult hr = rig.engine.harvest(
         rig.cid, static_cast<std::uint64_t>(e), nullptr, ho);
-    criu::EpochDeltaStats ds = codec.encode_epoch(hr.image, pool.get());
+    criu::EpochDeltaStats ds = codec.encode_epoch(hr.image);
     oracle.replay(hr.image, /*delta_enabled=*/true);
     tr.stats.insert(tr.stats.end(),
                     {ds.content_pages, ds.delta_pages, ds.identity_pages,
@@ -302,7 +405,7 @@ PipelineTrace run_pipeline(int nshards, util::SimdTier tier, int epochs) {
     std::vector<std::byte> bytes = serialize_image(hr.image);
     tr.wire.insert(tr.wire.end(), bytes.begin(), bytes.end());
     store.begin_checkpoint(static_cast<std::uint64_t>(e));
-    tr.visits += store.store_batch(hr.image.pages, pool.get());
+    tr.visits += store.store_batch(hr.image.pages);
   }
 
   for (const criu::PageRecord* r : store.all_pages()) {
@@ -317,29 +420,32 @@ PipelineTrace run_pipeline(int nshards, util::SimdTier tier, int epochs) {
   return tr;
 }
 
-TEST(SimdPipelineTest, ObservablesIdenticalAcrossTiersAndShards) {
-  // One shard at the scalar tier is the baseline; run_pipeline checks
-  // every configuration against the reference kernel as well.
-  PipelineTrace ref = run_pipeline(1, util::SimdTier::kScalar, 4);
-  for (int nshards : {1, 8}) {
-    for (util::SimdTier tier : runnable_tiers()) {
-      if (nshards == 1 && tier == util::SimdTier::kScalar) continue;
-      PipelineTrace tr = run_pipeline(nshards, tier, 4);
-      const char* tn = util::simd_tier_name(tier);
-      EXPECT_EQ(tr.wire, ref.wire) << nshards << " shards, " << tn;
-      EXPECT_EQ(tr.stats, ref.stats) << nshards << " shards, " << tn;
-      EXPECT_EQ(tr.visits, ref.visits) << nshards << " shards, " << tn;
-      EXPECT_EQ(tr.restore, ref.restore) << nshards << " shards, " << tn;
-      EXPECT_EQ(tr.restore_bytes, ref.restore_bytes)
-          << nshards << " shards, " << tn;
-    }
+TEST(SimdPipelineTest, ObservablesIdenticalAcrossTiers) {
+  // The scalar tier is the baseline; run_pipeline checks every tier
+  // against the reference kernel as well.
+  PipelineTrace ref = run_pipeline(util::SimdTier::kScalar, 4);
+  for (util::SimdTier tier : runnable_tiers()) {
+    if (tier == util::SimdTier::kScalar) continue;
+    PipelineTrace tr = run_pipeline(tier, 4);
+    const char* tn = util::simd_tier_name(tier);
+    EXPECT_EQ(tr.wire, ref.wire) << tn;
+    EXPECT_EQ(tr.stats, ref.stats) << tn;
+    EXPECT_EQ(tr.visits, ref.visits) << tn;
+    EXPECT_EQ(tr.restore, ref.restore) << tn;
+    EXPECT_EQ(tr.restore_bytes, ref.restore_bytes) << tn;
   }
 }
 
 TEST(SimdPipelineTest, FullSimMetricsIdenticalAcrossTiers) {
   // End-to-end: a whole NiLiCon run (epochs, output commit, delta wire
-  // accounting) must not depend on the scan-kernel tier.
+  // accounting) must not depend on the scan-kernel tier. The primary's
+  // codec takes its tier from NLC_SIMD, which is read anew at each
+  // codec's construction, so each run sets it and the test restores it.
+  const char* saved = std::getenv("NLC_SIMD");
+  const std::optional<std::string> before =
+      saved == nullptr ? std::nullopt : std::optional<std::string>(saved);
   auto run = [](util::SimdTier tier) {
+    ::setenv("NLC_SIMD", util::simd_tier_name(tier), 1);
     harness::RunConfig cfg;
     cfg.spec = apps::netecho_spec();
     cfg.spec.kv_pages = 256;
@@ -347,8 +453,6 @@ TEST(SimdPipelineTest, FullSimMetricsIdenticalAcrossTiers) {
     cfg.warmup = nlc::milliseconds(200);
     cfg.measure = nlc::seconds(2);
     cfg.nilicon.delta_compress_pages = true;
-    cfg.nilicon.page_shards = 8;
-    cfg.nilicon.simd_tier = tier;
     return harness::run_experiment(cfg);
   };
   harness::RunResult a = run(util::SimdTier::kScalar);
@@ -365,6 +469,11 @@ TEST(SimdPipelineTest, FullSimMetricsIdenticalAcrossTiers) {
     EXPECT_DOUBLE_EQ(a.metrics.stop_time_ms.mean(),
                      b.metrics.stop_time_ms.mean());
     EXPECT_DOUBLE_EQ(a.throughput_rps, b.throughput_rps) << tn;
+  }
+  if (before.has_value()) {
+    ::setenv("NLC_SIMD", before->c_str(), 1);
+  } else {
+    ::unsetenv("NLC_SIMD");
   }
 }
 

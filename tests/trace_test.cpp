@@ -246,14 +246,13 @@ TEST(ExportTest, TextTimelineListsEvents) {
 
 // ----------------------------------------------------------- determinism ----
 
-harness::RunConfig traced_config(bool tracing, int shards) {
+harness::RunConfig traced_config(bool tracing) {
   harness::RunConfig cfg;
   cfg.spec = apps::netecho_spec();
   cfg.spec.kv_pages = 256;
   cfg.mode = harness::Mode::kNiLiCon;
   cfg.warmup = nlc::milliseconds(200);
   cfg.measure = nlc::seconds(2);
-  cfg.nilicon.page_shards = shards;
   cfg.nilicon.trace_level =
       tracing ? core::TraceLevel::kFull : core::TraceLevel::kOff;
   return cfg;
@@ -271,24 +270,20 @@ void expect_same_observables(const harness::RunResult& a,
 }
 
 TEST(TraceDeterminismTest, ObservablesIdenticalTraceOnVsOff) {
-  // Tracing is observer-only: for any shard count, a traced run's simulated
-  // observables are identical to the untraced run's.
-  for (int shards : {1, 8}) {
-    harness::RunResult off = harness::run_experiment(traced_config(false,
-                                                                   shards));
-    harness::RunResult on = harness::run_experiment(traced_config(true,
-                                                                  shards));
-    ASSERT_EQ(off.trace, nullptr);
-    ASSERT_NE(on.trace, nullptr);
-    EXPECT_GT(on.trace->recorded(), 0u);
-    expect_same_observables(off, on);
-  }
+  // Tracing is observer-only: a traced run's simulated observables are
+  // identical to the untraced run's.
+  harness::RunResult off = harness::run_experiment(traced_config(false));
+  harness::RunResult on = harness::run_experiment(traced_config(true));
+  ASSERT_EQ(off.trace, nullptr);
+  ASSERT_NE(on.trace, nullptr);
+  EXPECT_GT(on.trace->recorded(), 0u);
+  expect_same_observables(off, on);
 }
 
 TEST(TraceDeterminismTest, ObservablesIdenticalAcrossTrialJobs) {
   // Same contract under the parallel trial runner: 1 job vs 4 jobs.
   auto trial = [](harness::TrialContext& ctx) {
-    harness::RunConfig cfg = traced_config(true, 1);
+    harness::RunConfig cfg = traced_config(true);
     cfg.seed = 1 + ctx.index;
     harness::RunResult r = harness::run_experiment(cfg);
     ctx.sim_events = r.sim_events;
@@ -310,7 +305,7 @@ TEST(TraceDeterminismTest, ObservablesIdenticalAcrossTrialJobs) {
 // ------------------------------------------------------ failover timeline ----
 
 TEST(TraceFailoverTest, TimelineShowsDetectionRestoreArpRetransmit) {
-  harness::RunConfig cfg = traced_config(true, 1);
+  harness::RunConfig cfg = traced_config(true);
   cfg.measure = nlc::seconds(4);
   cfg.inject_fault = true;
   cfg.kv_validation = true;
@@ -413,7 +408,7 @@ TEST(CriticalPathTest, DecomposesSyntheticEpochExactly) {
 }
 
 TEST(CriticalPathTest, AttributesLiveRunAndSkipsTruncatedEpochs) {
-  harness::RunResult r = harness::run_experiment(traced_config(true, 1));
+  harness::RunResult r = harness::run_experiment(traced_config(true));
   ASSERT_NE(r.trace, nullptr);
   std::vector<Event> ev = r.trace->drain();
   trace::CriticalPath cp(ev);
@@ -522,10 +517,8 @@ PinnedStream pinned_stream(const harness::RunConfig& cfg) {
 TEST(TraceStreamPinTest, RecordedStreamsMatchPinnedDigests) {
   // The exact recorded stream of three canonical runs, pinned: any change
   // to what the rings record, in what order, at what simulated time or
-  // with what argument shows up here. Page shards come from NLC_SHARDS
-  // (0 = auto), so running the suite under different shard counts checks
-  // the stream is shard-invariant too.
-  harness::RunConfig epoch = traced_config(true, 0);
+  // with what argument shows up here.
+  harness::RunConfig epoch = traced_config(true);
   epoch.measure = nlc::seconds(1);
 
   harness::RunConfig replay = epoch;
@@ -557,7 +550,7 @@ TEST(TraceStreamPinTest, QuorumSegmentAndChainStreamsMatchPinnedDigests) {
   // over a star with a primary crash (per-replica log acks, the K-of-N
   // segment release, promotion and re-silver), and an epoch-mode chain
   // (acks of forwarded state reach the quorum out of step).
-  harness::RunConfig segments = traced_config(true, 0);
+  harness::RunConfig segments = traced_config(true);
   segments.measure = nlc::milliseconds(400);
   segments.nilicon.commit_mode = core::CommitMode::kReplay;
   segments.inject_fault = true;
@@ -565,7 +558,7 @@ TEST(TraceStreamPinTest, QuorumSegmentAndChainStreamsMatchPinnedDigests) {
   segments.nilicon.quorum_k = 2;
   segments.nilicon.topology = topo::Topology::kStar;
 
-  harness::RunConfig chain = traced_config(true, 0);
+  harness::RunConfig chain = traced_config(true);
   chain.measure = nlc::seconds(1);
   chain.nilicon.replicas = 3;
   chain.nilicon.quorum_k = 2;
@@ -583,7 +576,7 @@ TEST(TraceStreamPinTest, QuorumSegmentAndChainStreamsMatchPinnedDigests) {
 }
 
 TEST(TraceOracleTest, HarnessReportsTraceOrderChecks) {
-  harness::RunConfig cfg = traced_config(true, 1);
+  harness::RunConfig cfg = traced_config(true);
   cfg.nilicon.audit_level = core::AuditLevel::kCommitPoints;
   harness::RunResult r = harness::run_experiment(cfg);
   ASSERT_TRUE(r.audited);
@@ -594,7 +587,7 @@ TEST(TraceOracleTest, ReplayOfRecordedStreamRerunsTheLiveRules) {
   // The auditor runs the ordering rules live over exactly what the rings
   // keep, so replaying the drained stream must count the same checks —
   // in epoch mode, replay commit, and an N=3/K=2 run through a failover.
-  harness::RunConfig epoch = traced_config(true, 1);
+  harness::RunConfig epoch = traced_config(true);
   epoch.measure = nlc::seconds(1);
   epoch.nilicon.audit_level = core::AuditLevel::kCommitPoints;
   harness::RunConfig replay = epoch;

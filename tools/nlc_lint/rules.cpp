@@ -513,7 +513,7 @@ void rule_ptr_sort(RuleCtx& c) {
 /// ... epochctl`, DESIGN.md §15) is held to the same standard for a
 /// different reason: it feeds back into the epoch schedule, so any
 /// non-simulated input would break byte determinism across every
-/// NLC_SHARDS x NLC_JOBS configuration.
+/// NLC_JOBS x NLC_SIMD configuration.
 void rule_replay_wallclock(RuleCtx& c) {
   const Toks& t = c.f.lex.tokens;
   for (std::size_t i = 0; i < t.size(); ++i) {
@@ -551,7 +551,7 @@ void rule_replay_wallclock(RuleCtx& c) {
                             "replay the logged kRngDraw entries instead "
                             "(DESIGN.md §14)"
                           : "ambient randomness diverges the adapted epoch "
-                            "schedule across shard/job configurations "
+                            "schedule across job/tier configurations "
                             "(DESIGN.md §15)"));
       } else if (t[k].text == "random_device" ||
                  kRandomEngines.count(t[k].text) > 0) {
